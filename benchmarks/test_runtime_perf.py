@@ -15,7 +15,12 @@ Measures, for one ≥4-chunk NetShare configuration:
   eager-vs-compiled bitwise parity (model-level and end-to-end through
   ``NetShare.generate``), warm ``generate()`` replay speedup (gate:
   >= 1.3x), and the tape hit rate under a mixed request-size schedule
-  (gate: >= 50% replays against a cold cache).
+  (gate: >= 50% replays against a cold cache);
+* **dp** — the batched per-example DP-SGD critic step against its
+  per-example loop oracle at the end-to-end benchmark's CAIDA critic
+  size: bitwise parity over a ``fit_dp``, and the warm (replayed) step
+  time of both, median and IQR over alternating rounds (gate: the
+  median speedup, see ``DP_SPEEDUP_GATE``).
 
 Everything lands in ``BENCH_runtime.json`` at the repo root, and the
 tests double as the regression gate: chunk weights and generated
@@ -46,6 +51,7 @@ from repro.datasets import load_dataset
 from repro.gan.doppelganger import DgConfig, DoppelGANger
 from repro.nn.pool import POOL
 from repro.nn import tape as nn_tape
+from repro.privacy import DpSgdConfig
 from repro.runtime import BACKENDS, MEASURE_DISPATCH_ENV_VAR
 from repro.telemetry import load_journal
 from repro.telemetry.spans import span
@@ -453,6 +459,106 @@ def _tape_check_section() -> dict:
     }
 
 
+DP_ROUNDS = 7
+DP_PROBE_STEPS = 10
+#: Warm DP critic step, loop oracle time / batched time.  Set from the
+#: measured spread: on a 2-vCPU Xeon VM, 7 runs of this section gave
+#: medians 1.54-1.65 (per-run IQR 0.06-0.26).  The gate sits twice the
+#: spread of those medians below the lowest one, and well above the
+#: 1.0 a return to one pass per example would measure.
+DP_SPEEDUP_GATE = 1.3
+
+
+def _dp_section() -> dict:
+    """Measure the batched per-example DP-SGD critic step.
+
+    Sizes follow the CAIDA model of ``benchmarks/e2e`` (12 timesteps,
+    batch 32, 38,786 critic parameters).  Parity: a short ``fit_dp``
+    with the batched pass and with the loop oracle
+    (``_dp_critic_gradients_loop``) must agree on every loss and
+    weight bit.  Timing: both variants record their tapes, then run
+    ``DP_ROUNDS`` alternating rounds of ``DP_PROBE_STEPS`` warm steps;
+    the first (recording) step is kept as information.
+    """
+    rng = np.random.default_rng(0)
+    n, steps, meta, meas = 160, 12, 82, 5
+    flags = (np.arange(steps)[None, :]
+             < rng.integers(1, steps + 1, size=(n, 1))).astype(float)
+    flows = EncodedFlows(rng.uniform(-1, 1, size=(n, meta)),
+                         rng.uniform(size=(n, steps, meas)), flags)
+    config = DgConfig(metadata_dim=meta, measurement_dim=meas,
+                      max_timesteps=steps)
+    dp = DpSgdConfig(clip_norm=1.0, noise_multiplier=1.0)
+
+    def model(variant):
+        gan = DoppelGANger(config, seed=1)
+        if variant == "loop":
+            gan._dp_critic_gradients = gan._dp_critic_gradients_loop
+        return gan
+
+    def fit(variant):
+        gan = model(variant)
+        gan.fit_dp(flows, epochs=1, dp_config=dp, seed=2)
+        return gan
+
+    variants = ("batched", "loop")
+    try:
+        POOL.configure(True)
+        POOL.reset()
+        nn_tape.configure(True)
+        fitted = {v: fit(v) for v in variants}
+        a, b = (fitted[v] for v in variants)
+        state_a, state_b = a.state_dict(), b.state_dict()
+        parity = (a.log.d_loss == b.log.d_loss
+                  and a.log.g_loss == b.log.g_loss
+                  and all(np.array_equal(state_a[k], state_b[k])
+                          for k in state_a))
+
+        models = {v: model(v) for v in variants}
+        noise = {v: np.random.default_rng(3) for v in variants}
+        cold_ms = {}
+        for v, gan in models.items():
+            start = time.perf_counter()
+            gan._dp_disc_step(flows, dp, noise[v])
+            cold_ms[v] = (time.perf_counter() - start) * 1e3
+            gan._dp_disc_step(flows, dp, noise[v])
+        warm_ms = {v: [] for v in variants}
+        for _ in range(DP_ROUNDS):
+            for v, gan in models.items():
+                start = time.perf_counter()
+                for _ in range(DP_PROBE_STEPS):
+                    gan._dp_disc_step(flows, dp, noise[v])
+                warm_ms[v].append((time.perf_counter() - start)
+                                  / DP_PROBE_STEPS * 1e3)
+    finally:
+        nn_tape.configure(None)
+        POOL.configure(True)
+        POOL.reset()
+
+    def spread(values):
+        q1, median, q3 = np.percentile(values, [25, 50, 75])
+        return {"median": round(median, 3), "iqr": round(q3 - q1, 3)}
+
+    ratios = [loop / max(batched, 1e-9) for loop, batched
+              in zip(warm_ms["loop"], warm_ms["batched"])]
+    speedup = spread(ratios)
+    return {
+        "critic_params": sum(p.size for p in models["batched"]._d_params),
+        "batch_size": config.batch_size,
+        "rounds": DP_ROUNDS,
+        "steps_per_round": DP_PROBE_STEPS,
+        "bit_identical_with_loop": parity,
+        "warm_step_ms_batched": spread(warm_ms["batched"]),
+        "warm_step_ms_loop": spread(warm_ms["loop"]),
+        "record_step_ms_batched": round(cold_ms["batched"], 1),
+        "record_step_ms_loop": round(cold_ms["loop"], 1),
+        "warm_step_speedup": {
+            "value": speedup["median"], "iqr": speedup["iqr"],
+            "gate": DP_SPEEDUP_GATE, "cpus": os.cpu_count() or 1,
+        },
+    }
+
+
 @pytest.fixture(scope="module")
 def bench():
     """Run the whole measurement matrix once; tests assert on it."""
@@ -546,6 +652,7 @@ def bench():
         report["tape"] = _tape_section()
         report["tape_check"] = _tape_check_section()
         report["infer"] = _infer_section()
+        report["dp"] = _dp_section()
         # End-to-end oracle: NetShare.generate with tapes forced off
         # must reproduce the (taped) serial trace byte for byte.
         nn_tape.configure(False)
@@ -611,6 +718,7 @@ def bench():
         print(json.dumps(report["tape"], indent=2))
         print(json.dumps(report["tape_check"], indent=2))
         print(json.dumps(report["infer"], indent=2))
+        print(json.dumps(report["dp"], indent=2))
         return {"report": report, "models": models, "traces": traces}
     finally:
         if previous is None:
@@ -661,7 +769,7 @@ class TestRuntimePerf:
         data = json.loads(OUTPUT_PATH.read_text())
         assert set(data) >= {"config", "cpus", "fit", "generate", "summary",
                              "telemetry", "alloc", "tape", "tape_check",
-                             "infer"}
+                             "infer", "dp"}
         assert set(data["fit"]) == set(LOCAL_BACKENDS)
         for entry in data["fit"].values():
             assert entry["dispatch_bytes"] > 0
@@ -787,3 +895,18 @@ class TestRuntimePerf:
         check = bench["report"]["tape_check"]
         assert check["sanitizer_overhead"] > 0
         assert check["warm_step_ms_sanitized"] > 0
+
+    def test_dp_batched_step_is_bit_identical(self, bench):
+        """Acceptance: the batched per-example DP critic pass must not
+        change a single loss or weight against the loop oracle."""
+        assert bench["report"]["dp"]["bit_identical_with_loop"]
+
+    def test_dp_batched_step_speedup(self, bench):
+        """CI gate: the warm batched DP critic step must beat the loop
+        oracle by DP_SPEEDUP_GATE (median over alternating rounds; one
+        taped pass instead of one per example, so no CPU-count skip)."""
+        dp = bench["report"]["dp"]
+        speedup = dp["warm_step_speedup"]
+        assert speedup["cpus"] == (os.cpu_count() or 1)
+        assert dp["critic_params"] > 10_000
+        assert speedup["value"] >= DP_SPEEDUP_GATE

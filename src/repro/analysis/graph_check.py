@@ -237,6 +237,17 @@ def _build_default_specs() -> None:
     binary("div", lambda a, b: a / b, sampler=_positive)
     unary("pow", lambda x: x ** 3.0, sampler=_positive)
     binary("matmul", lambda a, b: a @ b, shapes=((2, 3), (3, 4)))
+    # Stacked matmul with a broadcast stack axis: the DP critic's
+    # per-example rows (b, 1, F) against per-example weights (b, F, H),
+    # and a shared (F, H) matrix whose gradient sums over the stack.
+    def batched_inputs():
+        g = rng()
+        return [_mixed(g, s) for s in ((3, 1, 4), (3, 4, 2), (2, 5))]
+    register_op(OpSpec(
+        name="matmul_batched", make_inputs=batched_inputs,
+        apply=lambda xs: concatenate(
+            [xs[0] @ xs[1], xs[0] @ xs[1] @ xs[2]], axis=-1),
+    ))
     # elementwise
     unary("exp", lambda x: x.exp())
     unary("log", lambda x: x.log(), sampler=_positive)

@@ -15,7 +15,7 @@ This module cross-checks all three.  It AST-scans ``src/repro`` for
 tape-entry kernel launches (``ka(np.X, ...)``, ``_REC.k/a/inplace``)
 and requires an explicit contract for every launched kernel; it checks
 every declared contract still resolves to a live numpy callable; and
-it checks the 37-op graph-check registry against the mechanical
+it checks the 38-op graph-check registry against the mechanical
 enumeration of the public op surface, both directions.  A new op added
 without a contract or a grad-check registration turns into a CI
 failure via ``python -m repro.analysis --check-tapes``.
@@ -51,6 +51,7 @@ OP_SURFACE: Dict[str, Tuple[str, str]] = {
     "div": ("tensor", "__truediv__"),
     "pow": ("tensor", "__pow__"),
     "matmul": ("tensor", "__matmul__"),
+    "matmul_batched": ("tensor", "__matmul__"),
     "exp": ("tensor", "exp"),
     "log": ("tensor", "log"),
     "sqrt": ("tensor", "sqrt"),

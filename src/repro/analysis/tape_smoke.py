@@ -106,7 +106,7 @@ def _record_stan() -> None:
 
 
 def _record_ops() -> None:
-    """Drive every registered op program (the same 37-op surface the
+    """Drive every registered op program (the same 38-op surface the
     double-backprop checker covers) through one compiled step each."""
     from repro.nn import Tensor, grad
     from repro.nn.functional import gumbel_softmax

@@ -56,7 +56,7 @@ from ..nn.tape import (
     ka as _ka,
     taped_draw,
 )
-from ..privacy.dpsgd import DpSgdConfig, privatize_gradients
+from ..privacy.dpsgd import DpSgdConfig, privatize_gradients, stack_examples
 
 __all__ = ["DgConfig", "DoppelGANger", "TrainingLog"]
 
@@ -228,7 +228,7 @@ def _flatten_sample(metadata: Tensor, measurements: Tensor,
     )
 
 
-def _with_batch_stats(flat: Tensor) -> Tensor:
+def _with_batch_stats(flat: Tensor, axis: int = 0) -> Tensor:
     """Append the batch mean to every sample (minibatch statistics).
 
     A per-sample critic can detect *support* mismatch but not
@@ -236,10 +236,29 @@ def _with_batch_stats(flat: Tensor) -> Tensor:
     it the batch mean gives it — and, through it, the generator — a
     gradient signal for marginal mode balance.  The original
     DoppelGANger relies on scale instead ('packing is not used'); at
-    numpy scale this is the cheap equivalent.
+    numpy scale this is the cheap equivalent.  ``axis`` is the batch
+    axis: the DP critic step stacks batches of one as ``(b, 1, F)``
+    and averages over ``axis=1``.
     """
-    mean = flat.mean(axis=0, keepdims=True)
+    mean = flat.mean(axis=axis, keepdims=True)
     return concatenate([flat, mean.broadcast_to(flat.shape)], axis=-1)
+
+
+def _per_example_critic(critic: "_Discriminator", x: Tensor,
+                        leaves: Sequence[Tensor]) -> Tensor:
+    """``critic`` on ``(b, 1, F)`` rows, with parameters per example.
+
+    ``leaves`` are ``(b,) + param.shape`` tensors in
+    ``critic.parameters()`` order.  Each example keeps the batch-1 row
+    shape of a per-example forward, so every matmul runs as ``b``
+    stacked vector-matrix products: the same BLAS calls, and the same
+    bits, as ``b`` separate batch-1 passes.
+    """
+    b = x.shape[0]
+    for layer, weight, bias in zip(critic.net.layers, leaves[0::2],
+                                   leaves[1::2]):
+        x = layer.forward_with(x, weight, bias.reshape(b, 1, -1))
+    return x
 
 
 class DoppelGANger:
@@ -275,7 +294,9 @@ class DoppelGANger:
         # eager bodies below.
         self._c_disc = compiled_step(self._disc_core, "dg.disc")
         self._c_gen = compiled_step(self._gen_core, "dg.gen")
-        self._c_dp_disc = compiled_step(self._dp_disc_core, "dg.dp_disc")
+        # The DP step returns its per-example losses as one array.
+        self._c_dp_disc = compiled_step(self._dp_disc_core, "dg.dp_disc",
+                                        extract="array")
         # Generation runs as a forward-only tape per bucketed batch
         # size; the LiveRng proxy lets per-call seeds feed replayed
         # draws (the tape captured the proxy, not the generator).
@@ -283,6 +304,14 @@ class DoppelGANger:
         self._c_infer = compiled_infer(self._infer_core, "dg.infer")
 
     # ------------------------------------------------------------------
+    def release_tapes(self) -> None:
+        """Free the recorded tapes now.  A model is a reference cycle
+        (its compiled steps call back into it), so once dropped its
+        tape storage would otherwise wait for the cyclic collector."""
+        for step in (self._c_disc, self._c_gen, self._c_dp_disc,
+                     self._c_infer):
+            step.clear()
+
     def num_parameters(self) -> int:
         return sum(p.size for p in self._g_params + self._d_params)
 
@@ -516,10 +545,64 @@ class DoppelGANger:
 
     def _dp_disc_core(self, data: EncodedFlows, b: int,
                       dp_config: DpSgdConfig,
-                      noise_rng: np.random.Generator) -> List[Tensor]:
-        # The per-example gradient lists are pooled buffers, so the
-        # whole step — including privatize_gradients, which consumes
-        # them — sits inside one compiled region.
+                      noise_rng: np.random.Generator):
+        # The per-example gradients are pooled buffers, so the whole
+        # step — including privatize_gradients, which consumes them —
+        # sits inside one compiled region.
+        losses, noisy = self._dp_critic_gradients(data, b, dp_config,
+                                                  noise_rng)
+        self._d_opt.step(noisy)
+        return losses
+
+    def _dp_critic_gradients(self, data: EncodedFlows, b: int,
+                             dp_config: DpSgdConfig,
+                             noise_rng: np.random.Generator):
+        """Per-example losses and privatized critic gradients of one
+        DP-SGD step, from one batched forward/backward pass.
+
+        Each example is its own batch of one, as DP-SGD needs (the
+        batch-mean feature then equals the sample).  Instead of ``b``
+        separate passes, the examples are stacked as ``(b, 1, F)`` rows
+        against per-example parameter leaves — ``(b,) + param.shape``
+        broadcast views of the live weights — so one ``grad()`` returns
+        every example's gradient, stacked the way
+        :func:`privatize_gradients` takes them.  Bit-identical to
+        :meth:`_dp_critic_gradients_loop` (DESIGN.md §16).
+        """
+        idx = taped_draw(lambda: self._rng.integers(0, len(data), size=b))
+        with no_grad():
+            fake = self._sample_fake(b)
+        fake = tuple(t.detach() for t in fake)
+        real = self._real_batch(data, idx)
+        leaves = [Tensor(np.broadcast_to(p.data, (b,) + p.shape),
+                         requires_grad=True) for p in self._d_params]
+        n_disc = len(self.disc.parameters())
+
+        def critic_means(critic, params, flat):
+            rows = _with_batch_stats(flat.reshape(b, 1, -1), axis=1)
+            return _per_example_critic(critic, rows, params).mean(
+                axis=(1, 2))
+
+        disc = leaves[:n_disc]
+        loss = (critic_means(self.disc, disc, _flatten_sample(*fake))
+                - critic_means(self.disc, disc, _flatten_sample(*real)))
+        if self.disc_aux is not None:
+            aux = leaves[n_disc:]
+            loss = loss + self.config.aux_weight * (
+                critic_means(self.disc_aux, aux, fake[0])
+                - critic_means(self.disc_aux, aux, real[0])
+            )
+        grads = grad(loss.sum(), leaves)
+        noisy = privatize_gradients([g.data for g in grads], dp_config,
+                                    noise_rng)
+        return loss, noisy
+
+    def _dp_critic_gradients_loop(self, data: EncodedFlows, b: int,
+                                  dp_config: DpSgdConfig,
+                                  noise_rng: np.random.Generator):
+        """Reference per-example loop for :meth:`_dp_critic_gradients`
+        (one batch-1 forward/backward per example); kept as the
+        regression-test oracle for the batched pass."""
         idx = taped_draw(lambda: self._rng.integers(0, len(data), size=b))
         with no_grad():
             fake = self._sample_fake(b)
@@ -546,9 +629,9 @@ class DoppelGANger:
             grads = grad(loss, self._d_params)
             per_example.append([g.data for g in grads])
             losses.append(loss)
-        noisy = privatize_gradients(per_example, dp_config, noise_rng)
-        self._d_opt.step(noisy)
-        return losses
+        noisy = privatize_gradients(stack_examples(per_example), dp_config,
+                                    noise_rng)
+        return losses, noisy
 
     # ------------------------------------------------------------------
     def _infer_core(self, n: int):

@@ -309,16 +309,24 @@ class Tensor:
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = _ensure_tensor(other)
         a, b = self.data, other.data
-        if (_POOL.active and a.ndim == 2 and b.ndim == 2
+        if (_POOL.active and a.ndim >= 2 and b.ndim >= 2
                 and a.dtype == _F64 and b.dtype == _F64):
-            out_data = np.matmul(a, b, out=_POOL.take((a.shape[0], b.shape[1])))
+            # Stacked operands broadcast their leading (stack) axes.
+            shape = (_bcast_shape(a.shape[:-2], b.shape[:-2])
+                     + (a.shape[-2], b.shape[-1]))
+            out_data = np.matmul(a, b, out=_POOL.take(shape))
             if _REC.active:
                 _REC.k(np.matmul, (a, b), out_data)
         else:
             out_data = _ka(np.matmul, a, b)
 
         def vjp(g: "Tensor"):
-            return (g @ other.T, self.T @ g)
+            # Stacked operands transpose their matrix axes only (``.T``
+            # would reverse the stack axes too), and a broadcast stack
+            # axis sums back down.  For 2-D operands this is exactly
+            # ``(g @ other.T, self.T @ g)``.
+            return (_unbroadcast(g @ _swap_last(other), self.shape),
+                    _unbroadcast(_swap_last(self) @ g, other.shape))
 
         return Tensor._make(out_data, (self, other), vjp)
 
@@ -551,6 +559,15 @@ class _ScatterHelper:
             return (ct[index],)
 
         return Tensor._make(scatter, (g,), vjp)
+
+
+def _swap_last(t: Tensor) -> Tensor:
+    """Transpose the last two axes (the matrix axes of a stacked
+    matmul operand); a 1-D operand is returned as is, like ``.T``."""
+    if t.ndim < 2:
+        return t
+    lead = tuple(range(t.ndim - 2))
+    return t.transpose(lead + (t.ndim - 1, t.ndim - 2))
 
 
 def _ensure_tensor(value: ArrayLike) -> Tensor:

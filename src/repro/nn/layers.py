@@ -141,7 +141,12 @@ class Dense(Module):
         self.bias = Parameter(np.zeros(out_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        return _ACTIVATIONS[self.activation](x @ self.weight + self.bias)
+        return self.forward_with(x, self.weight, self.bias)
+
+    def forward_with(self, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+        """The layer's function at explicit parameter tensors (e.g.
+        per-example leaves stacked along a leading example axis)."""
+        return _ACTIVATIONS[self.activation](x @ weight + bias)
 
 
 class Sequential(Module):

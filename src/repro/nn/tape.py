@@ -515,13 +515,16 @@ def _plan_buffers(entries: List[Tuple], owned: Dict[int, np.ndarray],
     mapping: Dict[int, np.ndarray] = {}
     expiring: Dict[int, List[np.ndarray]] = {}
     planned: List[np.ndarray] = []
+    # Unpinned buffers by defining entry, in first-use order.
+    defs: Dict[int, List[int]] = {}
+    for bid, start in first.items():
+        if bid not in pinned:
+            defs.setdefault(start, []).append(bid)
 
     for i in range(len(entries)):
         # Defs first (cannot grab storage released by this entry's own
         # reads), then releases scheduled at this index.
-        for bid, start in first.items():
-            if start != i or bid in pinned:
-                continue
+        for bid in defs.get(i, ()):
             buf = owned[bid]
             key = (buf.shape, buf.dtype.str)
             pool_ = free.get(key)
@@ -899,6 +902,10 @@ class CompiledStep:
                 for t in tensors]
         return outs, scalar
 
+    def clear(self) -> None:
+        """Drop every recorded tape and the storage it holds."""
+        self._tapes.clear()
+
     def _eager(self, args):
         with _POOL.step_scope():
             outs, scalar = self._finish(self.fn(*args))
@@ -1042,6 +1049,10 @@ class CompiledInfer:
         outs = [t.data if hasattr(t, "data") else np.asarray(t)
                 for t in tensors]
         return outs, scalar
+
+    def clear(self) -> None:
+        """Drop every recorded tape and the storage it holds."""
+        self._tapes.clear()
 
     def _eager(self, args):
         from .autograd import no_grad

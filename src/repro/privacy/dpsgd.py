@@ -21,7 +21,8 @@ from ..telemetry import emit_event
 from ..telemetry.state import STATE as _TELEMETRY
 from .accountant import RdpAccountant
 
-__all__ = ["DpSgdConfig", "privatize_gradients", "DpGradientComputer"]
+__all__ = ["DpSgdConfig", "privatize_gradients", "stack_examples",
+           "DpGradientComputer"]
 
 
 @dataclass
@@ -39,37 +40,55 @@ class DpSgdConfig:
             raise ValueError("noise multiplier must be non-negative")
 
 
-def privatize_gradients(
+def stack_examples(
     per_example_grads: Sequence[Sequence[np.ndarray]],
-    config: DpSgdConfig,
-    rng: np.random.Generator,
 ) -> List[np.ndarray]:
-    """Clip each example's gradient list, sum, add noise, average.
-
-    ``per_example_grads[i][p]`` is example i's gradient for parameter p.
-
-    Vectorized over the batch: gradients are stacked per parameter so
-    the per-example norms, clip factors, and totals come from whole-
-    batch numpy kernels instead of a Python loop per example.  Every
-    reduction runs in the same element order as the per-example loop
-    (see :func:`_privatize_gradients_loop`), so the output is
-    bit-identical to the reference implementation.  All kernels and the
-    noise draw go through the tape shims so a recorded DP step replays
-    exactly (the noise is re-drawn from the live generator in stream
-    order).
-    """
+    """Turn a per-example list (``per_example_grads[i][p]`` is example
+    i's gradient for parameter p) into the stacked blocks
+    :func:`privatize_gradients` takes: one array per parameter with the
+    examples along a new leading axis."""
     if not per_example_grads:
         raise ValueError("need at least one example")
-    n = len(per_example_grads)
-    stacked = [
+    return [
         _ka(np.stack,
             [np.asarray(example[p]) for example in per_example_grads])
         for p in range(len(per_example_grads[0]))
     ]
+
+
+def privatize_gradients(
+    per_example_grads: Sequence[np.ndarray],
+    config: DpSgdConfig,
+    rng: np.random.Generator,
+) -> List[np.ndarray]:
+    """Clip each example's gradient, sum, add noise, average.
+
+    ``per_example_grads[p]`` stacks every example's gradient for
+    parameter p along a leading example axis, shape
+    ``(n,) + param.shape`` — what one backward pass over per-example
+    parameter leaves returns (see ``DoppelGANger``'s DP critic step);
+    :func:`stack_examples` builds it from a per-example list.
+
+    Vectorized over the batch: the per-example norms, clip factors, and
+    totals come from whole-batch numpy kernels instead of a Python loop
+    per example.  Every reduction runs in the same element order as the
+    per-example loop (see :func:`_privatize_gradients_loop`), so the
+    output is bit-identical to the reference implementation.  All
+    kernels and the noise draw go through the tape shims so a recorded
+    DP step replays exactly (the noise is re-drawn from the live
+    generator in stream order).
+    """
+    blocks = [np.asarray(block) for block in per_example_grads]
+    if not blocks or len(blocks[0]) == 0:
+        raise ValueError("need at least one example")
+    n = len(blocks[0])
+    if any(len(block) != n for block in blocks):
+        raise ValueError("every gradient block needs the same number "
+                         "of examples")
     # Per-example global L2 norms, accumulated across parameters in the
     # same order clip_global_norm sums them.
     sq_norms = fresh_zeros(n)
-    for block in stacked:
+    for block in blocks:
         sq = _ka(np.multiply, block, block)
         part = _ka(np.sum, sq.reshape(n, -1), axis=1)
         np.add(sq_norms, part, out=sq_norms)
@@ -83,7 +102,7 @@ def privatize_gradients(
                   _ka(np.maximum, norms, config.clip_norm))
     scale = config.noise_multiplier * config.clip_norm
     noisy = []
-    for block in stacked:
+    for block in blocks:
         shaped = factors.reshape((n,) + (1,) * (block.ndim - 1))
         prod = _ka(np.multiply, block, shaped)
         total = _ka(np.add.reduce, prod, axis=0)
@@ -150,7 +169,8 @@ class DpGradientComputer:
             loss = loss_fn(index)
             grads = grad(loss, self.params)
             per_example.append([g.data for g in grads])
-        noisy = privatize_gradients(per_example, self.config, self.rng)
+        noisy = privatize_gradients(stack_examples(per_example),
+                                    self.config, self.rng)
         if self.config.noise_multiplier > 0:
             self.accountant.step(
                 self.config.noise_multiplier,

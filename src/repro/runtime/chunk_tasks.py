@@ -226,6 +226,9 @@ def train_chunk(task: ChunkTask) -> ChunkResult:
         else:
             model.fit(encoded, epochs=task.epochs)
         elapsed = time.perf_counter() - start
+    # The model dies with this task; free its tapes before the next
+    # task in this process records its own.
+    model.release_tapes()
     return ChunkResult(
         chunk_index=task.chunk_index,
         state=model.state_dict(),

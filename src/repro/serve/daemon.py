@@ -201,6 +201,10 @@ class ServeDaemon:
         #: deterministically); ``shutdown`` always re-sets it.
         self.gate = threading.Event()
         self.gate.set()
+        #: Test hook: how many requests the scheduler has collected and
+        #: holds at ``gate`` (0 while it is not waiting there), so a test
+        #: can tell "collected and held" from "not collected yet".
+        self.held = 0
         self._executor = None
         self._server: Optional[_ServeServer] = None
         self._server_thread: Optional[threading.Thread] = None
@@ -372,7 +376,9 @@ class ServeDaemon:
                 if self._stop.is_set():
                     break
                 continue
+            self.held = len(batch)
             self.gate.wait()
+            self.held = 0
             if self._stop.is_set() and not self._drain_on_stop:
                 for pending in batch + self.queue.drain():
                     pending.complete(error_response(

@@ -13,6 +13,7 @@ from repro.privacy import (
     noise_multiplier_for_epsilon,
     privatize_gradients,
     retrain_attribute,
+    stack_examples,
     transform_ips,
 )
 
@@ -88,21 +89,21 @@ class TestPrivatizeGradients:
     def test_clipping_bounds_contribution(self):
         config = DpSgdConfig(clip_norm=1.0, noise_multiplier=0.0)
         rng = np.random.default_rng(0)
-        huge = [[np.array([100.0, 0.0])]]
+        huge = [np.array([[100.0, 0.0]])]   # one example, one param
         out = privatize_gradients(huge, config, rng)
         np.testing.assert_allclose(np.linalg.norm(out[0]), 1.0)
 
     def test_no_noise_no_clip_is_mean(self):
         config = DpSgdConfig(clip_norm=1e9, noise_multiplier=0.0)
         rng = np.random.default_rng(0)
-        grads = [[np.array([1.0, 2.0])], [np.array([3.0, 4.0])]]
+        grads = [np.array([[1.0, 2.0], [3.0, 4.0]])]   # two examples
         out = privatize_gradients(grads, config, rng)
         np.testing.assert_allclose(out[0], [2.0, 3.0])
 
     def test_noise_has_expected_scale(self):
         config = DpSgdConfig(clip_norm=1.0, noise_multiplier=2.0)
         rng = np.random.default_rng(0)
-        zero_grads = [[np.zeros(2000)]]
+        zero_grads = [np.zeros((1, 2000))]
         out = privatize_gradients(zero_grads, config, rng)
         # std of noise/n with n=1 should be ~ sigma*C = 2.0
         assert 1.8 < out[0].std() < 2.2
@@ -110,6 +111,11 @@ class TestPrivatizeGradients:
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError):
             privatize_gradients([], DpSgdConfig(), np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            privatize_gradients([np.zeros((0, 3))], DpSgdConfig(),
+                                np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            stack_examples([])
         from repro.privacy.dpsgd import _privatize_gradients_loop
         with pytest.raises(ValueError):
             _privatize_gradients_loop([], DpSgdConfig(),
@@ -134,12 +140,18 @@ class TestPrivatizeGradients:
             for scale in (0.01, 1.0, 30.0, 0.0, 5.0, 0.3)
         ]
         config = DpSgdConfig(clip_norm=clip_norm, noise_multiplier=noise)
-        fast = privatize_gradients(grads, config, np.random.default_rng(9))
+        fast = privatize_gradients(stack_examples(grads), config,
+                                   np.random.default_rng(9))
         slow = _privatize_gradients_loop(grads, config,
                                          np.random.default_rng(9))
         assert len(fast) == len(slow) == 3
         for a, b in zip(fast, slow):
             np.testing.assert_array_equal(a, b)
+
+    def test_blocks_must_share_example_count(self):
+        with pytest.raises(ValueError):
+            privatize_gradients([np.zeros((3, 2)), np.zeros((2, 4))],
+                                DpSgdConfig(), np.random.default_rng(0))
 
     def test_bad_config_raises(self):
         with pytest.raises(ValueError):

@@ -307,6 +307,16 @@ class TestAdmissionControl:
             f"queue depth never reached {depth} "
             f"(now {daemon.queue.depth})")
 
+    def _wait_held(self, daemon, count, timeout=5.0):
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if daemon.held == count:
+                return
+            time.sleep(0.01)
+        raise AssertionError(
+            f"scheduler never held {count} request(s) at the gate "
+            f"(holds {daemon.held})")
+
     def test_queue_full_rejected_with_retry_after(self, model_path):
         config = ServeConfig(coalesce_window=0.01, jobs=1,
                              queue_limit=1, retry_after=0.125)
@@ -321,9 +331,14 @@ class TestAdmissionControl:
                     background.append(client.generate(15, "ugr16"))
 
             # First request: collected into the held batch (leaves the
-            # queue).  Second: occupies the single queue slot.
+            # queue).  Second: occupies the single queue slot.  Wait
+            # until the scheduler holds request one at the gate — an
+            # empty queue alone is also the state before request one
+            # arrives, and a second request sent then would join its
+            # batch instead of queueing.
             one = threading.Thread(target=fire, args=("one",))
             one.start()
+            self._wait_held(daemon, 1)
             self._wait_depth(daemon, 0)
             two = threading.Thread(target=fire, args=("two",))
             two.start()
