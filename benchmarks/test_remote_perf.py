@@ -16,7 +16,7 @@ the distributed backend:
   its in-flight tasks onto the survivors with zero lost and zero
   duplicated records (the generated trace stays bit-identical).
 * **Wire economy** — the per-task frame shipped to a host must stay
-  within 2x of the shm backend's manifest size for the same fit
+  within 2x of the local pool's staged manifest size for the same fit
   workload; the blob plane, not the task plane, carries the bulk.
 
 The coordinator journals to ``BENCH_remote_journal/coordinator-*`` and
@@ -138,8 +138,9 @@ def bench():
 
         # -- local oracles -------------------------------------------
         serial = NetShare(_config("serial", 1)).fit(trace)
-        shm = NetShare(_config("shm", JOBS)).fit(trace)
-        for label, model in (("serial", serial), ("shm", shm)):
+        pooled = NetShare(_config("multiprocessing", JOBS)).fit(trace)
+        for label, model in (("serial", serial),
+                             ("multiprocessing", pooled)):
             report["fit"][label] = {
                 "jobs": model.config.jobs,
                 "wall_seconds": round(model.wall_seconds, 3),
@@ -175,7 +176,7 @@ def bench():
         fit_identical = _state_dicts_equal(serial, remote)
 
         # Wire economy: bytes actually framed to hosts per fit task,
-        # against the shm backend's manifest bytes for the same tasks.
+        # against the local pool's manifest bytes for the same tasks.
         fit_maps = _remote_maps(JOURNAL_DIR / "coordinator-fit")
         wire_tasks = sum(e["tasks"] for e in fit_maps)
         wire_bytes = sum(e["task_bytes"] for e in fit_maps)
@@ -187,8 +188,8 @@ def bench():
             "blob_bytes": sum(e["blob_bytes"] for e in fit_maps),
             "blobs_sent": sum(e["blobs_sent"] for e in fit_maps),
             "dedup_hits": sum(e["dedup_hits"] for e in fit_maps),
-            "shm_manifest_bytes_per_task": round(
-                shm.dispatch_bytes / max(shm.dispatch_tasks, 1), 1),
+            "pool_manifest_bytes_per_task": round(
+                pooled.dispatch_bytes / max(pooled.dispatch_tasks, 1), 1),
         }
 
         with telemetry.session(
@@ -321,15 +322,15 @@ def bench():
             ["max_ships_per_host_blob"],
             "dedup_hits": report["dedup_probe"]["dedup_hits"],
             "host_death_zero_lost_duplicated": bool(fault_identical),
-            "wire_bytes_per_task_vs_shm_manifest": {
+            "wire_bytes_per_task_vs_pool_manifest": {
                 "value": round(
                     report["wire"]["bytes_per_task"]
-                    / max(report["wire"]["shm_manifest_bytes_per_task"],
+                    / max(report["wire"]["pool_manifest_bytes_per_task"],
                           1.0), 3),
                 "remote_wire_bytes_per_task": report["wire"]
                 ["bytes_per_task"],
-                "shm_manifest_bytes_per_task": report["wire"]
-                ["shm_manifest_bytes_per_task"],
+                "pool_manifest_bytes_per_task": report["wire"]
+                ["pool_manifest_bytes_per_task"],
             },
         }
 
@@ -374,9 +375,9 @@ class TestRemotePerf:
         assert bench["report"]["summary"][
             "host_death_zero_lost_duplicated"]
 
-    def test_wire_bytes_within_2x_of_shm_manifests(self, bench):
+    def test_wire_bytes_within_2x_of_pool_manifests(self, bench):
         ratio = bench["report"]["summary"][
-            "wire_bytes_per_task_vs_shm_manifest"]
+            "wire_bytes_per_task_vs_pool_manifest"]
         assert ratio["value"] <= 2.0
 
     def test_journal_shards_merge(self, bench):
@@ -392,6 +393,6 @@ class TestRemotePerf:
         assert set(data) >= {"config", "cpus", "hosts", "fit",
                              "generate", "wire", "dedup_probe", "fault",
                              "serve", "journal", "summary"}
-        assert set(data["fit"]) == {"serial", "shm", "remote"}
+        assert set(data["fit"]) == {"serial", "multiprocessing", "remote"}
         for entry in data["fit"].values():
             assert entry["dispatch_tasks"] >= N_CHUNKS - 1

@@ -1,16 +1,14 @@
-"""Runtime performance gate: serial vs multiprocessing vs shm dispatch.
+"""Runtime performance gate: serial vs the staged process pool.
 
 Measures, for one ≥4-chunk NetShare configuration:
 
 * **fit** — wall seconds, summed per-task cpu seconds, and the pickled
-  dispatch-payload bytes each backend pushes through the worker pipe
-  (the number the zero-copy shared-memory plane exists to shrink);
+  dispatch-payload bytes of each backend's task lists: the serial
+  backend's tasks carry their tensors and states inline, the
+  ``multiprocessing`` pool's carry shared-memory manifests (the number
+  the zero-copy plane exists to shrink);
 * **generate** — wall seconds for sequential (jobs=1) vs parallel
-  (jobs=4) per-chunk sampling on each parallel backend;
-* **alloc** — the ``repro.nn.pool`` buffer planner: pooled-vs-unpooled
-  bitwise parity, pool hit rate over a smoke fit (gate: >= 90%), temp
-  arrays per discriminator step with the pool off vs warm (gate: >= 5x
-  reduction), and fit wall clock both ways;
+  (jobs=4) per-chunk sampling;
 * **infer** — forward-only tape compilation on the sampling path:
   eager-vs-compiled bitwise parity (model-level and end-to-end through
   ``NetShare.generate``), warm ``generate()`` replay speedup (gate:
@@ -24,9 +22,9 @@ Measures, for one ≥4-chunk NetShare configuration:
 
 Everything lands in ``BENCH_runtime.json`` at the repo root, and the
 tests double as the regression gate: chunk weights and generated
-traces must be *bit-identical* across all three backends, and the shm
-backend must cut dispatch bytes by at least 10× versus pickling the
-tensors into every task.
+traces must be *bit-identical* across both local backends, and staging
+must cut dispatch bytes by at least 10× versus pickling the tensors
+into every task.
 
 Scale knobs: set ``REPRO_BENCH_SMOKE=1`` for the tiny CI-sized run.
 Wall-clock speedup assertions only run on machines with ≥4 CPUs (the
@@ -49,7 +47,6 @@ from repro import NetShare, NetShareConfig, telemetry
 from repro.core.flow_encoder import EncodedFlows
 from repro.datasets import load_dataset
 from repro.gan.doppelganger import DgConfig, DoppelGANger
-from repro.nn.pool import POOL
 from repro.nn import tape as nn_tape
 from repro.privacy import DpSgdConfig
 from repro.runtime import BACKENDS, MEASURE_DISPATCH_ENV_VAR
@@ -105,83 +102,7 @@ def _noop_span_ns(iterations: int = 50_000) -> float:
     return (time.perf_counter() - start) / iterations * 1e9
 
 
-ALLOC_EPOCHS = 4 if SMOKE else 8
-ALLOC_PROBE_STEPS = 20
-
-
-def _alloc_section() -> dict:
-    """Measure the buffer pool on the repro.nn hot loop.
-
-    Fits the same DoppelGANger twice (``REPRO_NN_POOL`` off, then on):
-    parity is the bitwise oracle, the per-step probe counts how many
-    scratch arrays a discriminator step requests (every request is a
-    fresh ``np.empty`` on the unpooled path, a free-list pop once the
-    pool is warm).
-    """
-    rng = np.random.default_rng(0)
-    flows = EncodedFlows(rng.uniform(size=(96, 6)),
-                         rng.uniform(size=(96, 4, 3)),
-                         np.ones((96, 4)))
-    config = DgConfig(metadata_dim=6, measurement_dim=3, max_timesteps=4,
-                      batch_size=32, meta_hidden=32, rnn_hidden=32,
-                      disc_hidden=32)
-
-    def fit_model(pooled):
-        POOL.configure(pooled)
-        POOL.reset()
-        model = DoppelGANger(config, seed=1)
-        start = time.perf_counter()
-        model.fit(flows, epochs=ALLOC_EPOCHS)
-        return model, time.perf_counter() - start
-
-    # Taped replay bypasses the pool entirely (recorded steps run on
-    # the tape arena), which would zero the hit-rate this section
-    # exists to measure — force the eager pooled path for the probe.
-    nn_tape.configure(False)
-    try:
-        model_off, wall_off = fit_model(False)
-        model_on, wall_on = fit_model(True)
-        fit_stats = POOL.stats()
-
-        parity = (list(model_off.log.d_loss) == list(model_on.log.d_loss)
-                  and list(model_off.log.g_loss) == list(model_on.log.g_loss))
-        state_off, state_on = model_off.state_dict(), model_on.state_dict()
-        parity = parity and all(np.array_equal(state_off[k], state_on[k])
-                                for k in state_off)
-
-        # Steady-state probe: after warmup every step's buffers come
-        # from the free lists, so requests/step == temp arrays the
-        # unpooled path would allocate and misses/step == what the
-        # pool allocates.
-        for _ in range(3):
-            model_on._disc_step(flows, config.batch_size)
-        before = POOL.stats()
-        for _ in range(ALLOC_PROBE_STEPS):
-            model_on._disc_step(flows, config.batch_size)
-        after = POOL.stats()
-        requests = (after["hits"] + after["misses"]
-                    - before["hits"] - before["misses"])
-        misses = after["misses"] - before["misses"]
-        temps_unpooled = requests / ALLOC_PROBE_STEPS
-        temps_pooled = misses / ALLOC_PROBE_STEPS
-    finally:
-        nn_tape.configure(None)
-        POOL.configure(True)
-        POOL.reset()
-
-    return {
-        "epochs": ALLOC_EPOCHS,
-        "bit_identical_with_pool": parity,
-        "fit_hit_rate": round(fit_stats["hit_rate"], 4),
-        "fit_wall_seconds_unpooled": round(wall_off, 3),
-        "fit_wall_seconds_pooled": round(wall_on, 3),
-        "fit_wall_speedup": round(wall_off / max(wall_on, 1e-9), 2),
-        "disc_step_temp_arrays_unpooled": round(temps_unpooled, 1),
-        "disc_step_temp_arrays_pooled": round(temps_pooled, 1),
-        "alloc_reduction": round(temps_unpooled / max(temps_pooled, 1.0), 1),
-    }
-
-
+TAPE_EPOCHS = 4 if SMOKE else 8
 TAPE_PROBE_STEPS = 30
 
 
@@ -204,11 +125,9 @@ def _tape_section() -> dict:
 
     def fit_model(taped):
         nn_tape.configure(taped)
-        POOL.configure(True)
-        POOL.reset()
         model = DoppelGANger(config, seed=1)
         start = time.perf_counter()
-        model.fit(flows, epochs=ALLOC_EPOCHS)
+        model.fit(flows, epochs=TAPE_EPOCHS)
         return model, time.perf_counter() - start
 
     try:
@@ -243,12 +162,10 @@ def _tape_section() -> dict:
         eager_ms = (time.perf_counter() - start) / TAPE_PROBE_STEPS * 1e3
     finally:
         nn_tape.configure(None)
-        POOL.configure(True)
-        POOL.reset()
 
     requests = stats["hits"] + stats["misses"]
     return {
-        "epochs": ALLOC_EPOCHS,
+        "epochs": TAPE_EPOCHS,
         "bit_identical_with_tape": parity,
         "hits": stats["hits"],
         "misses": stats["misses"],
@@ -294,8 +211,6 @@ def _infer_section() -> dict:
                       disc_hidden=32)
     sizes = (5, 64, 9)
     try:
-        POOL.configure(True)
-        POOL.reset()
         model = DoppelGANger(config, seed=1)
 
         def sample_all():
@@ -341,8 +256,6 @@ def _infer_section() -> dict:
         requests = stats["infer_hits"] + stats["infer_misses"]
     finally:
         nn_tape.configure(None)
-        POOL.configure(True)
-        POOL.reset()
 
     return {
         "sample_sizes": list(sizes),
@@ -380,7 +293,7 @@ def _tape_check_section() -> dict:
     from repro.analysis.tape_check import verify_tape
     from repro.analysis.tape_smoke import run_tape_checks
     from repro.nn import Dense, SGD, grad, tensor
-    from repro.nn.pool import configure_sanitize
+    from repro.nn.sanitize import configure_sanitize
     from repro.nn.tape import collect_tapes, compiled_step, k_gather, \
         taped_draw
 
@@ -388,8 +301,6 @@ def _tape_check_section() -> dict:
     sync = check_registry_sync()
 
     try:
-        POOL.configure(True)
-        POOL.reset()
         nn_tape.configure(True)
         rng = np.random.default_rng(0)
         data = rng.uniform(size=(256, 24))
@@ -436,8 +347,6 @@ def _tape_check_section() -> dict:
     finally:
         configure_sanitize(None)
         nn_tape.configure(None)
-        POOL.configure(True)
-        POOL.reset()
 
     return {
         "tapes_verified": smoke["tapes_verified"],
@@ -503,8 +412,6 @@ def _dp_section() -> dict:
 
     variants = ("batched", "loop")
     try:
-        POOL.configure(True)
-        POOL.reset()
         nn_tape.configure(True)
         fitted = {v: fit(v) for v in variants}
         a, b = (fitted[v] for v in variants)
@@ -532,8 +439,6 @@ def _dp_section() -> dict:
                                   / DP_PROBE_STEPS * 1e3)
     finally:
         nn_tape.configure(None)
-        POOL.configure(True)
-        POOL.reset()
 
     def spread(values):
         q1, median, q3 = np.percentile(values, [25, 50, 75])
@@ -593,10 +498,10 @@ def bench():
             }
 
         serial = models["serial"]
+        pooled = models["multiprocessing"]
         fit_identical = all(
             np.array_equal(sa[key], sb[key])
-            for backend in ("multiprocessing", "shm")
-            for a, b in zip(serial._chunks, models[backend]._chunks)
+            for a, b in zip(serial._chunks, pooled._chunks)
             for sa, sb in [(a.model.state_dict(), b.model.state_dict())]
             for key in sa
         )
@@ -605,7 +510,6 @@ def bench():
         for label, jobs, backend in (
             ("serial_jobs1", 1, "serial"),
             (f"multiprocessing_jobs{JOBS}", JOBS, "multiprocessing"),
-            (f"shm_jobs{JOBS}", JOBS, "shm"),
         ):
             traces[label] = serial.generate(GEN_RECORDS, seed=7,
                                             jobs=jobs, backend=backend)
@@ -619,11 +523,13 @@ def bench():
             for label in traces if label != "serial_jobs1"
         )
 
-        fit_mp = report["fit"]["multiprocessing"]["dispatch_bytes"]
-        fit_shm = report["fit"]["shm"]["dispatch_bytes"]
-        gen_mp = report["generate"][
+        # Serial tasks carry their payloads inline; the pool's carry
+        # manifests of the same payloads staged in shared memory.
+        fit_inline = report["fit"]["serial"]["dispatch_bytes"]
+        fit_staged = report["fit"]["multiprocessing"]["dispatch_bytes"]
+        gen_inline = report["generate"]["serial_jobs1"]["dispatch_bytes"]
+        gen_staged = report["generate"][
             f"multiprocessing_jobs{JOBS}"]["dispatch_bytes"]
-        gen_shm = report["generate"][f"shm_jobs{JOBS}"]["dispatch_bytes"]
         # Each ratio records the host CPU count alongside its value:
         # a "speedup" of 0.56 measured on a single-core box is not a
         # regression, it is the absence of parallelism.
@@ -631,8 +537,8 @@ def bench():
         speedup = {
             "value": round(
                 report["generate"]["serial_jobs1"]["wall_seconds"]
-                / max(report["generate"][f"shm_jobs{JOBS}"]["wall_seconds"],
-                      1e-9), 2),
+                / max(report["generate"][
+                    f"multiprocessing_jobs{JOBS}"]["wall_seconds"], 1e-9), 2),
             "cpus": cpus,
         }
         if cpus == 1:
@@ -641,14 +547,15 @@ def bench():
                 "speedup gate not applied")
         report["summary"] = {
             "fit_dispatch_reduction": {
-                "value": round(fit_mp / max(fit_shm, 1), 1), "cpus": cpus},
+                "value": round(fit_inline / max(fit_staged, 1), 1),
+                "cpus": cpus},
             "generate_dispatch_reduction": {
-                "value": round(gen_mp / max(gen_shm, 1), 1), "cpus": cpus},
+                "value": round(gen_inline / max(gen_staged, 1), 1),
+                "cpus": cpus},
             "generate_parallel_speedup": speedup,
             "fit_bit_identical": fit_identical,
             "generate_bit_identical": gen_identical,
         }
-        report["alloc"] = _alloc_section()
         report["tape"] = _tape_section()
         report["tape_check"] = _tape_check_section()
         report["infer"] = _infer_section()
@@ -714,7 +621,6 @@ def bench():
         print(f"\nwrote {OUTPUT_PATH}")
         print(json.dumps(report["summary"], indent=2))
         print(json.dumps(report["telemetry"], indent=2))
-        print(json.dumps(report["alloc"], indent=2))
         print(json.dumps(report["tape"], indent=2))
         print(json.dumps(report["tape_check"], indent=2))
         print(json.dumps(report["infer"], indent=2))
@@ -729,18 +635,18 @@ def bench():
 
 class TestRuntimePerf:
     def test_fit_bit_identical_across_backends(self, bench):
-        """CI gate: the shm (and mp) data plane must not change what
-        any chunk learns."""
+        """CI gate: the staged pool must not change what any chunk
+        learns."""
         assert bench["report"]["summary"]["fit_bit_identical"]
 
     def test_generate_bit_identical_across_backends(self, bench):
         assert bench["report"]["summary"]["generate_bit_identical"]
 
-    def test_shm_cuts_fit_dispatch_bytes_10x(self, bench):
+    def test_staging_cuts_fit_dispatch_bytes_10x(self, bench):
         summary = bench["report"]["summary"]
         assert summary["fit_dispatch_reduction"]["value"] >= 10.0
 
-    def test_shm_cuts_generate_dispatch_bytes_10x(self, bench):
+    def test_staging_cuts_generate_dispatch_bytes_10x(self, bench):
         summary = bench["report"]["summary"]
         assert summary["generate_dispatch_reduction"]["value"] >= 10.0
 
@@ -751,8 +657,7 @@ class TestRuntimePerf:
         """Acceptance: jobs=4 generation <= 0.7x sequential wall."""
         gen = bench["report"]["generate"]
         sequential = gen["serial_jobs1"]["wall_seconds"]
-        parallel = min(gen[f"multiprocessing_jobs{JOBS}"]["wall_seconds"],
-                       gen[f"shm_jobs{JOBS}"]["wall_seconds"])
+        parallel = gen[f"multiprocessing_jobs{JOBS}"]["wall_seconds"]
         assert parallel <= 0.7 * sequential
 
     def test_speedup_gate_skip_is_recorded(self, bench):
@@ -768,7 +673,7 @@ class TestRuntimePerf:
     def test_report_written(self, bench):
         data = json.loads(OUTPUT_PATH.read_text())
         assert set(data) >= {"config", "cpus", "fit", "generate", "summary",
-                             "telemetry", "alloc", "tape", "tape_check",
+                             "telemetry", "tape", "tape_check",
                              "infer", "dp"}
         assert set(data["fit"]) == set(LOCAL_BACKENDS)
         for entry in data["fit"].values():
@@ -797,23 +702,6 @@ class TestRuntimePerf:
                         "smoke scale (sub-second walls)")
     def test_telemetry_overhead_under_5pct(self, bench):
         assert bench["report"]["telemetry"]["overhead_pct"] < 5.0
-
-    def test_pool_is_bit_identical(self, bench):
-        """Acceptance: REPRO_NN_POOL on/off must not change a single
-        loss or weight."""
-        assert bench["report"]["alloc"]["bit_identical_with_pool"]
-
-    def test_pool_hit_rate_gate(self, bench):
-        """CI gate: the pool must serve >= 90% of buffer requests from
-        its free lists across a whole smoke fit."""
-        assert bench["report"]["alloc"]["fit_hit_rate"] >= 0.90
-
-    def test_pool_cuts_disc_step_allocations_5x(self, bench):
-        """Acceptance: >= 5x fewer temp arrays per discriminator step
-        once the pool is warm (steady state is typically zero)."""
-        alloc = bench["report"]["alloc"]
-        assert alloc["disc_step_temp_arrays_unpooled"] >= 100
-        assert alloc["alloc_reduction"] >= 5.0
 
     def test_tape_is_bit_identical(self, bench):
         """Acceptance: REPRO_NN_TAPE on/off must not change a single

@@ -2,7 +2,7 @@
 
 PRs 1–2 built a parallel runtime whose guarantees are conventions:
 bit-identical backends need every RNG seeded and threaded explicitly,
-the shm backend needs every ``SharedArena`` scope-managed and every
+the process pool needs every ``SharedArena`` scope-managed and every
 task payload stateless, and WGAN-GP training needs every ``repro.nn``
 backward differentiable for the gradient penalty.  This package makes
 those conventions *checked*:

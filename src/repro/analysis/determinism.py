@@ -1,7 +1,7 @@
 """Rule ``determinism``: RNGs must be explicit, seeded Generators.
 
 The runtime's bit-identical-backends contract (serial ==
-multiprocessing == shm, see ``repro.runtime.executor``) holds only if
+multiprocessing == remote, see ``repro.runtime.executor``) holds only if
 every random draw flows from an explicit ``np.random.Generator`` whose
 seed is derived from config — e.g. the ``(seed, round, chunk)``
 derivation in ``NetShare.generate``.  Three things silently break it:

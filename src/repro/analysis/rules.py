@@ -99,7 +99,6 @@ def _load_default_rules() -> None:
         api_hygiene,
         determinism,
         numerics,
-        pool_scope,
         shm_hygiene,
         tape_purity,
         task_fields,

@@ -15,8 +15,8 @@ the tape's bitwise-parity contract forbids.
 
 Detection is lexical: the rule collects the function names registered
 via ``compiled_step(<func>, ...)`` or ``compiled_infer(<func>, ...)``
-in the module and checks those bodies.  Helpers called from a core are the core's contract, not
-visible here (same convention as ``pool-scope``).  Draws wrapped in a
+in the module and checks those bodies.  Helpers called from a core
+are the core's contract, not visible here.  Draws wrapped in a
 ``taped_draw(lambda: ...)`` closure are the sanctioned pattern and are
 exempt.
 """

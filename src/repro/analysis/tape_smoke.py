@@ -150,11 +150,9 @@ _RECORDERS = {
 # ----------------------------------------------------------------------
 
 def _verify_family(family: str) -> Dict:
-    from repro.nn.pool import POOL
     from repro.nn.tape import (collect_tapes, configure, configure_verify,
                                invalidate_tapes, trace_origins)
 
-    POOL.configure(True)
     configure(True)
     configure_verify(False)   # collect findings instead of raising
     trace_origins(True)       # origin lines on every finding
@@ -181,8 +179,6 @@ def _verify_family(family: str) -> Dict:
         configure_verify(None)
         trace_origins(False)
         invalidate_tapes()
-        POOL.reset()
-        POOL.configure(True)
 
 
 def run_tape_checks(families: Optional[List[str]] = None) -> Dict:
@@ -206,12 +202,11 @@ def run_sanitized_smoke() -> Dict:
     active: record, then warm-replay under poison-and-trap semantics.
     A healthy schedule is silent; any trap is reported with the tape
     op index and origin."""
-    from repro.nn.pool import POOL, configure_sanitize
+    from repro.nn.sanitize import configure_sanitize
     from repro.nn.tape import (TapeSanitizerError, configure,
                                configure_verify, invalidate_tapes,
                                trace_origins)
 
-    POOL.configure(True)
     configure(True)
     configure_verify(False)
     configure_sanitize(True)
@@ -227,5 +222,3 @@ def run_sanitized_smoke() -> Dict:
         configure_sanitize(None)
         trace_origins(False)
         invalidate_tapes()
-        POOL.reset()
-        POOL.configure(True)

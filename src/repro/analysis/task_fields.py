@@ -1,7 +1,7 @@
 """Rule ``task-statelessness``: executor task payloads stay picklable.
 
 Everything dispatched through ``Executor.map_tasks`` crosses a process
-boundary on the multiprocessing/shm backends, so a task dataclass may
+boundary on the multiprocessing/remote backends, so a task dataclass may
 only carry data — primitives, numpy arrays, ``ArrayRef``/``FrozenState``
 manifests, and the repo's config dataclasses.  A live object smuggled
 into a field (a ``Tensor`` with its VJP closures, a ``Callable``, an

@@ -69,8 +69,8 @@ def make_baseline(name: str, epochs: int = 30, seed: int = 0,
 
     ``jobs`` / ``backend`` select the repro.runtime executor for
     baselines with parallelisable training (ignored by the rest);
-    ``backend='shm'`` routes task payloads through the zero-copy
-    shared-memory data plane.
+    the ``multiprocessing`` pool routes task payloads through the
+    zero-copy shared-memory data plane.
     """
     try:
         factory = _FACTORIES[name]

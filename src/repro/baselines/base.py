@@ -29,7 +29,7 @@ class Synthesizer(ABC):
     #: scalability comparisons with NetShare share infrastructure.
     jobs: Optional[int] = None
     #: Executor backend name (None = pick from jobs / REPRO_BACKEND;
-    #: 'serial', 'multiprocessing', or 'shm' for zero-copy dispatch).
+    #: 'serial' or 'multiprocessing' for zero-copy process dispatch).
     backend: Optional[str] = None
 
     def _executor(self):

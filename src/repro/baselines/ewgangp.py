@@ -59,7 +59,7 @@ class EWganGp(Synthesizer):
         """``epoch_models > 1`` trains one WGAN per measurement epoch
         (time slice), as the original per-epoch baselines do — an
         embarrassingly parallel workload dispatched through the
-        repro.runtime executor (``jobs`` workers; ``backend='shm'``
+        repro.runtime executor (``jobs`` workers; the process pool
         stages the per-epoch row tensors in shared memory so tasks
         dispatch as manifests)."""
         if epoch_models < 1:
@@ -179,7 +179,7 @@ class EWganGp(Synthesizer):
         Multi-model sampling fans out through the runtime executor as
         :class:`RowGanSampleTask` work items.  Every per-model seed is
         drawn parent-side in fixed model order, so the stacked output is
-        bit-identical across serial/multiprocessing/shm backends.
+        bit-identical across serial/multiprocessing/remote backends.
         """
         if len(self._gans) == 1:
             return self._gan.generate(n_records, seed)

@@ -5,8 +5,8 @@ Subcommands:
 * ``dataset``   — generate one of the six evaluation workloads to CSV;
 * ``synthesize``— train NetShare (or a baseline) on a trace CSV and
   write a synthetic trace CSV; ``--jobs N`` fans chunk training out
-  across the repro.runtime executor (``--backend shm`` adds zero-copy
-  shared-memory dispatch) and ``--save-model`` persists the trained
+  across the repro.runtime executor (a process pool fed through
+  zero-copy shared memory) and ``--save-model`` persists the trained
   NetShare model to ``.npz``;
 * ``generate``  — sample from a saved NetShare ``.npz`` model without
   retraining (``--jobs``/``--backend`` parallelize per-chunk sampling);
@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "env var, then serial; 0 = one per CPU)")
     p.add_argument("--backend", choices=list(BACKENDS), default=None,
                    help="executor backend (default: REPRO_BACKEND env "
-                        "var, then picked from --jobs; 'shm' dispatches "
-                        "tensors through zero-copy shared memory)")
+                        "var, then picked from --jobs; 'multiprocessing' "
+                        "stages tensors in zero-copy shared memory)")
     p.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                    help="remote worker hosts (default: REPRO_HOSTS env "
                         "var); implies --backend remote")

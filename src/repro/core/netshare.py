@@ -85,9 +85,9 @@ class NetShareConfig:
     # (None = REPRO_JOBS env var, then 1 = serial; 0 = one per CPU).
     jobs: Optional[int] = None
     # Executor backend: None (pick serial/multiprocessing from jobs),
-    # 'serial', 'multiprocessing', 'shm' (zero-copy shared-memory
-    # dispatch), or 'remote' (multi-host socket fan-out); None also
-    # falls back to the REPRO_BACKEND env var.
+    # 'serial', 'multiprocessing' (process pool fed through zero-copy
+    # shared memory), or 'remote' (multi-host socket fan-out); None
+    # also falls back to the REPRO_BACKEND env var.
     backend: Optional[str] = None
     # Worker hosts for the remote backend ('host:port,host:port'; None
     # falls back to REPRO_HOSTS).  Setting hosts without a backend
@@ -223,7 +223,7 @@ class NetShare:
         results: Dict[int, ChunkResult] = {}
         modes: Dict[int, str] = {}
         wall_start = time.perf_counter()
-        # Zero-copy data plane: under the shm backend the encoded chunk
+        # Zero-copy data plane: under a process pool the encoded chunk
         # tensors (and any warm-start state) live in a SharedArena for
         # the duration of the dispatch — tasks carry manifests, workers
         # attach, and the arena unlinks every block on exit no matter
@@ -402,6 +402,10 @@ class NetShare:
         if state.get("format") != cls._SAVE_FORMAT:
             raise ValueError(f"{path} is not a NetShare model archive")
         cfg_data = dict(state["config"])
+        if cfg_data.get("backend") == "shm":
+            # Archives written before the staged pool became the one
+            # local pool name the backend it replaced.
+            cfg_data["backend"] = "multiprocessing"
         dp_data = cfg_data.pop("dp", None)
         config = NetShareConfig(
             dp=DpSgdConfig(**dp_data) if dp_data is not None else None,
@@ -577,7 +581,7 @@ class GenerateSession:
 
     def stage(self, arena) -> None:
         """Re-freeze the session's blobs into a SharedArena so tasks
-        dispatch manifests instead of pickled bytes (shm backend)."""
+        dispatch manifests instead of pickled bytes."""
         self.encoder_state = freeze_state(self.encoder_state, arena)
         self.model_states = {i: freeze_state(s, arena)
                              for i, s in self.model_states.items()}

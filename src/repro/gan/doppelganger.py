@@ -399,11 +399,11 @@ class DoppelGANger:
 
     # ------------------------------------------------------------------
     def _disc_step(self, data: EncodedFlows, batch_size: int) -> float:
-        # One compiled step per signature: the wrapper opens the
-        # step_scope, records the eager body once, and replays the tape
-        # on warm steps.  Nothing pooled escapes: the loss leaves as a
-        # float.  The key pins the data arrays by identity — chunked
-        # fine-tuning swaps them, recording a fresh tape.
+        # One compiled step per signature: the wrapper records the
+        # eager body once and replays the tape on warm steps.  Nothing
+        # tape-owned escapes: the loss leaves as a float.  The key pins
+        # the data arrays by identity — chunked fine-tuning swaps them,
+        # recording a fresh tape.
         b = min(batch_size, len(data))
         key = (id(data.metadata), id(data.measurements),
                id(data.gen_flags), b)
@@ -546,9 +546,9 @@ class DoppelGANger:
     def _dp_disc_core(self, data: EncodedFlows, b: int,
                       dp_config: DpSgdConfig,
                       noise_rng: np.random.Generator):
-        # The per-example gradients are pooled buffers, so the whole
-        # step — including privatize_gradients, which consumes them —
-        # sits inside one compiled region.
+        # The per-example gradients are tape-owned buffers, so the
+        # whole step — including privatize_gradients, which consumes
+        # them — sits inside one compiled region.
         losses, noisy = self._dp_critic_gradients(data, b, dp_config,
                                                   noise_rng)
         self._d_opt.step(noisy)

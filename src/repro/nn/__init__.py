@@ -55,13 +55,9 @@ from .layers import (
     Sequential,
 )
 from .optim import SGD, Adam, Optimizer, clip_global_norm
-from .pool import (
-    BufferPool,
-    POOL,
-    POOL_ENV_VAR,
+from .sanitize import (
     SANITIZE_ENV_VAR,
     configure_sanitize,
-    pool_active,
     sanitize_enabled,
 )
 from .tape import (
@@ -91,7 +87,6 @@ __all__ = [
     "LSTMCell", "LSTM",
     "LayerNorm", "Embedding",
     "Optimizer", "SGD", "Adam", "clip_global_norm",
-    "BufferPool", "POOL", "POOL_ENV_VAR", "pool_active",
     "SANITIZE_ENV_VAR", "sanitize_enabled", "configure_sanitize",
     "KernelContract", "declare_kernel", "contract_for", "kernel_name",
     "CompiledStep", "compiled_step", "TAPE_ENV_VAR", "tape_enabled",

@@ -31,8 +31,8 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .pool import POOL as _POOL
-from .tape import RECORDER as _REC, ka as _ka
+from .tape import (RECORDER as _REC, fresh_full as _fresh_full,
+                   fresh_zeros as _fresh_zeros, ka as _ka)
 
 __all__ = [
     "Tensor",
@@ -48,28 +48,6 @@ __all__ = [
 ]
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple, "Tensor"]
-
-# The pooled fast paths below only fire for float64 operands (the
-# engine-wide dtype; ``_as_array`` coerces everything to it) while a
-# BufferPool step scope is open.  Each is the same numpy ufunc with an
-# ``out=`` scratch buffer, so results are bit-identical to the
-# allocating form — REPRO_NN_POOL=0 keeps the original path as the
-# parity oracle.
-_F64 = np.dtype(np.float64)
-
-# np.broadcast_shapes costs ~1.3us per call — more than the broadcast
-# add it precedes — so the pooled fast paths memoize it.  Training
-# loops see a handful of static shape pairs, bounding the cache.
-_BCAST_SHAPES: dict = {}
-
-
-def _bcast_shape(sa, sb):
-    key = (sa, sb)
-    shape = _BCAST_SHAPES.get(key)
-    if shape is None:
-        shape = _BCAST_SHAPES[key] = np.broadcast_shapes(sa, sb)
-    return shape
-
 
 _state = threading.local()
 
@@ -182,15 +160,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = _ensure_tensor(other)
-        a, b = self.data, other.data
-        if _POOL.active and a.dtype == _F64 and b.dtype == _F64:
-            shape = a.shape if a.shape == b.shape else _bcast_shape(
-                a.shape, b.shape)
-            out_data = np.add(a, b, out=_POOL.take(shape))
-            if _REC.active:
-                _REC.k(np.add, (a, b), out_data)
-        else:
-            out_data = _ka(np.add, a, b)
+        out_data = _ka(np.add, self.data, other.data)
 
         def vjp(g: "Tensor"):
             return (
@@ -206,31 +176,16 @@ class Tensor:
         def vjp(g: "Tensor"):
             return (-g,)
 
-        data = self.data
-        if _POOL.active and data.dtype == _F64:
-            out_data = np.negative(data, out=_POOL.take(data.shape))
-            if _REC.active:
-                _REC.k(np.negative, (data,), out_data)
-        else:
-            out_data = _ka(np.negative, data)
-        return Tensor._make(out_data, (self,), vjp)
+        return Tensor._make(_ka(np.negative, self.data), (self,), vjp)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        # Direct np.subtract kernel (one op, poolable) instead of the
-        # old ``self + (-other)`` pair.  IEEE defines a - b as
-        # a + (-b) exactly, and -(sum) == sum of negations bitwise, so
-        # both the forward values and the accumulated gradients are
+        # Direct np.subtract kernel (one op) instead of the old
+        # ``self + (-other)`` pair.  IEEE defines a - b as a + (-b)
+        # exactly, and -(sum) == sum of negations bitwise, so both the
+        # forward values and the accumulated gradients are
         # bit-identical to the two-kernel form.
         other = _ensure_tensor(other)
-        a, b = self.data, other.data
-        if _POOL.active and a.dtype == _F64 and b.dtype == _F64:
-            shape = a.shape if a.shape == b.shape else _bcast_shape(
-                a.shape, b.shape)
-            out_data = np.subtract(a, b, out=_POOL.take(shape))
-            if _REC.active:
-                _REC.k(np.subtract, (a, b), out_data)
-        else:
-            out_data = _ka(np.subtract, a, b)
+        out_data = _ka(np.subtract, self.data, other.data)
 
         def vjp(g: "Tensor"):
             return (
@@ -245,15 +200,7 @@ class Tensor:
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = _ensure_tensor(other)
-        a, b = self.data, other.data
-        if _POOL.active and a.dtype == _F64 and b.dtype == _F64:
-            shape = a.shape if a.shape == b.shape else _bcast_shape(
-                a.shape, b.shape)
-            out_data = np.multiply(a, b, out=_POOL.take(shape))
-            if _REC.active:
-                _REC.k(np.multiply, (a, b), out_data)
-        else:
-            out_data = _ka(np.multiply, a, b)
+        out_data = _ka(np.multiply, self.data, other.data)
 
         def vjp(g: "Tensor"):
             return (
@@ -267,15 +214,7 @@ class Tensor:
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = _ensure_tensor(other)
-        a, b = self.data, other.data
-        if _POOL.active and a.dtype == _F64 and b.dtype == _F64:
-            shape = a.shape if a.shape == b.shape else _bcast_shape(
-                a.shape, b.shape)
-            out_data = np.divide(a, b, out=_POOL.take(shape))
-            if _REC.active:
-                _REC.k(np.divide, (a, b), out_data)
-        else:
-            out_data = _ka(np.divide, a, b)
+        out_data = _ka(np.divide, self.data, other.data)
 
         def vjp(g: "Tensor"):
             return (
@@ -291,15 +230,7 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only constant exponents are supported")
-        data = self.data
-        if _POOL.active and data.dtype == _F64:
-            # ndarray ** scalar dispatches to np.power, so the pooled
-            # out= form is the same kernel.
-            out_data = np.power(data, exponent, out=_POOL.take(data.shape))
-            if _REC.active:
-                _REC.k(np.power, (data, exponent), out_data)
-        else:
-            out_data = _ka(np.power, data, exponent)
+        out_data = _ka(np.power, self.data, exponent)
 
         def vjp(g: "Tensor"):
             return (g * (self ** (exponent - 1)) * float(exponent),)
@@ -308,17 +239,7 @@ class Tensor:
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = _ensure_tensor(other)
-        a, b = self.data, other.data
-        if (_POOL.active and a.ndim >= 2 and b.ndim >= 2
-                and a.dtype == _F64 and b.dtype == _F64):
-            # Stacked operands broadcast their leading (stack) axes.
-            shape = (_bcast_shape(a.shape[:-2], b.shape[:-2])
-                     + (a.shape[-2], b.shape[-1]))
-            out_data = np.matmul(a, b, out=_POOL.take(shape))
-            if _REC.active:
-                _REC.k(np.matmul, (a, b), out_data)
-        else:
-            out_data = _ka(np.matmul, a, b)
+        out_data = _ka(np.matmul, self.data, other.data)
 
         def vjp(g: "Tensor"):
             # Stacked operands transpose their matrix axes only (``.T``
@@ -414,15 +335,7 @@ class Tensor:
     # reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data
-        if _POOL.active and data.dtype == _F64:
-            out = _POOL.take(_sum_out_shape(data.shape, axis, keepdims))
-            out_data = np.sum(data, axis=axis, keepdims=keepdims, out=out)
-            if _REC.active:
-                _REC.k(np.sum, (data,), out_data,
-                       {"axis": axis, "keepdims": keepdims})
-        else:
-            out_data = _ka(np.sum, data, axis=axis, keepdims=keepdims)
+        out_data = _ka(np.sum, self.data, axis=axis, keepdims=keepdims)
         shape = self.shape
 
         def vjp(g: "Tensor"):
@@ -469,16 +382,10 @@ class Tensor:
 
     def broadcast_to(self, shape: Tuple[int, ...]) -> "Tensor":
         original = self.shape
-        if _POOL.active and self.data.dtype == _F64:
-            out_data = _POOL.take(tuple(shape))
-            np.copyto(out_data, self.data)
-            if _REC.active:
-                _REC.copy(out_data, self.data)
-        else:
-            out_data = np.broadcast_to(self.data, shape).copy()
-            if _REC.active:
-                _REC._own(out_data)
-                _REC.copy(out_data, self.data)
+        out_data = np.broadcast_to(self.data, shape).copy()
+        if _REC.active:
+            _REC._own(out_data)
+            _REC.copy(out_data, self.data)
 
         def vjp(g: "Tensor"):
             return (_unbroadcast(g, original),)
@@ -516,7 +423,7 @@ class Tensor:
             if g.requires_grad:
                 # Build a differentiable scatter for second-order use.
                 return (_ScatterHelper(shape, index)(g),)
-            scatter = _POOL.zeros(shape)
+            scatter = _fresh_zeros(shape)
             np.add.at(scatter, index, g.data)
             if _REC.active:
                 _REC.inplace(np.add.at, (scatter, index, g.data))
@@ -549,7 +456,7 @@ class _ScatterHelper:
         self.index = index
 
     def __call__(self, g: Tensor) -> Tensor:
-        scatter = _POOL.zeros(self.shape)
+        scatter = _fresh_zeros(self.shape)
         np.add.at(scatter, self.index, g.data)
         if _REC.active:
             _REC.inplace(np.add.at, (scatter, self.index, g.data))
@@ -579,17 +486,6 @@ def _ensure_tensor(value: ArrayLike) -> Tensor:
 def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
     """Create a tensor (the public constructor)."""
     return Tensor(data, requires_grad=requires_grad)
-
-
-def _sum_out_shape(shape: Tuple[int, ...], axis, keepdims: bool):
-    """Result shape of ``np.sum(a, axis=axis, keepdims=keepdims)``."""
-    if axis is None:
-        return (1,) * len(shape) if keepdims else ()
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(a % len(shape) for a in axes)
-    if keepdims:
-        return tuple(1 if i in axes else n for i, n in enumerate(shape))
-    return tuple(n for i, n in enumerate(shape) if i not in axes)
 
 
 def _axis_count(shape: Tuple[int, ...], axis) -> int:
@@ -622,16 +518,7 @@ def None_safe_shape(shape: Tuple[int, ...], axis, keep: bool):
 # ----------------------------------------------------------------------
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_ensure_tensor(t) for t in tensors]
-    arrays = [t.data for t in tensors]
-    if _POOL.active and all(a.dtype == _F64 for a in arrays):
-        shape = list(arrays[0].shape)
-        shape[axis] = sum(a.shape[axis] for a in arrays)
-        out_data = np.concatenate(arrays, axis=axis,
-                                  out=_POOL.take(tuple(shape)))
-        if _REC.active:
-            _REC.k(np.concatenate, (arrays,), out_data, {"axis": axis})
-    else:
-        out_data = _ka(np.concatenate, arrays, axis=axis)
+    out_data = _ka(np.concatenate, [t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -730,11 +617,11 @@ def grad(
         raise ValueError("grad() requires a scalar output; call .sum() or .mean() first")
     if not output.requires_grad:
         if allow_unused:
-            return [Tensor(_POOL.zeros(t.shape)) for t in inputs]
+            return [Tensor(_fresh_zeros(t.shape)) for t in inputs]
         raise ValueError("output does not require grad")
 
     order = _topo_order(output)
-    cotangents = {id(output): Tensor(_POOL.ones(output.shape))}
+    cotangents = {id(output): Tensor(_fresh_full(output.shape, 1.0))}
     input_ids = {id(t) for t in inputs}
     captured = {}
 
@@ -764,6 +651,6 @@ def grad(
             if g is None:
                 if not allow_unused:
                     raise ValueError("an input was not reached by backprop")
-                g = Tensor(_POOL.zeros(t.shape))
+                g = Tensor(_fresh_zeros(t.shape))
             results.append(g)
     return results

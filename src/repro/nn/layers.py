@@ -16,8 +16,8 @@ import numpy as np
 
 from ..telemetry.state import STATE as _TELEMETRY
 from .autograd import Tensor, concatenate, no_grad
-from .pool import POOL as _POOL
-from .tape import invalidate_tapes as _invalidate_tapes
+from .tape import (fresh_zeros as _fresh_zeros,
+                   invalidate_tapes as _invalidate_tapes)
 
 __all__ = [
     "Module",
@@ -217,7 +217,7 @@ class GRUCell(Module):
         return (1.0 - z) * h + z * candidate
 
     def initial_state(self, batch_size: int) -> Tensor:
-        return Tensor(_POOL.zeros((batch_size, self.hidden_size)))
+        return Tensor(_fresh_zeros((batch_size, self.hidden_size)))
 
 
 class GRU(Module):
@@ -290,7 +290,7 @@ class LSTMCell(Module):
 
     def initial_state(self, batch_size: int) -> Tuple[Tensor, Tensor]:
         shape = (batch_size, self.hidden_size)
-        return Tensor(_POOL.zeros(shape)), Tensor(_POOL.zeros(shape))
+        return Tensor(_fresh_zeros(shape)), Tensor(_fresh_zeros(shape))
 
 
 class LSTM(Module):

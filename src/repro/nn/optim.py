@@ -16,8 +16,7 @@ import numpy as np
 from ..telemetry.state import STATE as _TELEMETRY
 from .autograd import Tensor
 from .layers import Parameter
-from .pool import POOL as _POOL
-from .tape import RECORDER as _REC, invalidate_tapes as _invalidate_tapes
+from .tape import RECORDER as _REC, scratch as _scratch
 
 __all__ = ["Optimizer", "SGD", "Adam", "clip_global_norm"]
 
@@ -68,31 +67,23 @@ class SGD(Optimizer):
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def _apply_step(self, grads: Sequence[Tensor]) -> None:
+        # In-place update, the only form a tape can record (reassigning
+        # p.data would orphan every tape holding the old storage).
+        # ``v * lr`` commutes bitwise with ``lr * v``, so this equals
+        # ``p.data - lr * v`` bit for bit.
         grads = self._check(grads)
-        if _POOL.active:
-            # Allocation-free update path: pooled scratch plus in-place
-            # writes.  ``v * lr`` commutes bitwise with ``lr * v``, so
-            # this is bit-identical to the allocating branch below.
-            rec = _REC.active
-            for p, g, v in zip(self.params, grads, self.velocity):
-                np.multiply(v, self.momentum, out=v)
-                np.add(v, g, out=v)
-                s = _POOL.take(v.shape)
-                np.multiply(v, self.lr, out=s)
-                np.subtract(p.data, s, out=p.data)
-                if rec:
-                    _REC.k(np.multiply, (v, self.momentum), v)
-                    _REC.k(np.add, (v, g), v)
-                    _REC.k(np.multiply, (v, self.lr), s)
-                    _REC.k(np.subtract, (p.data, s), p.data)
-            return
-        # The allocating branch reassigns p.data, orphaning any tape
-        # that captured the old parameter storage.
-        _invalidate_tapes()
+        rec = _REC.active
         for p, g, v in zip(self.params, grads, self.velocity):
-            v *= self.momentum
-            v += g
-            p.data = p.data - self.lr * v
+            s = _scratch(v.shape)
+            np.multiply(v, self.momentum, out=v)
+            np.add(v, g, out=v)
+            np.multiply(v, self.lr, out=s)
+            np.subtract(p.data, s, out=p.data)
+            if rec:
+                _REC.k(np.multiply, (v, self.momentum), v)
+                _REC.k(np.add, (v, g), v)
+                _REC.k(np.multiply, (v, self.lr), s)
+                _REC.k(np.subtract, (p.data, s), p.data)
 
 
 class Adam(Optimizer):
@@ -118,65 +109,53 @@ class Adam(Optimizer):
         self._b2[()] = 1.0 - self.beta2**self.t
 
     def _apply_step(self, grads: Sequence[Tensor]) -> None:
+        # In-place update (see SGD).  It equals the textbook formula
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        #   p = p - lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        # bit for bit, because scalar broadcasts commute exactly
+        # (``g * (1-b)`` == ``(1-b) * g``; a 0-d float64 operand
+        # broadcasts like the equal Python float) and the elementwise
+        # evaluation order is otherwise preserved — e.g. ``(1-b2)*g*g``
+        # groups as ``((1-b2)*g)*g`` and the denominator is
+        # ``sqrt(v/bias2) + eps`` before the divide.
         grads = self._check(grads)
-        if _POOL.active:
-            # Allocation-free update path.  Bit-identity with the
-            # allocating branch below rests on two facts: scalar
-            # broadcasts commute exactly (``g * (1-b)`` == ``(1-b) * g``,
-            # ``(m/bias1) * lr`` == ``lr * (m/bias1)``; a 0-d float64
-            # operand broadcasts exactly like the equal Python float),
-            # and the elementwise evaluation order is otherwise
-            # preserved — e.g. ``(1-b2)*g*g`` groups as ``((1-b2)*g)*g``
-            # and the denominator is ``sqrt(v/bias2) + eps`` before the
-            # divide.
-            self._advance()
-            rec = _REC.active
-            if rec:
-                _REC.host(self._advance)
-            bias1, bias2 = self._b1, self._b2
-            for p, g, m, v in zip(self.params, grads, self.m, self.v):
-                s = _POOL.take(g.shape)
-                np.multiply(m, self.beta1, out=m)
-                np.multiply(g, 1.0 - self.beta1, out=s)
-                np.add(m, s, out=m)
-                np.multiply(v, self.beta2, out=v)
-                np.multiply(g, 1.0 - self.beta2, out=s)
-                np.multiply(s, g, out=s)
-                np.add(v, s, out=v)
-                u = _POOL.take(g.shape)
-                np.divide(v, bias2, out=u)
-                np.sqrt(u, out=u)
-                np.add(u, self.eps, out=u)
-                np.divide(m, bias1, out=s)
-                np.multiply(s, self.lr, out=s)
-                np.divide(s, u, out=s)
-                np.subtract(p.data, s, out=p.data)
-                if rec:
-                    _REC.k(np.multiply, (m, self.beta1), m)
-                    _REC.k(np.multiply, (g, 1.0 - self.beta1), s)
-                    _REC.k(np.add, (m, s), m)
-                    _REC.k(np.multiply, (v, self.beta2), v)
-                    _REC.k(np.multiply, (g, 1.0 - self.beta2), s)
-                    _REC.k(np.multiply, (s, g), s)
-                    _REC.k(np.add, (v, s), v)
-                    _REC.k(np.divide, (v, bias2), u)
-                    _REC.k(np.sqrt, (u,), u)
-                    _REC.k(np.add, (u, self.eps), u)
-                    _REC.k(np.divide, (m, bias1), s)
-                    _REC.k(np.multiply, (s, self.lr), s)
-                    _REC.k(np.divide, (s, u), s)
-                    _REC.k(np.subtract, (p.data, s), p.data)
-            return
-        self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
-        _invalidate_tapes()  # p.data reassignment below orphans tapes
+        self._advance()
+        rec = _REC.active
+        if rec:
+            _REC.host(self._advance)
+        bias1, bias2 = self._b1, self._b2
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            s = _scratch(g.shape)
+            u = _scratch(g.shape)
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            np.add(m, s, out=m)
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            np.multiply(s, g, out=s)
+            np.add(v, s, out=v)
+            np.divide(v, bias2, out=u)
+            np.sqrt(u, out=u)
+            np.add(u, self.eps, out=u)
+            np.divide(m, bias1, out=s)
+            np.multiply(s, self.lr, out=s)
+            np.divide(s, u, out=s)
+            np.subtract(p.data, s, out=p.data)
+            if rec:
+                _REC.k(np.multiply, (m, self.beta1), m)
+                _REC.k(np.multiply, (g, 1.0 - self.beta1), s)
+                _REC.k(np.add, (m, s), m)
+                _REC.k(np.multiply, (v, self.beta2), v)
+                _REC.k(np.multiply, (g, 1.0 - self.beta2), s)
+                _REC.k(np.multiply, (s, g), s)
+                _REC.k(np.add, (v, s), v)
+                _REC.k(np.divide, (v, bias2), u)
+                _REC.k(np.sqrt, (u,), u)
+                _REC.k(np.add, (u, self.eps), u)
+                _REC.k(np.divide, (m, bias1), s)
+                _REC.k(np.multiply, (s, self.lr), s)
+                _REC.k(np.divide, (s, u), s)
+                _REC.k(np.subtract, (p.data, s), p.data)
 
     def reset_state(self) -> None:
         """Forget moment estimates (used when fine-tuning a warm start)."""

@@ -1,15 +1,14 @@
 """Plan/execute split: record warm training steps, replay them as tapes.
 
-DESIGN.md §10's honest conclusion about the buffer pool was that
-allocation was never the bottleneck — Python dispatch and graph
-re-walking per op were.  This module removes both.  The first time a
-training step runs for a given *shape signature*, the eager autograd
-path executes normally while a :class:`Recorder` captures every numpy
-kernel it launches — forward, backward, and optimizer update — as a
-flat list of ``(kernel, inputs, out)`` entries.  Subsequent steps with
-the same signature *replay* that tape: a tight loop over prebuilt
-closures, with no ``Tensor`` dunder dispatch, no graph construction,
-and no backward walk.
+Allocation was never the bottleneck of a training step — Python
+dispatch and graph re-walking per op were.  This module removes both.
+The first time a training step runs for a given *shape signature*,
+the eager autograd path executes normally while a :class:`Recorder`
+captures every numpy kernel it launches — forward, backward, and
+optimizer update — as a flat list of ``(kernel, inputs, out)``
+entries.  Subsequent steps with the same signature *replay* that tape:
+a tight loop over prebuilt closures, with no ``Tensor`` dunder
+dispatch, no graph construction, and no backward walk.
 
 Why replay is sound
 -------------------
@@ -17,9 +16,9 @@ Replay re-executes the identical kernel sequence on the identical
 buffers, so three invariants carry the bitwise-parity argument:
 
 * **Stable storage.**  Parameters and optimizer moments are updated
-  in place (the pooled optimizer branches), pool requests during
-  recording are redirected to a tape-owned arena (never recycled), and
-  step-varying values (batch indices, noise, labels) enter through
+  in place (the optimizers have no other update), the intermediates a
+  recording allocates are owned by its tape alone, and step-varying
+  values (batch indices, noise, labels) enter through
   *taped RNG entries* that refresh their buffer from the live
   ``np.random.Generator`` on every replay — consuming the stream in
   exactly the order the eager path would.
@@ -59,8 +58,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..telemetry.state import STATE as _TELEMETRY
-from . import pool as _pool
-from .pool import POOL as _POOL
+from . import sanitize as _sanitize
 
 __all__ = [
     "TAPE_ENV_VAR",
@@ -88,7 +86,9 @@ __all__ = [
     "ka",
     "k_gather",
     "taped_draw",
+    "fresh_full",
     "fresh_zeros",
+    "scratch",
 ]
 
 #: Set to ``0`` / ``false`` / ``off`` to disable tape compilation and
@@ -206,8 +206,7 @@ class Recorder:
     the offending call site, not just the op index.
     """
 
-    __slots__ = ("active", "entries", "owned", "origins", "trace",
-                 "_buffers")
+    __slots__ = ("active", "entries", "owned", "origins", "trace")
 
     def __init__(self):
         self.active = False
@@ -215,7 +214,6 @@ class Recorder:
         self.owned: Dict[int, np.ndarray] = {}
         self.origins: List[Optional[str]] = []
         self.trace = False
-        self._buffers: List[np.ndarray] = []
 
     # -- lifecycle -----------------------------------------------------
     def begin(self) -> None:
@@ -224,8 +222,7 @@ class Recorder:
         self.entries = []
         self.owned = {}
         self.origins = []
-        self.trace = _trace_origins or _pool.sanitize_enabled()
-        self._buffers = []
+        self.trace = _trace_origins or _sanitize.sanitize_enabled()
         self.active = True
 
     def end(self) -> List[Tuple]:
@@ -235,19 +232,6 @@ class Recorder:
 
     def _origin(self) -> Optional[str]:
         return _capture_origin() if self.trace else None
-
-    # -- the pool redirect (tape arena) --------------------------------
-    def take(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """Pool requests while recording come from tape-owned storage,
-        never the global free lists — a tape must not alias buffers an
-        enclosing ``step_scope`` may hand to someone else.  The arena
-        is *reserved* out of the pool (permanently withdrawn), so a
-        warm process records onto already-allocated storage and the
-        first replay touches zero allocator calls."""
-        buf = _POOL.reserve(shape)
-        self.owned[id(buf)] = buf
-        self._buffers.append(buf)
-        return buf
 
     def _own(self, res: Any) -> None:
         if isinstance(res, np.ndarray) and res.base is None:
@@ -292,7 +276,6 @@ class Recorder:
 
 #: The process-wide recorder every shimmed kernel reports to.
 RECORDER = Recorder()
-_pool._set_recorder(RECORDER)
 
 _trace_origins = False
 
@@ -363,12 +346,27 @@ def taped_draw(draw: Callable[[], np.ndarray]) -> np.ndarray:
     return vals
 
 
-def fresh_zeros(shape) -> np.ndarray:
-    """A zeroed accumulator that is re-zeroed on every replay."""
-    buf = np.zeros(shape)
+def fresh_full(shape, value: float) -> np.ndarray:
+    """A ``value``-filled buffer that is re-filled on every replay."""
+    buf = np.full(shape, value)
     if RECORDER.active:
         RECORDER._own(buf)
-        RECORDER.fill(buf, 0.0)
+        RECORDER.fill(buf, value)
+    return buf
+
+
+def fresh_zeros(shape) -> np.ndarray:
+    """A zeroed accumulator that is re-zeroed on every replay."""
+    return fresh_full(shape, 0.0)
+
+
+def scratch(shape) -> np.ndarray:
+    """Uninitialized float64 storage for ``out=`` kernels; an open
+    recording owns it, so the planner may color it like any other
+    intermediate."""
+    buf = np.empty(shape)
+    if RECORDER.active:
+        RECORDER._own(buf)
     return buf
 
 
@@ -439,7 +437,7 @@ class TapePlan:
     __slots__ = ("pre_entries", "post_entries", "owned", "pinned",
                  "first", "last", "mapping", "groups", "origins",
                  "binds", "outs", "scalar", "label",
-                 "bytes_recorded", "bytes_planned", "surplus")
+                 "bytes_recorded", "bytes_planned")
 
     def __init__(self):
         self.pre_entries: List[Tuple] = []
@@ -457,7 +455,6 @@ class TapePlan:
         self.label = "tape"
         self.bytes_recorded = 0
         self.bytes_planned = 0
-        self.surplus: List[np.ndarray] = []
 
     def physical(self, bid: int) -> np.ndarray:
         """Post-coloring storage of a logical (recorded) buffer id."""
@@ -562,11 +559,6 @@ def _plan_buffers(entries: List[Tuple], owned: Dict[int, np.ndarray],
     plan.mapping = mapping
     plan.bytes_recorded = bytes_recorded
     plan.bytes_planned = bytes_planned
-    # Storage the coloring remapped *away from* is unreferenced once
-    # the entries above are rebuilt — surface it so the compiled
-    # wrappers can donate it back to the buffer pool.
-    plan.surplus = [owned[bid] for bid, phys in mapping.items()
-                    if phys is not owned[bid]]
     return plan
 
 
@@ -718,7 +710,7 @@ class Tape:
     """
 
     __slots__ = ("ops", "outs", "scalar", "generation", "fused_ops",
-                 "bytes_recorded", "bytes_planned", "surplus", "plan",
+                 "bytes_recorded", "bytes_planned", "plan",
                  "label", "_san")
 
     def __init__(self, entries: List[Tuple], owned: Dict[int, np.ndarray],
@@ -743,7 +735,6 @@ class Tape:
         self.generation = _GENERATION
         self.bytes_recorded = plan.bytes_recorded
         self.bytes_planned = plan.bytes_planned
-        self.surplus = plan.surplus
         self._san = None
         if verify_enabled():
             # Lazy import: repro.analysis is pure tooling and only
@@ -754,7 +745,7 @@ class Tape:
             bucket.append(self)
 
     def replay(self) -> None:
-        if _pool.sanitize_enabled():
+        if _sanitize.sanitize_enabled():
             self._replay_sanitized()
             return
         for op in self.ops:
@@ -834,7 +825,7 @@ class Tape:
         ops, reads, writes, allowed, expiry, poisonable, storages = san
         free = set(poisonable)
         for sid in free:
-            _pool.poison(storages[sid])
+            _sanitize.poison(storages[sid])
         for i, op in enumerate(ops):
             if reads[i] & free:
                 raise self._trap("read-of-poison", i)
@@ -844,7 +835,7 @@ class Tape:
                 free.discard(sid)
             op()
             for phys in expiry.get(i, ()):
-                _pool.poison(phys)
+                _sanitize.poison(phys)
                 free.add(id(phys))
 
 
@@ -856,34 +847,19 @@ class Tape:
 _MAX_TAPES = 4
 
 
-def _donate_surplus(tape: Tape) -> None:
-    """Hand the planner's remapped-away storage back to the pool.
-
-    Only the compiled wrappers call this: their cores' intermediates
-    are provably unreferenced after recording (the body returned, its
-    locals died).  Hand-built ``Tape`` objects (tests, tooling) may
-    still hold the recorded arrays in caller locals, so they keep
-    their surplus.
-    """
-    for buf in tape.surplus:
-        _POOL.release(buf)
-    tape.surplus = []
-
-
 class CompiledStep:
     """Compile a training-step function into replayable tapes.
 
-    ``fn(*args)`` must run one full training step *without* opening its
-    own ``step_scope`` (the wrapper provides it), must route every
+    ``fn(*args)`` must run one full training step, must route every
     per-step random draw through :func:`taped_draw`, and must return
     the scalar loss ``Tensor`` (or a list of them).  ``run(key, ...)``
     returns the loss as float(s).  ``key`` is the step's shape
     signature — batch sizes plus the identities of the arrays the step
     closes over; any change records a fresh tape.
 
-    When tapes are disabled (``REPRO_NN_TAPE=0``), the pool is off, or
-    a recording is already open (a compiled step nested inside another
-    compiled region), the call falls through to the eager body.
+    When tapes are disabled (``REPRO_NN_TAPE=0``) or a recording is
+    already open (a compiled step nested inside another compiled
+    region), the call falls through to the eager body.
     """
 
     __slots__ = ("fn", "label", "extract", "_tapes")
@@ -907,16 +883,15 @@ class CompiledStep:
         self._tapes.clear()
 
     def _eager(self, args):
-        with _POOL.step_scope():
-            outs, scalar = self._finish(self.fn(*args))
-            if self.extract == "array":
-                arrays = [o.copy() for o in outs]
-                return arrays[0] if scalar else arrays
-            values = [float(o) for o in outs]
-            return values[0] if scalar else values
+        outs, scalar = self._finish(self.fn(*args))
+        if self.extract == "array":
+            arrays = [o.copy() for o in outs]
+            return arrays[0] if scalar else arrays
+        values = [float(o) for o in outs]
+        return values[0] if scalar else values
 
     def run(self, key: Tuple, *args):
-        if not tape_enabled() or not _POOL.enabled or RECORDER.active:
+        if not tape_enabled() or RECORDER.active:
             return self._eager(args)
         tape = self._tapes.get(key)
         if tape is not None and tape.generation == _GENERATION:
@@ -928,13 +903,11 @@ class CompiledStep:
                     else tape.results())
         RECORDER.begin()
         try:
-            with _POOL.step_scope():
-                outs, scalar = self._finish(self.fn(*args))
+            outs, scalar = self._finish(self.fn(*args))
         finally:
             entries = RECORDER.end()
         tape = Tape(entries, RECORDER.owned, outs, scalar,
                     origins=RECORDER.origins, label=self.label)
-        _donate_surplus(tape)
         if len(self._tapes) >= _MAX_TAPES:
             self._tapes.pop(next(iter(self._tapes)))
         self._tapes[key] = tape
@@ -952,8 +925,8 @@ class CompiledStep:
 
 def compiled_step(fn: Callable, label: str = "step",
                   extract: str = "float") -> CompiledStep:
-    """Convenience constructor mirroring ``step_scope()`` at the call
-    sites: ``self._c_disc = compiled_step(self._disc_core, "dg.disc")``."""
+    """Convenience constructor for call sites:
+    ``self._c_disc = compiled_step(self._disc_core, "dg.disc")``."""
     return CompiledStep(fn, label=label, extract=extract)
 
 
@@ -1016,12 +989,11 @@ def bucket_size(n: int) -> int:
 class CompiledInfer:
     """Compile a forward-only sampler body into replayable tapes.
 
-    ``fn(*args)`` must run a no-grad forward — the wrapper opens both
-    ``no_grad()`` and the pool's ``step_scope()`` — routing every
-    random draw through :func:`taped_draw` (via a :class:`LiveRng`
-    when the generator varies per call) and returning the output
-    ``Tensor``/array (or a list of them).  ``run(key, *args)`` returns
-    detached array copies.
+    ``fn(*args)`` must run a no-grad forward — the wrapper opens
+    ``no_grad()`` — routing every random draw through
+    :func:`taped_draw` (via a :class:`LiveRng` when the generator
+    varies per call) and returning the output ``Tensor``/array (or a
+    list of them).  ``run(key, *args)`` returns detached array copies.
 
     Unlike a training step, a sampler has *data-dependent inputs*
     (condition rows, autoregressive state).  Any ``np.ndarray`` in
@@ -1032,8 +1004,8 @@ class CompiledInfer:
     are baked into the recorded kernels — encode them in ``key``.
 
     Eager fallback rules match :class:`CompiledStep`; with tapes off
-    the body runs eagerly under the same no-grad pooled scope, which
-    keeps ``REPRO_NN_TAPE=0`` as the bitwise parity oracle.
+    the body runs eagerly under the same ``no_grad()``, which keeps
+    ``REPRO_NN_TAPE=0`` as the bitwise parity oracle.
     """
 
     __slots__ = ("fn", "label", "_tapes")
@@ -1056,13 +1028,13 @@ class CompiledInfer:
 
     def _eager(self, args):
         from .autograd import no_grad
-        with no_grad(), _POOL.step_scope():
+        with no_grad():
             outs, scalar = self._finish(self.fn(*args))
-            arrays = [o.copy() for o in outs]
-            return arrays[0] if scalar else arrays
+        arrays = [o.copy() for o in outs]
+        return arrays[0] if scalar else arrays
 
     def run(self, key: Tuple, *args):
-        if not tape_enabled() or not _POOL.enabled or RECORDER.active:
+        if not tape_enabled() or RECORDER.active:
             return self._eager(args)
         cached = self._tapes.get(key)
         if cached is not None and cached[0].generation == _GENERATION:
@@ -1088,13 +1060,12 @@ class CompiledInfer:
         from .autograd import no_grad
         RECORDER.begin()
         try:
-            with no_grad(), _POOL.step_scope():
+            with no_grad():
                 outs, scalar = self._finish(self.fn(*bound))
         finally:
             entries = RECORDER.end()
         tape = Tape(entries, RECORDER.owned, outs, scalar,
                     binds=binds, origins=RECORDER.origins, label=self.label)
-        _donate_surplus(tape)
         if len(self._tapes) >= _MAX_TAPES:
             self._tapes.pop(next(iter(self._tapes)))
         self._tapes[key] = (tape, binds)

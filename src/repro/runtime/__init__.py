@@ -4,10 +4,10 @@ Work across the codebase — NetShare's per-chunk fine-tuning
 (Insight 3), per-chunk synthesis in ``NetShare.generate``, and the
 epoch-parallel tabular baselines — is expressed as stateless,
 picklable tasks mapped through one ``Executor.map_tasks()`` interface
-with interchangeable ``serial``, ``multiprocessing``, ``shm``, and
-``remote`` backends.  The ``shm`` backend feeds workers through the
-zero-copy shared-memory data plane in :mod:`repro.runtime.shm`: bulk
-tensors and frozen model states live in a
+with interchangeable ``serial``, ``multiprocessing`` and ``remote``
+backends.  The ``multiprocessing`` pool is fed through the zero-copy
+shared-memory data plane in :mod:`repro.runtime.shm`: bulk tensors
+and frozen model states live in a
 :class:`~repro.runtime.shm.SharedArena` and tasks carry only tiny
 manifests.  The ``remote`` backend (:mod:`repro.runtime.remote`)
 extends the same manifest idea across machines: a coordinator ships
@@ -29,7 +29,6 @@ from .executor import (
     Executor,
     MultiprocessingExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
     get_executor,
     register_backend,
     resolve_backend,
@@ -84,7 +83,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "MultiprocessingExecutor",
-    "SharedMemoryExecutor",
     "get_executor",
     "register_backend",
     "resolve_jobs",

@@ -15,7 +15,7 @@ Two payload optimisations keep dispatch cheap:
   (content-hash keyed, instance-cached), so every task shares the one
   pre-pickled blob; workers :meth:`~FrozenState.thaw` through a
   per-process cache so N tasks in one worker deserialize once.
-* **Shared-memory refs** — under the ``shm`` backend, encoded tensors
+* **Shared-memory refs** — under the process pool, encoded tensors
   and frozen blobs live in a :class:`~repro.runtime.shm.SharedArena`
   and tasks carry :class:`~repro.runtime.shm.ArrayRef` manifests;
   :func:`materialize_encoded` / :func:`thaw_state` attach zero-copy
@@ -94,9 +94,9 @@ class FrozenState:
 # freeze: content-hash -> FrozenState (bytes payload), so repeated
 # fit/generate calls over the same model reuse one blob instance.
 _FREEZE_CACHE: Dict[str, FrozenState] = {}
-# thaw: content-hash -> deserialized state, per process (workers are
-# forked per map_tasks call; within one call this collapses N task
-# deserializations into one).
+# thaw: content-hash -> deserialized state, per process (pool workers
+# persist across map_tasks calls, so a state is deserialized once per
+# worker, however many tasks and calls reference it).
 _THAW_CACHE: Dict[str, Dict[str, Any]] = {}
 _CACHE_LIMIT = 32
 

@@ -4,16 +4,15 @@ NetShare's headline scalability result (Insight 3, Fig 4) is that
 per-chunk fine-tuning from a shared seed model is embarrassingly
 parallel.  This module is the runtime that makes that real: training
 work is expressed as stateless, picklable task objects mapped through
-one ``Executor.map_tasks()`` interface, with three interchangeable
-backends:
+one ``Executor.map_tasks()`` interface, with two local backends (the
+third, ``remote``, lives in :mod:`repro.runtime.remote`):
 
 * :class:`SerialExecutor` — in-process loop (the default; also the
   reference semantics every other backend must reproduce bit-exactly);
 * :class:`MultiprocessingExecutor` — a persistent pipe-based worker
-  pool reused across ``map_tasks`` calls (tasks pickled into each
-  worker's pipe), with dead workers respawned and their tasks retried;
-* :class:`SharedMemoryExecutor` — the same pool, but it announces
-  ``uses_shared_memory`` so callers move bulk tensors into a
+  pool reused across ``map_tasks`` calls, with dead workers respawned
+  and their tasks retried.  It announces ``uses_shared_memory``, so
+  callers move bulk tensors and frozen states into a
   :class:`~repro.runtime.shm.SharedArena` and dispatch only tiny
   manifests through the pipe (the zero-copy data plane).
 
@@ -23,7 +22,10 @@ generate-side model/encoder caches) survive from one ``map_tasks``
 call to the next, which is what makes ``generate``'s top-up rounds
 cheap.  Executors are context managers; ``close()`` (or ``with``)
 shuts the pool down, and a ``weakref.finalize`` backstop reaps workers
-if an executor is dropped without closing.
+if an executor is dropped without closing.  Workers also exit on
+their own once the coordinator process dies (SIGKILL, OOM kill), and
+they share the coordinator's resource tracker, so shared-memory
+blocks staged by a killed coordinator are still reclaimed.
 
 Determinism contract: a task carries every RNG seed it needs (derived
 from the model config, never from scheduling order), so backends only
@@ -58,6 +60,7 @@ import time
 import weakref
 from abc import ABC, abstractmethod
 from collections import deque
+from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -69,7 +72,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "MultiprocessingExecutor",
-    "SharedMemoryExecutor",
     "resolve_jobs",
     "resolve_backend",
     "get_executor",
@@ -93,7 +95,7 @@ MEASURE_DISPATCH_ENV_VAR = "REPRO_MEASURE_DISPATCH"
 #: ``remote`` fans tasks out to socket-connected worker hosts (see
 #: :mod:`repro.runtime.remote`); its factory registers lazily so the
 #: single-machine path never imports the socket layer.
-BACKENDS = ("serial", "multiprocessing", "shm", "remote")
+BACKENDS = ("serial", "multiprocessing", "remote")
 
 #: How many times one task may be dispatched before a dying worker is
 #: treated as the task's fault and the run fails.
@@ -170,7 +172,26 @@ def _run_inline(fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
 #     (index, "ok" | "error", result_or_exception, telemetry_payload)
 # A ``None`` message is the shutdown sentinel.
 
-def _worker_main(conn) -> None:
+#: Seconds between a worker's checks that its coordinator is alive.
+_ORPHAN_CHECK_SECONDS = 0.5
+
+
+def _exit_when_orphaned(coordinator: int) -> None:
+    """Watchdog thread body: end this worker once the coordinator dies.
+
+    Pipe EOF cannot carry that news: every worker forked after another
+    inherits a copy of the earlier pipe's parent end, so a SIGKILLed
+    or OOM-killed coordinator leaves its pipes open in its siblings.
+    Reparenting is the signal that does arrive, mid-task or idle.
+    """
+    while os.getppid() == coordinator:
+        time.sleep(_ORPHAN_CHECK_SECONDS)
+    os._exit(1)
+
+
+def _worker_main(conn, coordinator: int) -> None:
+    threading.Thread(target=_exit_when_orphaned, args=(coordinator,),
+                     daemon=True).start()
     while True:
         try:
             message = conn.recv()
@@ -219,6 +240,30 @@ class _WorkerHandle:
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
+
+
+def _pool_context():
+    """fork is cheapest where available (Linux); spawn elsewhere."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
+
+
+def _spawn_worker(ctx) -> _WorkerHandle:
+    """Start one pipe-connected worker process.
+
+    The resource tracker starts first, so a forked worker shares the
+    coordinator's: its shared-memory attaches then re-register names
+    the coordinator already owns (a no-op), and the tracker reclaims
+    every staged block once coordinator and workers are all gone.
+    """
+    resource_tracker.ensure_running()
+    parent_conn, child_conn = ctx.Pipe(duplex=True)
+    process = ctx.Process(target=_worker_main,
+                          args=(child_conn, os.getpid()), daemon=True)
+    process.start()
+    child_conn.close()
+    return _WorkerHandle(process, parent_conn)
 
 
 def _close_pool(workers: List[_WorkerHandle]) -> None:
@@ -270,12 +315,7 @@ class _WorkerPool:
         return [w.process.pid for w in self._workers]
 
     def _spawn(self) -> _WorkerHandle:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True)
-        process.start()
-        child_conn.close()
-        worker = _WorkerHandle(process, parent_conn)
+        worker = _spawn_worker(self._ctx)
         self._workers.append(worker)
         return worker
 
@@ -471,15 +511,20 @@ class MultiprocessingExecutor(Executor):
     """Fan tasks out across a persistent pipe-based worker pool.
 
     The task function must be a module-level callable and every task
-    picklable.  Single-task (or single-worker) calls run in-process to
-    avoid worker startup cost — results are identical either way by
-    the determinism contract.  The pool (and with it the workers'
-    per-process caches) survives across ``map_tasks`` calls until
-    ``close()``; a worker that dies mid-task is respawned and its task
-    retried up to :data:`MAX_TASK_ATTEMPTS` dispatches.
+    picklable.  Callers stage bulk tensors and frozen states in a
+    :class:`~repro.runtime.shm.SharedArena` (``uses_shared_memory``),
+    so each dispatched task is a few hundred bytes of manifest instead
+    of megabytes of pickled tensor.  Single-task (or single-worker)
+    calls run in-process to avoid worker startup cost — results are
+    identical either way by the determinism contract.  The pool (and
+    with it the workers' per-process caches) survives across
+    ``map_tasks`` calls until ``close()``; a worker that dies mid-task
+    is respawned and its task retried up to :data:`MAX_TASK_ATTEMPTS`
+    dispatches.
     """
 
     name = "multiprocessing"
+    uses_shared_memory = True
 
     def __init__(self, jobs: Optional[int] = None):
         super().__init__()
@@ -487,15 +532,9 @@ class MultiprocessingExecutor(Executor):
         self._pool: Optional[_WorkerPool] = None
         self._finalizer: Optional[weakref.finalize] = None
 
-    def _context(self):
-        # fork is cheapest where available (Linux); spawn elsewhere.
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-
     def _ensure_pool(self) -> _WorkerPool:
         if self._pool is None:
-            self._pool = _WorkerPool(self._context(), self.jobs)
+            self._pool = _WorkerPool(_pool_context(), self.jobs)
             # Backstop: reap workers if the executor is garbage
             # collected without close() (must not capture ``self``).
             self._finalizer = weakref.finalize(
@@ -531,21 +570,6 @@ class MultiprocessingExecutor(Executor):
             return self._ensure_pool().run(fn, tasks, workers, telem)
 
 
-class SharedMemoryExecutor(MultiprocessingExecutor):
-    """Multiprocessing fan-out fed through the zero-copy data plane.
-
-    The executor itself schedules exactly like its parent; the
-    difference is the ``uses_shared_memory`` flag, which tells callers
-    (``NetShare.fit``/``generate``, ``EWganGp.fit``) to stage encoded
-    tensors and frozen states in a :class:`~repro.runtime.shm.SharedArena`
-    so each dispatched task is a few hundred bytes of manifest instead
-    of megabytes of pickled tensor.
-    """
-
-    name = "shm"
-    uses_shared_memory = True
-
-
 # Backend registry: name -> factory(jobs, hosts).  The in-process
 # backends register here eagerly; the remote backend registers itself
 # when repro.runtime.remote is imported (get_executor imports it
@@ -567,7 +591,6 @@ def register_backend(name: str,
 register_backend("serial", lambda jobs, hosts: SerialExecutor())
 register_backend("multiprocessing",
                  lambda jobs, hosts: MultiprocessingExecutor(jobs))
-register_backend("shm", lambda jobs, hosts: SharedMemoryExecutor(jobs))
 
 
 def get_executor(jobs: Optional[int] = None,

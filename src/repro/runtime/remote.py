@@ -1,9 +1,9 @@
 """Multi-host ``remote`` executor backend: the coordinator side.
 
-Every speedup before this module — shm zero-copy, persistent pipe
-pools, tape replay — stops at one machine's cores.  The remote backend
-extends ``Executor.map_tasks()`` past that boundary: a coordinator
-ships task manifests to long-lived worker-host processes
+Every speedup before this module — shm zero-copy staging, persistent
+pipe pools, tape replay — stops at one machine's cores.  The remote
+backend extends ``Executor.map_tasks()`` past that boundary: a
+coordinator ships task manifests to long-lived worker-host processes
 (``python -m repro.runtime.remote_worker --listen HOST:PORT``) over
 the length-prefixed framing of :mod:`repro.runtime.wire`.
 
@@ -16,9 +16,9 @@ Design, point by point:
   per-link ``shipped`` ledger, mirroring the serve registry's
   zero-pickling-on-hit design).  The executor announces
   ``uses_shared_memory`` so callers stage exactly as they do for the
-  ``shm`` backend; the coordinator reads the staged blocks back when
-  packing, and each host re-stages blobs into its *own*
-  ``SharedArena`` for its local workers.
+  local ``multiprocessing`` pool; the coordinator reads the staged
+  blocks back when packing, and each host re-stages blobs into its
+  *own* ``SharedArena`` for its local workers.
 * **Fault model.**  The pipe pool's respawn/retry semantics
   generalize: a dead host (EOF, torn frame, socket error/timeout)
   gets its in-flight tasks re-queued onto surviving hosts, bounded by
@@ -155,7 +155,7 @@ class RemoteExecutor(Executor):
     """
 
     name = "remote"
-    #: Callers stage bulk payloads exactly as for the shm backend; the
+    #: Callers stage bulk payloads exactly as for the local pool; the
     #: coordinator packs the staged refs into wire blobs.
     uses_shared_memory = True
 

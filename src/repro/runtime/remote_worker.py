@@ -4,13 +4,13 @@ Run one per machine::
 
     python -m repro.runtime.remote_worker --listen 0.0.0.0:7070 --jobs 8
 
-The host is a mini-coordinator that replays the ``shm`` backend
-locally: blobs pushed by the coordinator are staged once into a
-host-owned :class:`~repro.runtime.shm.SharedArena` (the
-:class:`BlobStore`, a bounded LRU keyed by content hash), and each
-task frame is rebuilt by :func:`~repro.runtime.serialization.
-unpack_task` into exactly the shape the shm backend would have
-dispatched — ``ArrayRef``/``FrozenState``/``SharedEncodedFlows``
+The host is a mini-coordinator that replays the staged
+``multiprocessing`` backend locally: blobs pushed by the coordinator
+are staged once into a host-owned :class:`~repro.runtime.shm.
+SharedArena` (the :class:`BlobStore`, a bounded LRU keyed by content
+hash), and each task frame is rebuilt by :func:`~repro.runtime.
+serialization.unpack_task` into exactly the shape the local pool
+would have dispatched — ``ArrayRef``/``FrozenState``/``SharedEncodedFlows``
 referencing host-local blocks.  The existing task functions and their
 per-process caches (frozen-state thaw, generate-side model/encoder)
 therefore run unchanged, which is what keeps remote output
@@ -38,7 +38,6 @@ pickles, so bind to loopback or a private network only.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import pickle
 import signal
@@ -54,8 +53,8 @@ from .. import telemetry
 from ..telemetry.journal import RunJournal
 from ..telemetry.spans import span
 from ..telemetry.state import STATE
-from .executor import (MAX_TASK_ATTEMPTS, _close_pool, _WorkerHandle,
-                       _worker_main, resolve_jobs)
+from .executor import (MAX_TASK_ATTEMPTS, _close_pool, _pool_context,
+                       _spawn_worker, _WorkerHandle, resolve_jobs)
 from .remote import WIRE_VERSION
 from .serialization import BlobManifest, manifest_hashes, unpack_task
 from .shm import ArrayRef, SharedArena
@@ -147,9 +146,7 @@ class WorkerHost:
         self._listener: Optional[socket.socket] = None
         # Host-side pipe-worker pool (only with --jobs > 1); reuses the
         # single-machine worker protocol wholesale.
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
+        self._ctx = _pool_context()
         self._workers: List[_WorkerHandle] = []
         self._idle: Deque[_WorkerHandle] = deque()
         # worker conn -> (worker, index, fn, task, telem, attempts)
@@ -196,12 +193,7 @@ class WorkerHost:
             return "error", exc, payload
 
     def _spawn_worker(self) -> _WorkerHandle:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True)
-        process.start()
-        child_conn.close()
-        worker = _WorkerHandle(process, parent_conn)
+        worker = _spawn_worker(self._ctx)
         self._workers.append(worker)
         return worker
 

@@ -22,7 +22,7 @@ knows which runtime type to rebuild) and the blob bytes travel in a
 side table, deduplicated by hash — N tasks referencing one model
 state produce one blob.  On the worker host, :func:`unpack_task`
 resolves each manifest against the host's own ``SharedArena`` and
-rebuilds the task in exactly the ``shm``-backend shape
+rebuilds the task in exactly the local pool's staged shape
 (``ArrayRef``/``FrozenState``/``SharedEncodedFlows``), so the existing
 task functions, thaw caches, and local worker pools run unchanged —
 which is what keeps remote output bit-identical to serial.
@@ -280,7 +280,7 @@ def manifest_hashes(packed_task: Any) -> Set[str]:
 
 def unpack_task(packed_task: Any,
                 resolve: Callable[[BlobManifest], ArrayRef]) -> Any:
-    """Rebuild a packed task in the ``shm``-backend shape.
+    """Rebuild a packed task in the local pool's staged shape.
 
     ``resolve`` maps a :class:`BlobManifest` to a host-local
     :class:`ArrayRef` (the worker host's blob store).  Manifests become

@@ -1,8 +1,8 @@
 """Zero-copy shared-memory data plane for the task executors.
 
-The multiprocessing backend pickles every task into the worker pipe,
-so a :class:`~repro.runtime.chunk_tasks.ChunkTask` carrying a chunk's
-encoded tensors (and possibly a full warm-start ``state_dict``) pays a
+Pickling every task into the worker pipe would make a
+:class:`~repro.runtime.chunk_tasks.ChunkTask` carrying a chunk's
+encoded tensors (and possibly a full warm-start ``state_dict``) pay a
 serialize/deserialize round-trip per task — for large chunks, dispatch
 cost rivals training cost.  This module removes the payload from the
 pipe: arrays are placed in ``multiprocessing.shared_memory`` blocks
@@ -19,21 +19,24 @@ Lifecycle rules:
   memory persists until explicitly unlinked, so cleanup is the
   parent's job and only the parent's job).  A ``weakref.finalize``
   backstop covers arenas that are never used as context managers.
-* **workers** (and same-process attachers) hold their attachments in a
-  per-process cache so repeated refs to one block share a single
-  mapping; handles are released at process exit.  Attached views are
-  only valid while the arena is open — tasks must copy anything that
-  outlives the ``map_tasks`` call (training results already do:
-  ``state_dict()`` copies).
+* **workers** (and same-process attachers) hold their tensor
+  attachments in a per-process cache so repeated refs to one block
+  share a single mapping; handles are released at process exit.
+  Attached views are only valid while the arena is open — tasks must
+  copy anything that outlives the ``map_tasks`` call (training results
+  already do: ``state_dict()`` copies).  Byte blobs are copied out and
+  their mapping closed at once (:func:`read_shared_bytes`).
 * Python < 3.13 registers *attached* segments with the resource
-  tracker as if the attacher owned them, which triggers spurious
-  unlink attempts at worker exit (bpo-39959); :func:`attach_array`
-  unregisters the attachment so ownership stays with the arena.
+  tracker as if the attacher owned them (bpo-39959).  Pool workers
+  share the coordinator's tracker (the pool starts it before forking),
+  so an attach re-registers a name the owner already holds — a no-op
+  — and the tracker still reclaims every block of a killed
+  coordinator.  Attachers must not unregister: in a shared tracker
+  that drops the owner's entry.
 """
 
 from __future__ import annotations
 
-import pickle
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -101,33 +104,49 @@ _ATTACHED_BLOCKS: Dict[str, shared_memory.SharedMemory] = {}
 
 
 def _untrack(segment: shared_memory.SharedMemory) -> None:
-    """Undo the resource tracker's registration of an *attached*
-    segment (Python < 3.13 tracks attachments as ownership)."""
+    """Undo the resource tracker's registration of a probe's attach
+    (Python < 3.13 tracks attachments as ownership)."""
     try:
         resource_tracker.unregister(segment._name, "shared_memory")
     except Exception:
         pass
 
 
+def _mapped(name: str):
+    """This process's open mapping of a block, if it has one."""
+    return _OWNED_BLOCKS.get(name) or _ATTACHED_BLOCKS.get(name)
+
+
 def attach_array(ref: ArrayRef) -> np.ndarray:
     """Return a zero-copy numpy view onto the referenced shared block."""
-    block = _OWNED_BLOCKS.get(ref.name)
+    block = _mapped(ref.name)
     if block is None:
-        block = _ATTACHED_BLOCKS.get(ref.name)
-        if block is None:
-            block = shared_memory.SharedMemory(name=ref.name)
-            _untrack(block)
-            _ATTACHED_BLOCKS[ref.name] = block
+        block = shared_memory.SharedMemory(name=ref.name)
+        _ATTACHED_BLOCKS[ref.name] = block
     return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=block.buf)
 
 
 def read_shared_bytes(ref: ArrayRef) -> bytes:
-    """Copy a byte-blob (uint8 block) out of shared memory."""
-    return attach_array(ref).tobytes()
+    """Copy a byte-blob (uint8 block) out of shared memory.
+
+    A blob is thawed once and dropped, so its segment stays mapped only
+    for the copy: caching the mapping the way :func:`attach_array` does
+    would pin every blob a long-lived worker ever read, unlinked or not.
+    """
+    block = _mapped(ref.name)
+    if block is not None:
+        return bytes(block.buf[:ref.nbytes])
+    block = shared_memory.SharedMemory(name=ref.name)
+    try:
+        return bytes(block.buf[:ref.nbytes])
+    finally:
+        block.close()
 
 
 def block_exists(name: str) -> bool:
-    """True if the named block is still linked (used by lifecycle tests)."""
+    """True if the named block is still linked (used by lifecycle tests
+    from the owning process; a probe from a process sharing the owner's
+    tracker would drop the owner's registration)."""
     if name in _OWNED_BLOCKS:
         return True
     try:
@@ -268,25 +287,19 @@ class SharedArena:
 
 
 def maybe_arena(executor) -> "SharedArena | _NullArena":
-    """An open arena if the executor wants shared memory, else a no-op
-    stand-in — lets call sites use one ``with`` either way."""
+    """An open arena if the executor wants shared memory (every backend
+    but serial), else a no-op stand-in — lets call sites use one
+    ``with`` either way."""
     if getattr(executor, "uses_shared_memory", False):
         return SharedArena()
     return _NullArena()
 
 
 class _NullArena:
-    """Context-manager stand-in when the backend doesn't use shm."""
+    """Context-manager stand-in for the serial backend."""
 
     def __enter__(self) -> None:
         return None
 
     def __exit__(self, exc_type, exc, tb) -> None:
         return None
-
-
-# Re-exported here to keep pickle out of call sites that only want to
-# size a payload for the manifest path.
-def pickled_size(obj) -> int:
-    """Bytes this object would occupy on the worker pipe."""
-    return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))

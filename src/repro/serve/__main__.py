@@ -24,6 +24,7 @@ from typing import Dict, Optional
 from .. import telemetry
 from ..datasets.io import write_flow_csv, write_packet_csv
 from ..datasets.records import FlowTrace
+from ..runtime import BACKENDS
 from .cache import DEFAULT_CACHE_CAPACITY
 from .client import ServeClient
 from .daemon import ServeConfig, ServeDaemon, install_signal_handlers
@@ -133,9 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-limit", type=int, default=64)
     serve.add_argument("--retry-after", type=float, default=0.25)
     serve.add_argument("--jobs", type=int, default=None)
-    serve.add_argument("--backend", default=None,
-                       choices=["serial", "multiprocessing", "shm",
-                                "remote"])
+    serve.add_argument("--backend", default=None, choices=list(BACKENDS))
     serve.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                        help="remote worker hosts (default: REPRO_HOSTS "
                             "env var); implies --backend remote")

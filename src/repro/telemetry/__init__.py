@@ -8,7 +8,7 @@ generation runtime:
   no-op instruments while disabled;
 * **Spans** — nesting :func:`span` trace contexts carrying
   ``(run_id, task_id, worker_pid)``.  The serial executor records
-  in-process; the multiprocessing/shm executors ship each worker's
+  in-process; the multiprocessing executor ships each worker's
   span buffer back inside the task-result envelope and splice the
   pieces into one tree (see :mod:`repro.telemetry.spans`);
 * **Journal** — a JSONL :class:`~repro.telemetry.journal.RunJournal`

@@ -47,7 +47,6 @@ RULE_CASES = {
     "numerical_stability": ("numerical-stability",
                             "src/repro/metrics/fixture.py"),
     "api_hygiene": ("api-hygiene", "src/repro/core/fixture.py"),
-    "pool_scope": ("pool-scope", "src/repro/core/fixture.py"),
     "tape_purity": ("tape-purity", "src/repro/core/fixture.py"),
 }
 

@@ -37,6 +37,25 @@ class TestParser:
         ):
             assert parser.parse_args(argv).command == argv[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "a.csv", "b.csv"],
+        ["generate", "m.npz", "b.csv"],
+        ["serve", "--model", "demo=m.npz"],
+    ])
+    def test_backend_choices_follow_the_registry(self, argv, capsys):
+        """Every CLI takes --backend from repro.runtime.BACKENDS, so the
+        removed 'shm' name is refused everywhere alike."""
+        from repro.runtime import BACKENDS
+        from repro.serve.__main__ import build_parser as serve_parser
+
+        parser = serve_parser() if argv[0] == "serve" else build_parser()
+        for backend in BACKENDS:
+            assert parser.parse_args(argv + ["--backend", backend]).backend \
+                == backend
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--backend", "shm"])
+        assert "invalid choice: 'shm'" in capsys.readouterr().err
+
 
 class TestDatasetCommand:
     def test_writes_csv(self, dataset_csv):

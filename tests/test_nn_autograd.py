@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import (
+    Dense,
     Tensor,
     concatenate,
     grad,
@@ -222,6 +223,15 @@ class TestGradMechanics:
         g_mid, g_x = grad(out, [mid, x])
         np.testing.assert_allclose(g_mid.data, [12.0])  # 2*mid
         np.testing.assert_allclose(g_x.data, [36.0])
+
+    def test_param_grads_do_not_alias_each_other(self):
+        layer = Dense(4, 3, rng=np.random.default_rng(0))
+        loss = layer(tensor(np.ones((2, 4)))).sum()
+        gw, gb = grad(loss, layer.parameters())
+        assert gw.data is not gb.data
+        # Mutating one grad must not corrupt the other.
+        gw.data.fill(-1.0)
+        np.testing.assert_array_equal(gb.data, np.full(3, 2.0))
 
 
 class TestDoubleBackprop:

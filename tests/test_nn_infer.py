@@ -7,8 +7,8 @@ byte-identical output to the eager oracle (``configure(False)``), for
 every model family that samples through a compiled tape — DoppelGANger,
 the RowGAN family (plain and conditional), and STAN's autoregressive
 chain.  On top of parity: bucketing arithmetic, the infer hit/miss
-ledger (process counters and telemetry mirrors), tape invalidation on
-``load_state_dict``, and the pool's reserve/release arena plumbing.
+ledger (process counters and telemetry mirrors), and tape invalidation
+on ``load_state_dict``.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.baselines.rowgan import ColumnSpec, RowGan, RowGanConfig
 from repro.baselines.stan import Stan
 from repro.datasets.records import FlowTrace
 from repro.gan.doppelganger import DgConfig, DoppelGANger
-from repro.nn.pool import POOL, BufferPool
 from repro.nn.tape import (
     bucket_size,
     configure,
@@ -30,14 +29,11 @@ from repro.nn.tape import (
 
 @pytest.fixture(autouse=True)
 def clean_tape_state():
-    """Each test runs with pool on, tapes on, fresh counters."""
-    POOL.configure(True)
+    """Each test runs with tapes on and fresh counters."""
     configure(True)
     reset_tape_stats()
     yield
     configure(None)
-    POOL.configure(True)
-    POOL.reset()
     reset_tape_stats()
 
 
@@ -239,56 +235,3 @@ class TestStanInfer:
         configure(True)
         assert _bitwise_equal(model.generate(6, seed=5).start_time,
                               eager.start_time)
-
-
-# ----------------------------------------------------------------------
-# pool reserve/release (the tape arena)
-# ----------------------------------------------------------------------
-
-class TestPoolArena:
-    def test_reserve_pops_recycled_buffer(self):
-        pool = BufferPool(enabled=True)
-        with pool.step_scope():
-            scratch = pool.take((4, 3))
-        got = pool.reserve((4, 3))
-        assert got is scratch  # free list was warm: no allocation
-        assert pool.reserve_hits == 1 and pool.reserve_misses == 0
-
-    def test_reserve_allocates_on_cold_shape(self):
-        pool = BufferPool(enabled=True)
-        got = pool.reserve((2, 2))
-        assert got.shape == (2, 2) and got.dtype == np.float64
-        assert pool.reserve_misses == 1
-
-    def test_reserved_buffer_never_recycles(self):
-        pool = BufferPool(enabled=True)
-        with pool.step_scope():
-            pool.take((4, 3))
-        reserved = pool.reserve((4, 3))
-        with pool.step_scope():
-            again = pool.take((4, 3))
-            assert again is not reserved  # withdrawal is permanent
-
-    def test_release_donates_to_free_list(self):
-        pool = BufferPool(enabled=True)
-        buf = np.empty((3, 5))
-        pool.release(buf)
-        with pool.step_scope():
-            assert pool.take((3, 5)) is buf
-
-    def test_release_rejects_views_and_non_float64(self):
-        pool = BufferPool(enabled=True)
-        base = np.empty((4, 4))
-        pool.release(base[:2])              # view: dropped
-        pool.release(np.zeros(3, dtype=np.int64))  # wrong dtype: dropped
-        with pool.step_scope():
-            a = pool.take((2, 4))
-            assert a.base is None
-        assert pool.misses == 1  # both donations were refused
-
-    def test_reserve_stats_surface(self):
-        pool = BufferPool(enabled=True)
-        pool.reserve((1,))
-        stats = pool.stats()
-        assert stats["reserve_misses"] == 1
-        assert stats["reserve_hits"] == 0

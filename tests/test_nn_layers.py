@@ -202,6 +202,86 @@ class TestOptimizers:
         np.testing.assert_allclose(clipped[0], grads[0])
 
 
+def _reference_sgd(p, grads, lr, momentum):
+    """Allocating textbook SGD: the in-place update's oracle."""
+    v, trail = np.zeros_like(p), []
+    for g in grads:
+        v = v * momentum + g
+        p = p - lr * v
+        trail.append(p)
+    return trail
+
+
+def _reference_adam(p, grads, lr, beta1, beta2, eps):
+    """Allocating textbook Adam: the in-place update's oracle."""
+    m, v, trail = np.zeros_like(p), np.zeros_like(p), []
+    for t, g in enumerate(grads, start=1):
+        m = m * beta1 + (1.0 - beta1) * g
+        v = v * beta2 + (1.0 - beta2) * g * g
+        bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
+        p = p - lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        trail.append(p)
+    return trail
+
+
+OPTIMIZER_ORACLES = {
+    "sgd": (lambda ps: SGD(ps, lr=0.05),
+            lambda p, gs: _reference_sgd(p, gs, 0.05, 0.0)),
+    "sgd_momentum": (lambda ps: SGD(ps, lr=0.05, momentum=0.9),
+                     lambda p, gs: _reference_sgd(p, gs, 0.05, 0.9)),
+    "adam": (lambda ps: Adam(ps, lr=0.01, beta1=0.5),
+             lambda p, gs: _reference_adam(p, gs, 0.01, 0.5, 0.999, 1e-8)),
+}
+
+
+class TestInPlaceUpdateOracle:
+    """The optimizers update parameters in place, the only update a tape
+    can record.  Every step, eager or replayed, must equal the
+    allocating textbook formula bit for bit."""
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["eager", "taped"])
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_ORACLES))
+    def test_matches_allocating_formula(self, name, taped):
+        from repro.nn.tape import compiled_step, configure, taped_draw
+
+        make_opt, reference = OPTIMIZER_ORACLES[name]
+        rng = np.random.default_rng(4)
+        start = rng.normal(size=(5, 3))
+        grads = [rng.normal(size=(5, 3)) for _ in range(6)]
+        p = Parameter(start.copy())
+        opt = make_opt([p])
+        feed = iter(grads)
+
+        def core():
+            opt.step([taped_draw(lambda: next(feed).copy())])
+            return Tensor(p.data).sum()
+
+        step = compiled_step(core, "test.optim")
+        configure(taped)
+        try:
+            trail = []
+            for _ in grads:
+                step.run(("k",))
+                trail.append(p.data.copy())
+        finally:
+            configure(None)
+        for got, want in zip(trail, reference(start, grads)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(OPTIMIZER_ORACLES))
+    def test_eager_step_keeps_tapes_valid(self, name):
+        """Parameters keep their storage across a step, so an eager
+        update (a classifier fit, say) never orphans recorded tapes."""
+        from repro.nn import tape
+
+        p = Parameter(np.ones((2, 2)))
+        storage = p.data
+        generation = tape._GENERATION
+        OPTIMIZER_ORACLES[name][0]([p]).step([np.full((2, 2), 0.5)])
+        assert p.data is storage
+        assert tape._GENERATION == generation
+
+
 class TestLosses:
     def test_cross_entropy_perfect_prediction(self):
         logits = tensor(np.array([[10.0, -10.0], [-10.0, 10.0]]))

@@ -1,6 +1,6 @@
 """Tests for repro.nn.tape: eager-vs-taped bitwise parity across every
-registered op, shape-signature cache invalidation, liveness-planner
-release correctness, and nested step_scope interaction.
+registered op and every compiled model family, shape-signature cache
+invalidation, liveness-planner release correctness, and nesting.
 
 The parity harness replays each op program the double-backprop checker
 registers (``repro.analysis.graph_check``): forward, a scalar loss,
@@ -13,18 +13,23 @@ import numpy as np
 import pytest
 
 from repro.analysis import get_op_spec, registered_op_names
+from repro.baselines import EWganGp, Stan
+from repro.core.flow_encoder import EncodedFlows
+from repro.datasets import load_dataset
+from repro.gan.doppelganger import DgConfig, DoppelGANger
 from repro.nn import SGD, Dense, Tensor, grad, tensor
 from repro.nn.functional import gumbel_softmax
-from repro.nn.pool import POOL
 from repro.nn.tape import (
     RECORDER,
     Tape,
     compiled_step,
     configure,
+    fresh_full,
     invalidate_tapes,
     k_gather,
     ka,
     reset_tape_stats,
+    scratch,
     tape_enabled,
     tape_stats,
     taped_draw,
@@ -33,14 +38,11 @@ from repro.nn.tape import (
 
 @pytest.fixture(autouse=True)
 def clean_tape_state():
-    """Each test runs with pool on, tapes on, fresh counters."""
-    POOL.configure(True)
+    """Each test runs with tapes on and fresh counters."""
     configure(True)
     reset_tape_stats()
     yield
     configure(None)
-    POOL.configure(True)
-    POOL.reset()
     reset_tape_stats()
 
 
@@ -249,36 +251,6 @@ def test_liveness_pins_outputs_and_rng_buffers():
 # Nesting and the escape hatch
 # ----------------------------------------------------------------------
 
-def test_compiled_step_inside_open_step_scope():
-    configure(False)
-    eager, eager_state, _ = _training_run(7, [4, 4], taped=False)
-    reset_tape_stats()
-    configure(True)
-    rng = np.random.default_rng(7)
-    data = rng.uniform(size=(32, 4))
-    target = rng.uniform(size=(32, 3))
-    net = Dense(4, 3, "tanh", rng=np.random.default_rng(8))
-    opt = SGD(net.parameters(), lr=0.1)
-    draw_rng = np.random.default_rng(9)
-
-    def core(b):
-        idx = taped_draw(lambda: draw_rng.integers(0, len(data), size=b))
-        x = tensor(k_gather(data, idx))
-        y = tensor(k_gather(target, idx))
-        loss = (net(x) - y).square().mean()
-        opt.step(grad(loss, net.parameters()))
-        return loss
-
-    step = compiled_step(core, "test.nested")
-    with POOL.step_scope():  # the wrapper's scope nests inside this one
-        losses = [step.run((4,), 4), step.run((4,), 4)]
-    stats = tape_stats()
-    assert stats["misses"] == 1 and stats["hits"] == 1
-    assert losses == eager
-    for name, value in net.state_dict().items():
-        assert _bitwise_equal(value, eager_state[name])
-
-
 def test_compiled_step_nested_in_recording_falls_back_to_eager():
     configure(True)
     w = np.full(4, 0.5)
@@ -337,3 +309,129 @@ def test_env_escape_hatch_disables_tapes(monkeypatch):
     assert len(calls) == 2  # eager body ran every step
     monkeypatch.setenv("REPRO_NN_TAPE", "1")
     assert tape_enabled()
+
+
+# ----------------------------------------------------------------------
+# Fresh and scratch buffers
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [0.0, 1.0, 2.5])
+def test_fresh_buffer_refills_on_every_replay(value):
+    """An accumulator from ``fresh_full`` is re-filled before each
+    replay, so an in-place scatter never sees the last step's sums."""
+    idx = np.array([0, 2, 2])
+
+    def core():
+        acc = fresh_full((3,), value)
+        np.add.at(acc, idx, 1.0)  # repro: ignore[tape-purity]
+        if RECORDER.active:
+            RECORDER.inplace(np.add.at, (acc, idx, 1.0))
+        return Tensor(ka(np.multiply, acc, 1.0)).sum()
+
+    step = compiled_step(core, "test.fresh")
+    results = [step.run(("k",)) for _ in range(3)]
+    assert tape_stats()["hits"] == 2
+    assert results == [3 * value + 3.0] * 3
+
+
+def test_scratch_belongs_to_the_open_recording():
+    outside = scratch((2, 2))
+    assert id(outside) not in RECORDER.owned
+    RECORDER.begin()
+    try:
+        inside = scratch((2, 2))
+        assert RECORDER.owned[id(inside)] is inside
+    finally:
+        RECORDER.end()
+
+
+# ----------------------------------------------------------------------
+# Model families: a taped fit and sample against REPRO_NN_TAPE=0
+# ----------------------------------------------------------------------
+
+def _both_modes(run):
+    """``run()`` once eager (the oracle), once taped."""
+    configure(False)
+    eager = run()
+    configure(True)
+    return eager, run()
+
+
+def _small_flows(n):
+    rng = np.random.default_rng(0)
+    return EncodedFlows(rng.uniform(size=(n, 6)),
+                        rng.uniform(size=(n, 4, 3)), np.ones((n, 4)))
+
+
+def _small_dg_config(batch_size):
+    return DgConfig(metadata_dim=6, measurement_dim=3, max_timesteps=4,
+                    batch_size=batch_size, meta_hidden=16, rnn_hidden=16,
+                    disc_hidden=16)
+
+
+def _assert_dg_runs_equal(eager, taped):
+    (d_e, g_e, state_e, gen_e), (d_t, g_t, state_t, gen_t) = eager, taped
+    assert d_e == d_t and g_e == g_t
+    for key in state_e:
+        assert _bitwise_equal(state_e[key], state_t[key])
+    for field in ("metadata", "measurements", "gen_flags"):
+        assert _bitwise_equal(getattr(gen_e, field), getattr(gen_t, field))
+
+
+class TestModelParity:
+    def test_doppelganger_losses_params_samples(self):
+        flows, config = _small_flows(48), _small_dg_config(16)
+
+        def run():
+            model = DoppelGANger(config, seed=1)
+            model.fit(flows, epochs=2)
+            return (list(model.log.d_loss), list(model.log.g_loss),
+                    model.state_dict(), model.generate(20, seed=3))
+
+        _assert_dg_runs_equal(*_both_modes(run))
+
+    def test_doppelganger_dp_fit_parity(self):
+        """DP-SGD fit (batched per-example critic pass, clipping and
+        noise) then sampling from the private model."""
+        from repro.privacy import DpSgdConfig
+
+        flows, config = _small_flows(16), _small_dg_config(8)
+        dp_config = DpSgdConfig(clip_norm=1.0, noise_multiplier=0.5)
+
+        def run():
+            model = DoppelGANger(config, seed=1)
+            log = model.fit_dp(flows, epochs=1, dp_config=dp_config, seed=5)
+            return (list(log.d_loss), list(log.g_loss),
+                    model.state_dict(), model.generate(20, seed=3))
+
+        _assert_dg_runs_equal(*_both_modes(run))
+
+    def test_ewgangp_samples_parity(self):
+        trace = load_dataset("ugr16", n_records=120, seed=0)
+        eager, taped = _both_modes(
+            lambda: EWganGp(epochs=2, seed=0).fit(trace).generate(60, seed=1))
+        for column in ("src_ip", "dst_port", "bytes"):
+            assert _bitwise_equal(getattr(eager, column),
+                                  getattr(taped, column))
+
+    @pytest.mark.parametrize("name, dataset", [
+        ("CTGAN", "ugr16"), ("PAC-GAN", "caida"), ("PacketCGAN", "caida"),
+        ("Flow-WGAN", "caida")])
+    def test_rowgan_family_samples_parity(self, name, dataset):
+        from repro.baselines import make_baseline
+
+        trace = load_dataset(dataset, n_records=120, seed=0)
+        eager, taped = _both_modes(
+            lambda: make_baseline(name, epochs=2, seed=0).fit(trace)
+            .generate(60, seed=1))
+        for column in ("src_ip", "dst_port", "protocol"):
+            assert _bitwise_equal(getattr(eager, column),
+                                  getattr(taped, column))
+
+    def test_stan_samples_parity(self):
+        trace = load_dataset("ugr16", n_records=120, seed=0)
+        eager, taped = _both_modes(
+            lambda: Stan(epochs=5, seed=0).fit(trace).generate(80, seed=1))
+        for column in ("src_ip", "bytes", "start_time"):
+            assert _bitwise_equal(getattr(eager, column),
+                                  getattr(taped, column))

@@ -2,7 +2,14 @@
 serial/multiprocessing determinism, state serialization, and the
 NetShare save/load + generation top-up guarantees that ride on it."""
 
+import glob
 import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,16 +19,20 @@ from repro.baselines import EWganGp
 from repro.gan.doppelganger import DgConfig, DoppelGANger
 from repro.runtime import (
     BACKEND_ENV_VAR,
+    BACKENDS,
     ChunkTask,
     MultiprocessingExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
+    SharedArena,
+    attach_array,
     flatten_state,
+    freeze_state,
     get_executor,
     load_state_npz,
     resolve_backend,
     resolve_jobs,
     save_state_npz,
+    thaw_state,
     train_chunk,
     unflatten_state,
 )
@@ -71,11 +82,11 @@ class TestResolveJobs:
 class TestBackendSelection:
     def test_resolve_backend_explicit(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        assert resolve_backend("shm") == "shm"
+        assert resolve_backend("multiprocessing") == "multiprocessing"
 
     def test_resolve_backend_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "shm")
-        assert resolve_backend() == "shm"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "multiprocessing")
+        assert resolve_backend() == "multiprocessing"
 
     def test_resolve_backend_default_none(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
@@ -92,19 +103,35 @@ class TestBackendSelection:
     def test_get_executor_named_backends(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        assert BACKENDS == ("serial", "multiprocessing", "remote")
         assert isinstance(get_executor(4, "serial"), SerialExecutor)
-        assert isinstance(get_executor(1, "multiprocessing"),
-                          MultiprocessingExecutor)
-        shm = get_executor(2, "shm")
-        assert isinstance(shm, SharedMemoryExecutor)
-        assert shm.uses_shared_memory
-        monkeypatch.setenv(BACKEND_ENV_VAR, "shm")
-        assert isinstance(get_executor(2), SharedMemoryExecutor)
+        pool = get_executor(1, "multiprocessing")
+        assert isinstance(pool, MultiprocessingExecutor)
+        assert pool.uses_shared_memory  # the one local pool always stages
+        assert not SerialExecutor().uses_shared_memory
+        monkeypatch.setenv(BACKEND_ENV_VAR, "multiprocessing")
+        assert isinstance(get_executor(2), MultiprocessingExecutor)
 
     def test_shm_map_matches_serial(self):
-        tasks = list(range(5))
-        assert (SharedMemoryExecutor(2).map_tasks(_square, tasks)
-                == SerialExecutor().map_tasks(_square, tasks))
+        """Tasks that are shared-memory manifests map through the pool
+        exactly as they run in-process."""
+        with SharedArena() as arena, MultiprocessingExecutor(2) as pool:
+            refs = [arena.share_array(np.arange(6.0) * i) for i in range(5)]
+            pooled = pool.map_tasks(attach_array, refs)
+            # Serial results are live views: compare before unlinking.
+            serial = SerialExecutor().map_tasks(attach_array, refs)
+            for a, b in zip(pooled, serial):
+                np.testing.assert_array_equal(a, b)
+
+    def test_shm_is_rejected(self, monkeypatch):
+        """The staged pool is the ``multiprocessing`` backend; the old
+        ``shm`` name is gone rather than aliased."""
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        with pytest.raises(ValueError, match="unknown backend 'shm'"):
+            get_executor(2, "shm")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "shm")
+        with pytest.raises(ValueError, match="unknown backend 'shm'"):
+            resolve_backend()
 
 
 class TestExecutors:
@@ -187,30 +214,38 @@ class TestBackendDeterminism:
             for key in sa:
                 np.testing.assert_array_equal(sa[key], sb[key])
 
-    def test_shm_backend_bit_identical(self, netflow, fitted_serial):
-        """The zero-copy plane changes where tensors live, not what any
-        task computes: shm-trained chunk models match serial exactly."""
-        shm = NetShare(fast_config(jobs=2, backend="shm")).fit(netflow)
-        assert shm.backend == "shm"
-        assert len(shm._chunks) == len(fitted_serial._chunks)
-        for a, b in zip(fitted_serial._chunks, shm._chunks):
+    def test_shm_backend_bit_identical(self, netflow, fitted_serial,
+                                       monkeypatch):
+        """The pool's zero-copy plane (tensors and frozen states staged
+        in shared memory, tasks shipped as manifests) changes where
+        tensors live, not what any task computes: staged chunk models
+        match serial exactly."""
+        monkeypatch.setenv("REPRO_MEASURE_DISPATCH", "1")
+        staged = NetShare(
+            fast_config(jobs=2, backend="multiprocessing")).fit(netflow)
+        assert staged.backend == "multiprocessing"
+        seed_state = pickle.dumps(fitted_serial._chunks[0].model.state_dict(),
+                                  protocol=pickle.HIGHEST_PROTOCOL)
+        assert staged.dispatch_tasks > 0
+        assert staged.dispatch_bytes / staged.dispatch_tasks < len(seed_state)
+        assert len(staged._chunks) == len(fitted_serial._chunks)
+        for a, b in zip(fitted_serial._chunks, staged._chunks):
             sa, sb = a.model.state_dict(), b.model.state_dict()
             for key in sa:
                 np.testing.assert_array_equal(sa[key], sb[key])
 
     def test_generate_bit_identical_across_backends(self, fitted_serial):
-        """Parallel generation fans per-chunk sampling out as tasks;
-        the trace must be bit-identical on every backend."""
+        """Parallel generation fans per-chunk sampling out as staged
+        tasks; the trace must be bit-identical to serial."""
         base = fitted_serial.generate(80, seed=3)
-        for backend in ("multiprocessing", "shm"):
-            alt = fitted_serial.generate(80, seed=3, jobs=2,
-                                         backend=backend)
-            for column in ("src_ip", "dst_ip", "src_port", "dst_port",
-                           "protocol", "start_time", "duration",
-                           "packets", "bytes"):
-                np.testing.assert_array_equal(
-                    getattr(base, column), getattr(alt, column),
-                    err_msg=f"{backend}:{column}")
+        alt = fitted_serial.generate(80, seed=3, jobs=2,
+                                     backend="multiprocessing")
+        for column in ("src_ip", "dst_ip", "src_port", "dst_port",
+                       "protocol", "start_time", "duration",
+                       "packets", "bytes"):
+            np.testing.assert_array_equal(
+                getattr(base, column), getattr(alt, column),
+                err_msg=column)
 
     def test_wall_clock_is_measured(self, fitted_serial):
         # Serial: wall covers all tasks plus dispatch, so wall >= cpu.
@@ -306,6 +341,21 @@ class TestNetShareSaveLoad:
         save_state_npz(path, {"format": "something-else"})
         with pytest.raises(ValueError):
             NetShare.load(path)
+
+    def test_archive_naming_shm_loads_as_the_pool(self, fitted_serial,
+                                                  tmp_path):
+        """Archives written while ``shm`` named the staged pool still
+        load and generate, on the backend that replaced it."""
+        path = tmp_path / "model.npz"
+        fitted_serial.save(path)
+        state = load_state_npz(path)
+        state["config"]["backend"] = "shm"
+        save_state_npz(path, state)
+        loaded = NetShare.load(path)
+        assert loaded.config.backend == "multiprocessing"
+        np.testing.assert_array_equal(
+            loaded.generate(60, seed=2, jobs=1).src_ip,
+            fitted_serial.generate(60, seed=2).src_ip)
 
 
 class TestGenerateTopUpGuard:
@@ -421,3 +471,127 @@ class TestWorkerPoolShutdown:
         # close() returned only after the (>= 0.25 s/task) map drained;
         # allow generous slack for the 0.1 s head start.
         assert close_seconds > 0.05
+
+
+# ----------------------------------------------------------------------
+# Pool lifecycle against a killed coordinator.  Each case runs the
+# coordinator in a subprocess: it stages blocks, maps tasks over a
+# two-worker pool, prints the worker pids and then exits cleanly or
+# SIGKILLs itself.
+
+_COORDINATOR = r"""
+import os, signal, sys
+import numpy as np
+from repro.runtime import (MultiprocessingExecutor, SharedArena,
+                           attach_array, read_shared_bytes)
+
+prefix, order, mode = sys.argv[1:4]
+executor = MultiprocessingExecutor(2)
+if order == "pool_first":
+    executor.map_tasks(abs, [-1, -2])   # fork before the tracker runs
+arena = SharedArena(prefix=prefix)
+arrays = [arena.share_array(np.full(8, float(i))) for i in range(3)]
+blob = arena.share_bytes(b"state" * 100)
+executor.map_tasks(attach_array, arrays)
+executor.map_tasks(read_shared_bytes, [blob, blob])
+print(" ".join(map(str, executor.worker_pids)), flush=True)
+if mode == "kill_busy":   # die while both workers are mid-task
+    import threading, time
+    threading.Thread(target=executor.map_tasks, daemon=True,
+                     args=(time.sleep, [60, 60])).start()
+    time.sleep(1.0)
+if mode.startswith("kill"):
+    os.kill(os.getpid(), signal.SIGKILL)
+executor.close()
+arena.close()
+"""
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper is dead)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _wait_gone(pids, timeout: float = 10.0) -> list:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if not any(_alive(pid) for pid in pids):
+            return []
+        time.sleep(0.1)
+    return [pid for pid in pids if _alive(pid)]
+
+
+def _run_coordinator(prefix: str, order: str, mode: str):
+    """Run one coordinator to the end; return (worker pids, stderr,
+    worker pids still alive after the grace period)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _COORDINATOR, prefix, order, mode],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    pids = [int(pid) for pid in proc.stdout.readline().split()]
+    proc.wait(timeout=60)
+    survivors = _wait_gone(pids)
+    try:
+        # EOF on stderr: coordinator, workers and tracker all exited.
+        _, stderr = proc.communicate(timeout=20)
+    except subprocess.TimeoutExpired:
+        stderr = ""
+    finally:
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        proc.stdout.close()
+        proc.stderr.close()
+    return pids, stderr, survivors
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="probes /proc and /dev/shm")
+class TestPoolLifecycle:
+    @pytest.mark.parametrize("mode", ["kill", "kill_busy"],
+                             ids=["idle", "busy"])
+    def test_workers_exit_when_coordinator_is_killed(self, mode):
+        pids, _, survivors = _run_coordinator(
+            f"repro_orphan{os.getpid()}", "arena_first", mode)
+        assert len(pids) == 2
+        assert survivors == [], "pool workers outlived their coordinator"
+
+    @pytest.mark.parametrize("order", ["arena_first", "pool_first"])
+    def test_tracker_owns_blocks_workers_attach(self, order):
+        """Workers share the coordinator's resource tracker and never
+        unregister: a clean run prints no tracker error, and a killed
+        coordinator's blocks are all reclaimed."""
+        prefix = f"repro_track{os.getpid()}{order[0]}"
+        _, stderr, _ = _run_coordinator(prefix, order, "exit")
+        assert "Traceback" not in stderr and "resource_tracker" not in stderr
+        _, stderr, survivors = _run_coordinator(prefix, order, "kill")
+        assert survivors == []
+        assert "Traceback" not in stderr
+        assert glob.glob(f"/dev/shm/{prefix}_*") == []
+
+    def test_pool_holds_no_blob_mappings(self):
+        """Thawed byte blobs are copied out and their segment closed,
+        so a long-lived worker does not pin every blob it ever read."""
+        executor = MultiprocessingExecutor(2)
+        names = set()
+        try:
+            for i in range(6):
+                with SharedArena() as arena:
+                    frozen = freeze_state({"w": np.full(64, float(i))},
+                                          arena)
+                    names.add(frozen.payload.name)
+                    executor.map_tasks(thaw_state, [frozen, frozen])
+            for pid in executor.worker_pids:
+                with open(f"/proc/{pid}/maps") as handle:
+                    maps = handle.read()
+                mapped = {name for name in names if name in maps}
+                assert len(mapped) <= 1, mapped
+        finally:
+            executor.close()

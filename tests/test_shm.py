@@ -13,9 +13,9 @@ from repro.core.flow_encoder import EncodedFlows
 from repro.runtime import (
     ArrayRef,
     FrozenState,
+    MultiprocessingExecutor,
     SerialExecutor,
     SharedArena,
-    SharedMemoryExecutor,
     attach_array,
     block_exists,
     freeze_state,
@@ -43,6 +43,12 @@ class TestArrayRef:
         with SharedArena() as arena:
             ref = arena.share_bytes(payload)
             assert read_shared_bytes(ref) == payload
+
+    def test_empty_bytes_round_trip(self):
+        """Blobs read back without the block's padding: an empty blob
+        still occupies a 1-byte block."""
+        with SharedArena() as arena:
+            assert read_shared_bytes(arena.share_bytes(b"")) == b""
 
     def test_shared_bytes_matches_staged_refs(self):
         """The arena's byte accounting is the sum of the staged blocks'
@@ -181,7 +187,8 @@ class TestFrozenState:
 
 class TestMaybeArena:
     def test_shm_executor_gets_arena(self):
-        with maybe_arena(SharedMemoryExecutor(2)) as arena:
+        """The process pool always stages: it is the shm executor."""
+        with maybe_arena(MultiprocessingExecutor(2)) as arena:
             assert isinstance(arena, SharedArena)
             name = arena.share_array(np.ones(2)).name
         assert not block_exists(name)

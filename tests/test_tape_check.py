@@ -31,7 +31,7 @@ from repro.nn.contracts import (
     declare_kernel,
     kernel_name,
 )
-from repro.nn.pool import POOL, configure_sanitize, is_poisoned
+from repro.nn.sanitize import configure_sanitize, is_poisoned, poison
 from repro.nn.tape import (
     RECORDER,
     Tape,
@@ -50,7 +50,6 @@ from repro.nn.tape import (
 
 @pytest.fixture(autouse=True)
 def clean_state():
-    POOL.configure(True)
     configure(True)
     configure_verify(None)
     configure_sanitize(None)
@@ -60,8 +59,6 @@ def clean_state():
     configure_verify(None)
     configure_sanitize(None)
     trace_origins(False)
-    POOL.configure(True)
-    POOL.reset()
     reset_tape_stats()
 
 
@@ -496,14 +493,14 @@ class TestTapeSmoke:
 # ----------------------------------------------------------------------
 
 class TestSanitizer:
-    def test_pool_release_poisons_buffers(self):
-        # Scope-free take: this test targets release()-time poisoning
-        # itself, not the step lifecycle.
-        buf = POOL.take((16,))  # repro: ignore[pool-scope]
-        buf[...] = 1.0
-        configure_sanitize(True)
-        POOL.release(buf)
+    def test_poison_marks_float64_buffers_only(self):
+        buf = np.ones(16)
+        mask = np.ones(16, dtype=bool)
+        poison(buf)
+        poison(mask)
         assert is_poisoned(buf)
+        assert not is_poisoned(np.full(16, np.nan))  # plain NaN is not
+        assert mask.all()  # no NaN payload fits a bool buffer
 
     def test_clean_replay_is_silent_and_bitwise_identical(self):
         x = np.arange(8.0)

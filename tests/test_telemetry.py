@@ -19,7 +19,6 @@ from repro.privacy import DpGradientComputer, DpSgdConfig
 from repro.runtime import (
     MultiprocessingExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
     SharedArena,
     block_exists,
 )
@@ -469,7 +468,7 @@ class TestPersistentPool:
         marker = str(tmp_path / "exploded")
         tasks = [(i, marker) for i in range(6)]
         with telemetry.session(journal_dir=tmp_path / "runs") as journal:
-            with SharedMemoryExecutor(2) as executor:
+            with MultiprocessingExecutor(2) as executor:
                 with SharedArena() as arena:
                     ref = arena.share_array(np.arange(8.0))
                     shared_name = ref.name
