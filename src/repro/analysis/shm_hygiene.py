@@ -14,10 +14,10 @@ lifetime is visibly managed:
   registry, e.g. ``self._blocks[name] = block``);
 * returned/yielded directly (a factory — the caller takes ownership).
 
-The rule also flags ``ArrayRef``-producing ``arena.share_*`` results
-that are *returned* from inside the arena's ``with`` block: the ref
-outlives the blocks it points at, so attaching it later dereferences
-unlinked memory.
+The rule also flags ``ArrayRef``-producing ``arena.share_array``
+results that are *returned* from inside the arena's ``with`` block:
+the ref outlives the blocks it points at, so attaching it later
+dereferences unlinked memory.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = ["ShmHygieneRule"]
 
 _CONSTRUCTORS = frozenset({"SharedArena", "SharedMemory"})
 _CLEANUP_METHODS = frozenset({"close", "unlink"})
-_SHARE_METHODS = frozenset({"share_array", "share_bytes", "share_encoded"})
+_SHARE_METHODS = frozenset({"share_array"})
 
 
 def _assigned_name(node: ast.Assign) -> Optional[str]:
@@ -165,7 +165,7 @@ class ShmHygieneRule(Rule):
             for item in node.items:
                 ctx = item.context_expr
                 if (isinstance(ctx, ast.Call)
-                        and call_name(ctx) in ("SharedArena", "maybe_arena")
+                        and call_name(ctx) == "SharedArena"
                         and isinstance(item.optional_vars, ast.Name)):
                     arena_names.add(item.optional_vars.id)
             if not arena_names:

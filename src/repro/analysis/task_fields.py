@@ -2,15 +2,16 @@
 
 Everything dispatched through ``Executor.map_tasks`` crosses a process
 boundary on the multiprocessing/remote backends, so a task dataclass may
-only carry data — primitives, numpy arrays, ``ArrayRef``/``FrozenState``
-manifests, and the repo's config dataclasses.  A live object smuggled
-into a field (a ``Tensor`` with its VJP closures, a ``Callable``, an
-executor, an open arena) either fails to pickle at dispatch time on one
-backend only, or — worse — pickles but carries state that breaks the
-bit-identical contract (e.g. an ``np.random.Generator`` mid-stream).
+only carry plain data — primitives, numpy arrays, ``EncodedFlows``,
+``FrozenState`` and the repo's config dataclasses; the executor packs
+the bulk ones itself.  A live object smuggled into a field (a
+``Tensor`` with its VJP closures, a ``Callable``, an executor, an open
+arena) either fails to pickle at dispatch time on one backend only, or
+— worse — pickles but carries state that breaks the bit-identical
+contract (e.g. an ``np.random.Generator`` mid-stream).
 
-The same contract extends across machines: the remote executor's wire
-manifests (``@dataclass`` names ending in ``Manifest``, see
+The same contract covers the packed shape: blob manifests
+(``@dataclass`` names ending in ``Manifest``, see
 :mod:`repro.runtime.serialization`) must pickle into a frame *and*
 hash stably — a manifest field that drags in a live object breaks
 content-addressed blob dedup, not just dispatch.  The rule therefore
@@ -50,12 +51,12 @@ ALLOWED_FIELD_TYPES = frozenset({
     "int", "float", "str", "bool", "bytes", "None", "NoneType", "complex",
     # numpy data
     "ndarray",
-    # the runtime's manifest/config vocabulary
-    "ArrayRef", "FrozenState", "SharedEncodedFlows", "EncodedFlows",
+    # the runtime's payload/config vocabulary
+    "FrozenState", "EncodedFlows",
     "DgConfig", "DpSgdConfig", "RowGanConfig", "ColumnSpec",
     "TrainingLog",
-    # the remote executor's wire manifests (hash-stable by contract)
-    "BlobManifest", "ArrayManifest", "StateManifest", "EncodedManifest",
+    # the packed shape's blob manifest (hash-stable by contract)
+    "BlobManifest",
 })
 
 #: Known-stateful/unpicklable types, with an explanation each.
@@ -84,8 +85,8 @@ class TaskStatelessnessRule(Rule):
     rule_id = "task-statelessness"
     description = (
         "@dataclass *Task and *Manifest fields must be picklable, "
-        "hash-stable data (primitives, ndarray, ArrayRef/FrozenState, "
-        "Blob/Array/State/EncodedManifest, config dataclasses) — no "
+        "hash-stable data (primitives, ndarray, EncodedFlows, "
+        "FrozenState, BlobManifest, config dataclasses) — no "
         "live objects, callables, or RNG state"
     )
 

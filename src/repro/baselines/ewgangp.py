@@ -30,7 +30,6 @@ from ..runtime.chunk_tasks import (
     sample_rowgan,
     train_rowgan,
 )
-from ..runtime.shm import maybe_arena
 from ..telemetry import emit_event
 from ..telemetry.spans import span as _span
 from .base import Synthesizer
@@ -123,16 +122,13 @@ class EWganGp(Synthesizer):
         buckets = self._epoch_buckets(trace.start_time)
         with self._executor() as executor, \
                 _span("ewgangp.fit", backend=executor.name,
-                      epochs=len(buckets)), \
-                maybe_arena(executor) as arena:
+                      epochs=len(buckets)):
             emit_event("fit_start", model="ewgangp", backend=executor.name,
                        jobs=executor.jobs, n_chunks=len(buckets),
                        records=len(trace))
-            stage = (arena.share_array if arena is not None
-                     else (lambda block: block))
             tasks = [
                 RowGanTask(index=b, columns=columns, config=self.config,
-                           seed=self.seed + b, rows=stage(rows[idx]),
+                           seed=self.seed + b, rows=rows[idx],
                            epochs=self.epochs)
                 for b, idx in enumerate(buckets)
             ]
@@ -193,15 +189,14 @@ class EWganGp(Synthesizer):
             counts[i] += 1
         with self._executor() as executor, \
                 _span("ewgangp.sample", backend=executor.name,
-                      target=n_records), \
-                maybe_arena(executor) as arena:
+                      target=n_records):
             tasks = [
                 RowGanSampleTask(
                     index=b,
                     columns=self._gan.columns,
                     config=self.config,
                     seed=self.seed + b,
-                    state=freeze_state(gan.state_dict(), arena),
+                    state=freeze_state(gan.state_dict()),
                     n_rows=int(k),
                     sample_seed=int(rng.integers(0, 2**31)),
                 )

@@ -45,7 +45,6 @@ from ..runtime.chunk_tasks import (
     train_chunk,
 )
 from ..runtime.serialization import load_state_npz, save_state_npz
-from ..runtime.shm import maybe_arena
 from ..telemetry import emit_event
 from ..telemetry.spans import span
 from ..telemetry.state import STATE as _TELEMETRY
@@ -223,28 +222,22 @@ class NetShare:
         results: Dict[int, ChunkResult] = {}
         modes: Dict[int, str] = {}
         wall_start = time.perf_counter()
-        # Zero-copy data plane: under a process pool the encoded chunk
-        # tensors (and any warm-start state) live in a SharedArena for
-        # the duration of the dispatch — tasks carry manifests, workers
-        # attach, and the arena unlinks every block on exit no matter
-        # how training ends.  The executor's worker pool lives for the
-        # same window (closed by the ``with``).
+        # The executor's worker pool lives for the training window
+        # (closed by the ``with``); it stages the tasks' tensors and
+        # states itself, per map_tasks call.
         with get_executor(cfg.jobs, cfg.backend, cfg.hosts) as executor, \
                 span("netshare.fit", backend=executor.name,
-                     n_chunks=len(occupied)), \
-                maybe_arena(executor) as arena:
+                     n_chunks=len(occupied)):
             self.backend = executor.name
             emit_event("fit_start", model="netshare",
                        backend=executor.name, jobs=executor.jobs,
                        n_chunks=len(occupied), records=len(trace))
-            staged = ({c: arena.share_encoded(e) for c, e in encoded.items()}
-                      if arena is not None else encoded)
 
             def make_task(c: int, epochs: int, mode: str,
                           init_state=None) -> ChunkTask:
                 modes[c] = mode
                 return ChunkTask(
-                    chunk_index=c, encoded=staged[c], gan_config=gan_config,
+                    chunk_index=c, encoded=encoded[c], gan_config=gan_config,
                     seed=cfg.seed + c, epochs=epochs, mode=mode,
                     init_state=init_state, dp_config=cfg.dp,
                 )
@@ -255,7 +248,7 @@ class NetShare:
                 epochs = (cfg.epochs_fine_tune
                           if pretrained_state is not None
                           else cfg.epochs_seed)
-                init = freeze_state(pretrained_state, arena)
+                init = freeze_state(pretrained_state)
                 tasks = [make_task(c, epochs, "fit_dp", init)
                          for c, _, _ in occupied]
                 batch = executor.map_tasks(train_chunk, tasks)
@@ -269,7 +262,7 @@ class NetShare:
                 seed_result = train_chunk(
                     make_task(seed_index, cfg.epochs_seed, "fit"))
                 modes[seed_index] = "seed"
-                init = freeze_state(seed_result.state, arena)
+                init = freeze_state(seed_result.state)
                 tasks = [make_task(c, cfg.epochs_fine_tune, "fine_tune",
                                    init)
                          for c, _, _ in occupied[1:]]
@@ -485,13 +478,10 @@ class NetShare:
                           cfg.hosts if hosts is None else hosts
                           ) as executor, \
                 span("netshare.generate", backend=executor.name,
-                     target=n_records), \
-                maybe_arena(executor) as arena:
+                     target=n_records):
             emit_event("generate_start", model="netshare",
                        backend=executor.name, jobs=executor.jobs,
                        target=n_records, chunks=len(self._chunks))
-            if arena is not None:
-                session.stage(arena)
             while not session.done:
                 tasks = session.plan_round()
                 session.consume_round(
@@ -578,13 +568,6 @@ class GenerateSession:
     def done(self) -> bool:
         """True once the target is met or the retry budget is spent."""
         return self.shortfall <= 0 or self.round_index >= self.MAX_ROUNDS
-
-    def stage(self, arena) -> None:
-        """Re-freeze the session's blobs into a SharedArena so tasks
-        dispatch manifests instead of pickled bytes."""
-        self.encoder_state = freeze_state(self.encoder_state, arena)
-        self.model_states = {i: freeze_state(s, arena)
-                             for i, s in self.model_states.items()}
 
     def plan_round(self) -> List[GenerateTask]:
         """Build this round's per-chunk tasks for the current shortfall

@@ -5,16 +5,17 @@ Work across the codebase — NetShare's per-chunk fine-tuning
 epoch-parallel tabular baselines — is expressed as stateless,
 picklable tasks mapped through one ``Executor.map_tasks()`` interface
 with interchangeable ``serial``, ``multiprocessing`` and ``remote``
-backends.  The ``multiprocessing`` pool is fed through the zero-copy
-shared-memory data plane in :mod:`repro.runtime.shm`: bulk tensors
-and frozen model states live in a
-:class:`~repro.runtime.shm.SharedArena` and tasks carry only tiny
-manifests.  The ``remote`` backend (:mod:`repro.runtime.remote`)
-extends the same manifest idea across machines: a coordinator ships
-content-hash-deduplicated blobs to long-lived worker hosts
-(``python -m repro.runtime.remote_worker``) over length-prefixed
-socket frames.  See :mod:`repro.runtime.executor` for the determinism
-contract and :mod:`repro.runtime.chunk_tasks` for the task functions.
+backends.  Callers build tasks from plain values; the executor alone
+decides what crosses a process boundary.
+:func:`~repro.runtime.serialization.pack_tasks` names each call's
+bulk payloads once (content-hash blob manifests plus a deduplicated
+blob table): the ``multiprocessing`` pool stages the table in a
+per-call shared-memory arena (:mod:`repro.runtime.shm`), and the
+``remote`` backend (:mod:`repro.runtime.remote`) ships it to
+long-lived worker hosts (``python -m repro.runtime.remote_worker``)
+over length-prefixed socket frames.  See
+:mod:`repro.runtime.executor` for the determinism contract and
+:mod:`repro.runtime.chunk_tasks` for the task functions.
 
 The remote coordinator/host classes import lazily (``from
 repro.runtime import remote``) so the single-machine path never loads
@@ -45,17 +46,13 @@ from .chunk_tasks import (
     RowGanTask,
     freeze_state,
     generate_chunk,
-    materialize_encoded,
     sample_rowgan,
     thaw_state,
     train_chunk,
     train_rowgan,
 )
 from .serialization import (
-    ArrayManifest,
     BlobManifest,
-    EncodedManifest,
-    StateManifest,
     flatten_state,
     load_state_npz,
     manifest_hashes,
@@ -67,12 +64,7 @@ from .serialization import (
 from .shm import (
     ArrayRef,
     SharedArena,
-    SharedEncodedFlows,
-    attach_array,
     block_exists,
-    detach_all,
-    maybe_arena,
-    read_shared_bytes,
 )
 
 __all__ = [
@@ -97,7 +89,6 @@ __all__ = [
     "FrozenState",
     "freeze_state",
     "thaw_state",
-    "materialize_encoded",
     "train_chunk",
     "generate_chunk",
     "train_rowgan",
@@ -107,18 +98,10 @@ __all__ = [
     "save_state_npz",
     "load_state_npz",
     "BlobManifest",
-    "ArrayManifest",
-    "StateManifest",
-    "EncodedManifest",
     "pack_tasks",
     "unpack_task",
     "manifest_hashes",
     "ArrayRef",
     "SharedArena",
-    "SharedEncodedFlows",
-    "attach_array",
-    "read_shared_bytes",
     "block_exists",
-    "detach_all",
-    "maybe_arena",
 ]

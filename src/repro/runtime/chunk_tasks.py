@@ -7,7 +7,8 @@ never touch shared state, so a task computes the same result on any
 backend — seeds are derived from the model config (e.g.
 ``cfg.seed + chunk_index``), never from scheduling order.
 
-Two payload optimisations keep dispatch cheap:
+Tasks are built from plain values — arrays, ``EncodedFlows``, state
+dicts — and never name a transport.  Two things keep dispatch cheap:
 
 * **Frozen states** — a ``state_dict`` re-pickled into every task
   would dominate fine-tune dispatch.  :func:`freeze_state` serialises
@@ -15,11 +16,12 @@ Two payload optimisations keep dispatch cheap:
   (content-hash keyed, instance-cached), so every task shares the one
   pre-pickled blob; workers :meth:`~FrozenState.thaw` through a
   per-process cache so N tasks in one worker deserialize once.
-* **Shared-memory refs** — under the process pool, encoded tensors
-  and frozen blobs live in a :class:`~repro.runtime.shm.SharedArena`
-  and tasks carry :class:`~repro.runtime.shm.ArrayRef` manifests;
-  :func:`materialize_encoded` / :func:`thaw_state` attach zero-copy
-  views on the worker side.
+* **Executor staging** — the executor alone decides what crosses a
+  process boundary: :func:`~repro.runtime.serialization.pack_tasks`
+  names the encoded tensors, frozen payloads and top-level arrays, the
+  process pool stages them in shared memory for the call (the
+  ``remote`` backend ships them to its hosts), and each worker
+  rebuilds plain views before it calls the task function.
 
 Results travel back as plain ``state_dict`` arrays plus the training
 log (or, for generation tasks, as a decoded trace piece); the
@@ -42,7 +44,6 @@ from ..gan.doppelganger import DgConfig, DoppelGANger, TrainingLog
 from ..privacy.dpsgd import DpSgdConfig
 from ..telemetry.spans import span
 from ..telemetry.state import STATE
-from .shm import ArrayRef, SharedArena, SharedEncodedFlows, read_shared_bytes
 
 if TYPE_CHECKING:  # runtime import would be circular (rowgan -> netshare
     # -> chunk_tasks); annotations are strings under future-annotations.
@@ -52,7 +53,6 @@ __all__ = [
     "FrozenState",
     "freeze_state",
     "thaw_state",
-    "materialize_encoded",
     "ChunkTask",
     "ChunkResult",
     "train_chunk",
@@ -76,16 +76,15 @@ _CHUNK_MODES = ("fit", "fine_tune", "fit_dp")
 class FrozenState:
     """A nested ``state_dict`` pre-pickled for cheap, shared dispatch.
 
-    ``payload`` is either the pickled bytes themselves or an
-    :class:`ArrayRef` to a uint8 shared-memory block holding them (the
-    zero-copy path).  ``content_hash`` keys the per-process thaw cache
-    and the freeze cache, so identical states — however many tasks,
-    rounds, or calls reference them — are serialized and deserialized
-    once per process.
+    ``payload`` holds the pickled bytes (inside a pool or host worker,
+    a byte view of the staged block that carries them).
+    ``content_hash`` keys the per-process thaw cache and the freeze
+    cache, so identical states — however many tasks, rounds, or calls
+    reference them — are serialized and deserialized once per process.
     """
 
     content_hash: str
-    payload: Union[bytes, ArrayRef]
+    payload: bytes
 
     def thaw(self) -> Dict[str, Any]:
         return thaw_state(self)
@@ -106,30 +105,20 @@ def _trim(cache: Dict[str, Any]) -> None:
         cache.pop(next(iter(cache)))
 
 
-def freeze_state(state: Optional[Dict[str, Any]],
-                 arena: Optional[SharedArena] = None,
-                 ) -> Optional[FrozenState]:
+def freeze_state(state: Optional[Dict[str, Any]]) -> Optional[FrozenState]:
     """Serialize a nested state dict once; return the shared handle.
 
-    With an ``arena``, the pickled blob is additionally staged in
-    shared memory so dispatching the FrozenState costs a manifest, not
-    the blob.  ``None`` passes through (no state to freeze).
+    A ``FrozenState`` and ``None`` pass through unchanged.
     """
-    if state is None:
-        return None
-    if isinstance(state, FrozenState):
-        frozen = state
-    else:
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(payload).hexdigest()
-        frozen = _FREEZE_CACHE.get(digest)
-        if frozen is None:
-            frozen = FrozenState(content_hash=digest, payload=payload)
-            _FREEZE_CACHE[digest] = frozen
-            _trim(_FREEZE_CACHE)
-    if arena is not None and isinstance(frozen.payload, bytes):
-        frozen = FrozenState(content_hash=frozen.content_hash,
-                             payload=arena.share_bytes(frozen.payload))
+    if state is None or isinstance(state, FrozenState):
+        return state
+    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(payload).hexdigest()
+    frozen = _FREEZE_CACHE.get(digest)
+    if frozen is None:
+        frozen = FrozenState(content_hash=digest, payload=payload)
+        _FREEZE_CACHE[digest] = frozen
+        _trim(_FREEZE_CACHE)
     return frozen
 
 
@@ -142,32 +131,12 @@ def thaw_state(state: Union[None, Dict[str, Any], FrozenState]
     if cached is None:
         if STATE.enabled:
             STATE.registry.counter("runtime.thaw_cache.misses").inc()
-        payload = state.payload
-        if isinstance(payload, ArrayRef):
-            payload = read_shared_bytes(payload)
-        cached = pickle.loads(payload)
+        cached = pickle.loads(state.payload)
         _THAW_CACHE[state.content_hash] = cached
         _trim(_THAW_CACHE)
     elif STATE.enabled:
         STATE.registry.counter("runtime.thaw_cache.hits").inc()
     return cached
-
-
-def materialize_encoded(
-    encoded: Union[EncodedFlows, SharedEncodedFlows]) -> EncodedFlows:
-    """Resolve a task's encoded payload to real tensors (zero-copy
-    views when the payload is a shared-memory manifest)."""
-    if isinstance(encoded, SharedEncodedFlows):
-        return encoded.materialize()
-    return encoded
-
-
-def _materialize_rows(rows: Union[np.ndarray, ArrayRef]) -> np.ndarray:
-    from .shm import attach_array
-
-    if isinstance(rows, ArrayRef):
-        return attach_array(rows)
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +147,7 @@ class ChunkTask:
     """One chunk of the time-sliced DoppelGANger training (Insight 3)."""
 
     chunk_index: int
-    encoded: Union[EncodedFlows, SharedEncodedFlows]
+    encoded: EncodedFlows
     gan_config: DgConfig
     seed: int                     # model construction + training seed
     epochs: int
@@ -211,20 +180,19 @@ def train_chunk(task: ChunkTask) -> ChunkResult:
     Module-level and side-effect-free so it pickles for any backend.
     """
     with span("train_chunk", chunk=task.chunk_index, mode=task.mode):
-        encoded = materialize_encoded(task.encoded)
         init_state = thaw_state(task.init_state)
         model = DoppelGANger(task.gan_config, seed=task.seed)
         start = time.perf_counter()
         if task.mode == "fit_dp":
             if init_state is not None:
                 model.load_state_dict(init_state)
-            model.fit_dp(encoded, epochs=task.epochs,
+            model.fit_dp(task.encoded, epochs=task.epochs,
                          dp_config=task.dp_config, seed=task.seed)
         elif task.mode == "fine_tune":
             model.load_state_dict(init_state)
-            model.fine_tune(encoded, epochs=task.epochs)
+            model.fine_tune(task.encoded, epochs=task.epochs)
         else:
-            model.fit(encoded, epochs=task.epochs)
+            model.fit(task.encoded, epochs=task.epochs)
         elapsed = time.perf_counter() - start
     # The model dies with this task; free its tapes before the next
     # task in this process records its own.
@@ -364,7 +332,7 @@ class RowGanTask:
     columns: List[ColumnSpec]
     config: RowGanConfig
     seed: int
-    rows: Union[np.ndarray, ArrayRef]
+    rows: np.ndarray
     epochs: int
     conditions: Optional[np.ndarray] = None
 
@@ -382,9 +350,8 @@ def train_rowgan(task: RowGanTask) -> RowGanResult:
     from ..baselines.rowgan import RowGan
 
     with span("train_rowgan", index=task.index):
-        rows = _materialize_rows(task.rows)
         gan = RowGan(task.columns, task.config, seed=task.seed)
-        gan.fit(rows, epochs=task.epochs, conditions=task.conditions)
+        gan.fit(task.rows, epochs=task.epochs, conditions=task.conditions)
     return RowGanResult(
         index=task.index,
         state=gan.state_dict(),

@@ -11,10 +11,14 @@ third, ``remote``, lives in :mod:`repro.runtime.remote`):
   reference semantics every other backend must reproduce bit-exactly);
 * :class:`MultiprocessingExecutor` — a persistent pipe-based worker
   pool reused across ``map_tasks`` calls, with dead workers respawned
-  and their tasks retried.  It announces ``uses_shared_memory``, so
-  callers move bulk tensors and frozen states into a
-  :class:`~repro.runtime.shm.SharedArena` and dispatch only tiny
-  manifests through the pipe (the zero-copy data plane).
+  and their tasks retried.  Callers hand it plain tasks; the pool
+  alone decides what crosses the process boundary.  It packs each
+  call's bulk payloads (:func:`~repro.runtime.serialization.
+  pack_tasks`), stages them in a :class:`~repro.runtime.shm.
+  SharedArena` that lives exactly as long as the call, and dispatches
+  only tiny manifests through the pipe (the zero-copy data plane).
+  Each worker rebuilds plain views before it calls the task function
+  and closes them once its reply is pickled.
 
 The pool persists for the lifetime of the executor — per-process
 caches in :mod:`repro.runtime.chunk_tasks` (frozen-state thaw cache,
@@ -41,13 +45,15 @@ serial/multiprocessing chosen by the job count.
 
 Dispatch instrumentation: when ``REPRO_MEASURE_DISPATCH`` is set (the
 perf benchmark harness does this), every ``map_tasks`` call records
-the pickled size of its task list on ``dispatch_bytes`` /
-``dispatch_tasks`` — the number the zero-copy plane exists to shrink.
-Independently, while :mod:`repro.telemetry` is enabled the pool counts
-the actual bytes written to worker pipes (``runtime.dispatch_bytes``)
-and times every task (``runtime.task_seconds``), and each worker ships
-its span buffer and metric deltas back inside the result envelope so
-the orchestrator can splice one trace tree per run.
+what it dispatches on ``dispatch_bytes`` / ``dispatch_tasks``: the
+pickled size of each inline task for the serial backend, the bytes of
+each packed task message actually sent for the pool and ``remote`` —
+the number the zero-copy plane exists to shrink.  Independently,
+while :mod:`repro.telemetry` is enabled the pool counts the actual
+bytes written to worker pipes (``runtime.dispatch_bytes``) and times
+every task (``runtime.task_seconds``), and each worker ships its span
+buffer and metric deltas back inside the result envelope so the
+orchestrator can splice one trace tree per run.
 """
 
 from __future__ import annotations
@@ -62,11 +68,14 @@ from abc import ABC, abstractmethod
 from collections import deque
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from .. import telemetry
 from ..telemetry.spans import set_task, span
 from ..telemetry.state import STATE
+from .serialization import manifest_hashes, pack_tasks, unpack_task
+from .shm import Attachments, SharedArena, release_inherited
 
 __all__ = [
     "Executor",
@@ -167,7 +176,9 @@ def _run_inline(fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
 #
 # Dispatch message (pre-pickled by the parent, so the byte count that
 # telemetry records is exactly what crossed the pipe):
-#     (index, fn, task, telem)
+#     (index, fn, packed_task, blocks, telem)
+# where ``blocks`` maps each content hash the packed task references
+# to the shared-memory block that holds it.
 # Reply:
 #     (index, "ok" | "error", result_or_exception, telemetry_payload)
 # A ``None`` message is the shutdown sentinel.
@@ -189,7 +200,58 @@ def _exit_when_orphaned(coordinator: int) -> None:
     os._exit(1)
 
 
+def _execute_task(index: int, fn: Callable[[Any], Any], task: Any,
+                  telem: bool
+                  ) -> Tuple[str, Any, Optional[Dict[str, Any]]]:
+    """Run one task in a worker; return its ``(status, value,
+    telemetry payload)`` envelope.  A failure becomes an ``"error"``
+    envelope carrying a picklable exception without its traceback (the
+    traceback's frames would keep the task's views alive)."""
+    payload = None
+    if telem:
+        telemetry.begin_worker_task(index)
+    try:
+        if telem:
+            start = time.perf_counter()
+            with span("task", index=index,
+                      fn=getattr(fn, "__name__", str(fn))):
+                value = fn(task)
+            STATE.registry.histogram("runtime.task_seconds").observe(
+                time.perf_counter() - start)
+            STATE.registry.counter("runtime.tasks_completed").inc()
+            payload = telemetry.export_worker_payload()
+        else:
+            value = fn(task)
+        return "ok", value, payload
+    except BaseException as exc:  # noqa: BLE001 - shipped to parent
+        if telem:
+            payload = telemetry.export_worker_payload()
+        try:
+            pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        return "error", exc.with_traceback(None), payload
+
+
+def _pickled(reply: Tuple[Any, ...]) -> bytes:
+    return pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def run_packed(index: int, fn: Callable[[Any], Any], packed: Any,
+               blocks: Mapping[str, str], telem: bool,
+               emit: Callable[[Tuple[Any, ...]], Any] = _pickled) -> Any:
+    """Worker side of one staged task: rebuild plain views of its
+    blocks, run it, and return what ``emit`` makes of its ``(index,
+    status, value, telemetry)`` reply (by default, its pickle).  The
+    mappings it opened are closed once ``emit`` returns, so a
+    long-lived worker holds no block of a finished call."""
+    with Attachments() as attachments:
+        return emit((index,) + _execute_task(
+            index, fn, unpack_task(packed, blocks, attachments), telem))
+
+
 def _worker_main(conn, coordinator: int) -> None:
+    release_inherited()
     threading.Thread(target=_exit_when_orphaned, args=(coordinator,),
                      daemon=True).start()
     while True:
@@ -199,33 +261,8 @@ def _worker_main(conn, coordinator: int) -> None:
             break
         if message is None:
             break
-        index, fn, task, telem = message
-        payload = None
-        if telem:
-            telemetry.begin_worker_task(index)
         try:
-            if telem:
-                start = time.perf_counter()
-                with span("task", index=index,
-                          fn=getattr(fn, "__name__", str(fn))):
-                    value = fn(task)
-                STATE.registry.histogram("runtime.task_seconds").observe(
-                    time.perf_counter() - start)
-                STATE.registry.counter("runtime.tasks_completed").inc()
-                payload = telemetry.export_worker_payload()
-            else:
-                value = fn(task)
-            reply: Tuple[Any, ...] = (index, "ok", value, payload)
-        except BaseException as exc:  # noqa: BLE001 - shipped to parent
-            if telem:
-                payload = telemetry.export_worker_payload()
-            try:
-                pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            reply = (index, "error", exc, payload)
-        try:
-            conn.send(reply)
+            conn.send_bytes(run_packed(*message))
         except (BrokenPipeError, OSError):
             break
     try:
@@ -305,8 +342,8 @@ class _WorkerPool:
         # Set while no run() is active: close(drain=True) waits on it
         # so a shutdown requested from another thread (the repro.serve
         # daemon's SIGTERM path) never terminates a worker mid-task —
-        # in particular never while it is still reading a SharedArena
-        # block the caller would then unlink.
+        # in particular never while it is still reading a block of the
+        # call's arena.
         self._idle = threading.Event()
         self._idle.set()
 
@@ -331,37 +368,55 @@ class _WorkerPool:
             pass
 
     def run(self, fn: Callable[[Any], Any], tasks: Sequence[Any],
-            workers: int, telem: bool) -> List[Any]:
-        """Dispatch every task, in task order, over ``workers`` pipes."""
+            workers: int, telem: bool,
+            record: Optional[Callable[[Iterable[int]], None]] = None
+            ) -> List[Any]:
+        """Dispatch every task, in task order, over ``workers`` pipes.
+
+        Workers are spawned before staging, so a fork never inherits
+        this call's mappings.  The call's bulk payloads are staged in
+        an arena that lives exactly as long as the call: its blocks
+        are unlinked on return, when a task raises, and after a worker
+        dies mid-task.  ``record`` receives the size of every packed
+        task message.
+        """
         if self._closed:
             raise RuntimeError("worker pool is closed")
         self._idle.clear()
         try:
-            return self._run(fn, tasks, workers, telem)
+            while len(self._workers) < min(workers, self.max_workers,
+                                           len(tasks)):
+                self._spawn()
+            packed, blobs = pack_tasks(tasks)
+            with SharedArena() as arena:
+                names = {digest: arena.share_array(array).name
+                         for digest, array in blobs.items()}
+                messages = [pickle.dumps(
+                    (index, fn, task,
+                     {h: names[h] for h in manifest_hashes(task)}, telem),
+                    protocol=pickle.HIGHEST_PROTOCOL)
+                    for index, task in enumerate(packed)]
+                if record is not None:
+                    record(map(len, messages))
+                return self._run(messages, telem)
         finally:
             self._idle.set()
 
-    def _run(self, fn: Callable[[Any], Any], tasks: Sequence[Any],
-             workers: int, telem: bool) -> List[Any]:
-        results: List[Any] = [None] * len(tasks)
-        pending: Deque[Tuple[int, Any]] = deque(enumerate(tasks))
+    def _run(self, messages: List[bytes], telem: bool) -> List[Any]:
+        results: List[Any] = [None] * len(messages)
+        pending: Deque[int] = deque(range(len(messages)))
         attempts: Dict[int, int] = {}
-        in_flight: Dict[Any, Tuple[_WorkerHandle, int, Any]] = {}
+        in_flight: Dict[Any, Tuple[_WorkerHandle, int]] = {}
         error: Optional[BaseException] = None
         registry = STATE.registry
-
-        while len(self._workers) < min(workers, self.max_workers,
-                                       len(tasks)):
-            self._spawn()
         idle: Deque[_WorkerHandle] = deque(self._workers)
 
         while pending or in_flight:
             while pending and idle and error is None:
-                index, task = pending.popleft()
+                index = pending.popleft()
                 attempts[index] = attempts.get(index, 0) + 1
                 worker = idle.popleft()
-                blob = pickle.dumps((index, fn, task, telem),
-                                    protocol=pickle.HIGHEST_PROTOCOL)
+                blob = messages[index]
                 if telem:
                     registry.counter("runtime.dispatch_bytes").inc(len(blob))
                     registry.counter("runtime.tasks_dispatched").inc()
@@ -378,14 +433,14 @@ class _WorkerPool:
                             "dying")
                         break
                     self._note_retry(index, attempts[index], worker, telem)
-                    pending.appendleft((index, task))
+                    pending.appendleft(index)
                     idle.append(self._spawn())
                     continue
-                in_flight[worker.conn] = (worker, index, task)
+                in_flight[worker.conn] = (worker, index)
             if not in_flight:
                 break
             for conn in _conn_wait(list(in_flight)):
-                worker, index, task = in_flight.pop(conn)
+                worker, index = in_flight.pop(conn)
                 try:
                     reply = conn.recv()
                 except (EOFError, OSError):
@@ -400,7 +455,7 @@ class _WorkerPool:
                         continue
                     self._note_retry(index, attempts[index], worker, telem)
                     if error is None:
-                        pending.append((index, task))
+                        pending.append(index)
                         idle.append(self._spawn())
                     continue
                 _, status, value, payload = reply
@@ -459,12 +514,9 @@ class Executor(ABC):
     name: str = "base"
     #: Number of concurrent workers this executor may use.
     jobs: int = 1
-    #: True when callers should move bulk payloads into a SharedArena
-    #: and dispatch manifests instead of tensors.
-    uses_shared_memory: bool = False
 
     def __init__(self):
-        #: Cumulative pickled task-payload bytes (only populated while
+        #: Cumulative dispatched task bytes (only populated while
         #: REPRO_MEASURE_DISPATCH is set; None otherwise).
         self.dispatch_bytes: Optional[int] = None
         self.dispatch_tasks: int = 0
@@ -483,15 +535,14 @@ class Executor(ABC):
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _record_dispatch(self, tasks: Sequence[Any]) -> None:
+    def _record_dispatch(self, sizes: Iterable[int]) -> None:
+        """Count one dispatched task per size (bytes); ``sizes`` is
+        only consumed while REPRO_MEASURE_DISPATCH is set."""
         if not os.environ.get(MEASURE_DISPATCH_ENV_VAR, "").strip():
             return
-        size = sum(
-            len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
-            for task in tasks
-        )
-        self.dispatch_bytes = (self.dispatch_bytes or 0) + size
-        self.dispatch_tasks += len(tasks)
+        sizes = list(sizes)
+        self.dispatch_bytes = (self.dispatch_bytes or 0) + sum(sizes)
+        self.dispatch_tasks += len(sizes)
 
 
 class SerialExecutor(Executor):
@@ -502,7 +553,9 @@ class SerialExecutor(Executor):
 
     def map_tasks(self, fn, tasks):
         tasks = list(tasks)
-        self._record_dispatch(tasks)
+        self._record_dispatch(
+            len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
+            for task in tasks)
         with span("map_tasks", backend=self.name, tasks=len(tasks), jobs=1):
             return _run_inline(fn, tasks)
 
@@ -511,12 +564,12 @@ class MultiprocessingExecutor(Executor):
     """Fan tasks out across a persistent pipe-based worker pool.
 
     The task function must be a module-level callable and every task
-    picklable.  Callers stage bulk tensors and frozen states in a
-    :class:`~repro.runtime.shm.SharedArena` (``uses_shared_memory``),
-    so each dispatched task is a few hundred bytes of manifest instead
-    of megabytes of pickled tensor.  Single-task (or single-worker)
-    calls run in-process to avoid worker startup cost — results are
-    identical either way by the determinism contract.  The pool (and
+    picklable.  Each call stages its tasks' bulk tensors and frozen
+    states in a :class:`~repro.runtime.shm.SharedArena` of its own, so
+    each dispatched task is a few hundred bytes of manifest instead of
+    megabytes of pickled tensor.  Single-task (or single-worker) calls
+    run in-process, unstaged, to avoid worker startup cost — results
+    are identical either way by the determinism contract.  The pool (and
     with it the workers' per-process caches) survives across
     ``map_tasks`` calls until ``close()``; a worker that dies mid-task
     is respawned and its task retried up to :data:`MAX_TASK_ATTEMPTS`
@@ -524,7 +577,6 @@ class MultiprocessingExecutor(Executor):
     """
 
     name = "multiprocessing"
-    uses_shared_memory = True
 
     def __init__(self, jobs: Optional[int] = None):
         super().__init__()
@@ -558,7 +610,6 @@ class MultiprocessingExecutor(Executor):
         tasks = list(tasks)
         if not tasks:
             return []
-        self._record_dispatch(tasks)
         workers = min(self.jobs, len(tasks))
         # Workers buffer their telemetry and ship it back only when the
         # orchestrating process is recording (never nested in a worker).
@@ -567,7 +618,8 @@ class MultiprocessingExecutor(Executor):
                   jobs=workers):
             if workers <= 1:
                 return _run_inline(fn, tasks)
-            return self._ensure_pool().run(fn, tasks, workers, telem)
+            return self._ensure_pool().run(fn, tasks, workers, telem,
+                                           self._record_dispatch)
 
 
 # Backend registry: name -> factory(jobs, hosts).  The in-process

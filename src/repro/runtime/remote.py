@@ -9,16 +9,15 @@ the length-prefixed framing of :mod:`repro.runtime.wire`.
 
 Design, point by point:
 
-* **Manifests, not payloads.**  Tasks are rewritten by
-  :func:`~repro.runtime.serialization.pack_tasks`: bulk tensors and
-  frozen states become content-hash blob manifests, and the blob bytes
-  ship separately — at most once per host per content hash (the
-  per-link ``shipped`` ledger, mirroring the serve registry's
-  zero-pickling-on-hit design).  The executor announces
-  ``uses_shared_memory`` so callers stage exactly as they do for the
-  local ``multiprocessing`` pool; the coordinator reads the staged
-  blocks back when packing, and each host re-stages blobs into its
-  *own* ``SharedArena`` for its local workers.
+* **Manifests, not payloads.**  Callers hand the coordinator plain
+  tasks, exactly as they hand them to the local pool, and
+  :func:`~repro.runtime.serialization.pack_tasks` rewrites them the
+  same way: bulk tensors and frozen states become content-hash blob
+  manifests, and the blob bytes ship separately — at most once per
+  host per content hash (the per-link ``shipped`` ledger, mirroring
+  the serve registry's zero-pickling-on-hit design).  The coordinator
+  keeps no arena of its own; each host stages the blobs it receives
+  into its *own* ``SharedArena`` for its local workers.
 * **Fault model.**  The pipe pool's respawn/retry semantics
   generalize: a dead host (EOF, torn frame, socket error/timeout)
   gets its in-flight tasks re-queued onto surviving hosts, bounded by
@@ -53,7 +52,7 @@ from ..telemetry.spans import span
 from ..telemetry.state import STATE
 from .executor import Executor, MAX_TASK_ATTEMPTS, register_backend
 from .serialization import manifest_hashes, pack_tasks
-from .wire import FrameError, recv_frame, send_frame
+from .wire import FrameError, check_frame, recv_frame, send_frame
 
 __all__ = [
     "RemoteExecutor",
@@ -73,7 +72,11 @@ HOSTS_ENV_VAR = "REPRO_HOSTS"
 REMOTE_TIMEOUT_ENV_VAR = "REPRO_REMOTE_TIMEOUT"
 
 #: Coordinator/host protocol version, checked in the hello exchange.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
+
+#: Field count of each host reply kind; a malformed reply is a dead
+#: host.
+_REPLY_ARITY = {"result": 5, "need": 3, "pong": 1}
 
 #: Reconnect backoff: ``BASE * 2**(failures-1)`` capped at ``CAP``.
 RECONNECT_BASE = 0.05
@@ -155,9 +158,6 @@ class RemoteExecutor(Executor):
     """
 
     name = "remote"
-    #: Callers stage bulk payloads exactly as for the local pool; the
-    #: coordinator packs the staged refs into wire blobs.
-    uses_shared_memory = True
 
     def __init__(self, jobs: Optional[int] = None,
                  hosts: Optional[Any] = None):
@@ -196,11 +196,9 @@ class RemoteExecutor(Executor):
                 "version": WIRE_VERSION,
                 "run_id": STATE.run_id,
             }))
-            reply = recv_frame(sock)
-            if (not isinstance(reply, tuple) or len(reply) != 2
-                    or reply[0] != "hello"):
-                raise FrameError(
-                    f"host {link.label} sent a bad hello: {reply!r}")
+            reply = check_frame(recv_frame(sock), {"hello": 2})
+            if reply is None or not isinstance(reply[1], dict):
+                raise FrameError(f"host {link.label} sent a bad hello")
             info = reply[1]
             if info.get("version") != WIRE_VERSION:
                 raise RuntimeError(
@@ -302,6 +300,7 @@ class RemoteExecutor(Executor):
                 STATE.registry.counter(
                     "runtime.remote.blob_bytes").inc(int(blob.nbytes))
         nbytes = send_frame(sock, ("task", index, fn, packed, telem))
+        self._record_dispatch([nbytes])
         self.stats["tasks_sent"] += 1
         self.stats["task_bytes_sent"] += nbytes
         if telem and STATE.enabled:
@@ -329,7 +328,6 @@ class RemoteExecutor(Executor):
         tasks = list(tasks)
         if not tasks:
             return []
-        self._record_dispatch(tasks)
         telem = STATE.enabled and not STATE.worker_mode
         self._idle.clear()
         try:
@@ -437,7 +435,7 @@ class RemoteExecutor(Executor):
         """Handle one frame from a host.  Returns the number of newly
         completed tasks, or an exception to surface."""
         try:
-            message = recv_frame(link.sock)
+            message = check_frame(recv_frame(link.sock), _REPLY_ARITY)
         except (OSError, FrameError, ConnectionError):
             message = None
         if message is None:
@@ -473,10 +471,7 @@ class RemoteExecutor(Executor):
             attempts[index] = max(attempts.get(index, 1) - 1, 0)
             pending.appendleft(index)
             return 0
-        if kind == "pong":
-            return 0
-        return RuntimeError(
-            f"unexpected frame {kind!r} from host {link.label}")
+        return 0  # pong
 
     # -- lifecycle ------------------------------------------------------
     #: How long close() waits for an in-flight map_tasks on another

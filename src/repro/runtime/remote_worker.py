@@ -4,17 +4,18 @@ Run one per machine::
 
     python -m repro.runtime.remote_worker --listen 0.0.0.0:7070 --jobs 8
 
-The host is a mini-coordinator that replays the staged
-``multiprocessing`` backend locally: blobs pushed by the coordinator
-are staged once into a host-owned :class:`~repro.runtime.shm.
-SharedArena` (the :class:`BlobStore`, a bounded LRU keyed by content
-hash), and each task frame is rebuilt by :func:`~repro.runtime.
-serialization.unpack_task` into exactly the shape the local pool
-would have dispatched — ``ArrayRef``/``FrozenState``/``SharedEncodedFlows``
-referencing host-local blocks.  The existing task functions and their
-per-process caches (frozen-state thaw, generate-side model/encoder)
-therefore run unchanged, which is what keeps remote output
-bit-identical to the serial oracle.
+The host is a mini-coordinator that replays the ``multiprocessing``
+backend locally: blobs pushed by the coordinator are staged once into
+a host-owned :class:`~repro.runtime.shm.SharedArena` (the
+:class:`BlobStore`, a bounded LRU keyed by content hash), and each
+task frame runs through the same worker-side
+:func:`~repro.runtime.executor.run_packed` path as a local pool
+worker: :func:`~repro.runtime.serialization.unpack_task` rebuilds the
+task's plain views from host-local blocks, the task function runs,
+and the mappings it opened close once its reply is pickled.  The task
+functions and their per-process caches (frozen-state thaw,
+generate-side model/encoder) therefore run unchanged, which is what
+keeps remote output bit-identical to the serial oracle.
 
 With ``--jobs > 1`` the host fans tasks out to its own persistent
 pipe-worker pool (the same ``_worker_main`` protocol as the
@@ -29,7 +30,11 @@ task; the coordinator re-ships and re-sends.
 The host serves one coordinator connection at a time (matching how
 ``fit`` and ``generate`` each open their own executor) and loops back
 to ``accept`` when a session ends, keeping the blob store and worker
-caches warm across sessions.  ``SIGTERM`` stops it gracefully.
+caches warm across sessions.  A frame that does not decode, or does
+not match its kind's shape (field count, a blob's byte count against
+its shape and dtype), ends only that session: the host journals
+``host_bad_frame`` and accepts the next coordinator.  ``SIGTERM``
+stops it gracefully.
 
 Trust model: identical to :mod:`repro.runtime.wire` — frames are
 pickles, so bind to loopback or a private network only.
@@ -49,16 +54,14 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import telemetry
 from ..telemetry.journal import RunJournal
-from ..telemetry.spans import span
-from ..telemetry.state import STATE
 from .executor import (MAX_TASK_ATTEMPTS, _close_pool, _pool_context,
-                       _spawn_worker, _WorkerHandle, resolve_jobs)
+                       _spawn_worker, _WorkerHandle, resolve_jobs,
+                       run_packed)
 from .remote import WIRE_VERSION
-from .serialization import BlobManifest, manifest_hashes, unpack_task
+from .serialization import manifest_hashes
 from .shm import ArrayRef, SharedArena
-from .wire import FrameError, recv_frame, send_frame
+from .wire import FrameError, check_frame, recv_frame, send_frame
 
 __all__ = ["BlobStore", "WorkerHost", "main", "DEFAULT_BLOB_CAPACITY"]
 
@@ -68,6 +71,10 @@ __all__ = ["BlobStore", "WorkerHost", "main", "DEFAULT_BLOB_CAPACITY"]
 #: undersizing it degrades to ``need``-triggered re-ships, never to
 #: wrong results.
 DEFAULT_BLOB_CAPACITY = 256
+
+
+#: Field count of each coordinator frame kind.
+_FRAME_ARITY = {"blob": 5, "task": 5, "ping": 1, "bye": 1, "shutdown": 1}
 
 
 class BlobStore:
@@ -92,12 +99,18 @@ class BlobStore:
 
     def put(self, content_hash: str, dtype: str,
             shape: Tuple[int, ...], data: bytes) -> ArrayRef:
+        """Store one blob; raises :class:`FrameError` unless ``data``
+        holds exactly shape × itemsize bytes of a valid dtype."""
         ref = self._refs.get(content_hash)
         if ref is not None:
             self._refs.move_to_end(content_hash)
             self.stats["dedup_hits"] += 1
             return ref
-        array = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape)
+        try:
+            array = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise FrameError(f"blob {content_hash[:16]} does not match its "
+                             f"shape and dtype: {exc}") from None
         ref = self.arena.share_array(array)
         self._refs[content_hash] = ref
         self.stats["stored"] += 1
@@ -107,10 +120,11 @@ class BlobStore:
             self.stats["evicted"] += 1
         return ref
 
-    def resolve(self, manifest: BlobManifest) -> ArrayRef:
-        ref = self._refs[manifest.content_hash]
-        self._refs.move_to_end(manifest.content_hash)
-        return ref
+    def block_names(self, hashes) -> Dict[str, str]:
+        """Block name per content hash (marks each as recently used)."""
+        for content_hash in hashes:
+            self._refs.move_to_end(content_hash)
+        return {h: self._refs[h].name for h in hashes}
 
     def missing(self, hashes) -> List[str]:
         return sorted(h for h in hashes if h not in self._refs)
@@ -149,7 +163,7 @@ class WorkerHost:
         self._ctx = _pool_context()
         self._workers: List[_WorkerHandle] = []
         self._idle: Deque[_WorkerHandle] = deque()
-        # worker conn -> (worker, index, fn, task, telem, attempts)
+        # worker conn -> (worker, index, pickled message, attempts)
         self._busy: Dict[Any, Tuple[Any, ...]] = {}
         # The host writes its own journal shard directly (never through
         # STATE: task execution switches STATE into worker mode, which
@@ -166,32 +180,6 @@ class WorkerHost:
                                worker_pid=os.getpid(), **fields)
 
     # -- local execution ------------------------------------------------
-    def _execute_inline(self, index: int, fn, task, telem: bool
-                        ) -> Tuple[str, Any, Optional[Dict[str, Any]]]:
-        """Run one task in-process (the --jobs 1 path), producing the
-        same (status, value, payload) envelope as a pipe worker."""
-        payload = None
-        if telem:
-            telemetry.begin_worker_task(index)
-        try:
-            if telem:
-                with span("task", index=index,
-                          fn=getattr(fn, "__name__", str(fn))):
-                    value = fn(task)
-                STATE.registry.counter("runtime.tasks_completed").inc()
-                payload = telemetry.export_worker_payload()
-            else:
-                value = fn(task)
-            return "ok", value, payload
-        except BaseException as exc:  # noqa: BLE001 - shipped back
-            if telem:
-                payload = telemetry.export_worker_payload()
-            try:
-                pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            return "error", exc, payload
-
     def _spawn_worker(self) -> _WorkerHandle:
         worker = _spawn_worker(self._ctx)
         self._workers.append(worker)
@@ -208,10 +196,11 @@ class WorkerHost:
         except OSError:
             pass
 
-    def _dispatch_local(self, index: int, fn, task, telem: bool,
+    def _dispatch_local(self, index: int, message: bytes,
                         attempts: int = 1) -> Optional[Tuple[str, Any]]:
-        """Hand a task to an idle pool worker.  Returns an error
-        envelope only when the task's local attempt budget is spent."""
+        """Hand a pickled task message to an idle pool worker.  Returns
+        an error envelope only when the task's local attempt budget is
+        spent."""
         while True:
             if not self._idle:
                 if len(self._workers) < self.jobs:
@@ -219,10 +208,8 @@ class WorkerHost:
                 else:  # pragma: no cover - coordinator respects slots
                     raise RuntimeError("no idle worker for dispatch")
             worker = self._idle.popleft()
-            blob = pickle.dumps((index, fn, task, telem),
-                                protocol=pickle.HIGHEST_PROTOCOL)
             try:
-                worker.conn.send_bytes(blob)
+                worker.conn.send_bytes(message)
             except (BrokenPipeError, OSError):
                 self._discard_worker(worker)
                 if attempts >= MAX_TASK_ATTEMPTS:
@@ -232,14 +219,13 @@ class WorkerHost:
                         f"{self.host_id}"))
                 attempts += 1
                 continue
-            self._busy[worker.conn] = (worker, index, fn, task, telem,
-                                       attempts)
+            self._busy[worker.conn] = (worker, index, message, attempts)
             return None
 
     def _reap_worker_reply(self, conn, sock) -> None:
         """Forward one pool-worker reply to the coordinator (or retry
         locally if the worker died mid-task)."""
-        worker, index, fn, task, telem, attempts = self._busy.pop(conn)
+        worker, index, message, attempts = self._busy.pop(conn)
         try:
             reply = conn.recv()
         except (EOFError, OSError):
@@ -253,8 +239,7 @@ class WorkerHost:
                     f"host {self.host_id}: worker died (last pid {pid})"),
                     None))
                 return
-            failure = self._dispatch_local(index, fn, task, telem,
-                                           attempts + 1)
+            failure = self._dispatch_local(index, message, attempts + 1)
             if failure is not None:
                 send_frame(sock, ("result", index) + failure + (None,))
             return
@@ -281,30 +266,37 @@ class WorkerHost:
     # -- protocol -------------------------------------------------------
     def _handle_task_frame(self, sock, message) -> None:
         _, index, fn, packed, telem = message
-        missing = self.store.missing(manifest_hashes(packed))
+        needed = manifest_hashes(packed)
+        missing = self.store.missing(needed)
         if missing:
             send_frame(sock, ("need", index, missing))
             self._event("host_need", task=index, missing=len(missing))
             return
-        task = unpack_task(packed, self.store.resolve)
-        if self.jobs <= 1:
-            status, value, payload = self._execute_inline(
-                index, fn, task, telem)
-            self.tasks_run += 1
-            send_frame(sock, ("result", index, status, value, payload))
-            self._event("host_task", task=index, status=status)
+        blocks = self.store.block_names(needed)
+        if self.jobs > 1:
+            failure = self._dispatch_local(index, pickle.dumps(
+                (index, fn, packed, blocks, telem),
+                protocol=pickle.HIGHEST_PROTOCOL))
+            if failure is not None:
+                send_frame(sock, ("result", index) + failure + (None,))
             return
-        failure = self._dispatch_local(index, fn, task, telem)
-        if failure is not None:
-            send_frame(sock, ("result", index) + failure + (None,))
+
+        def reply(envelope: Tuple[Any, ...]) -> str:
+            send_frame(sock, ("result",) + envelope)
+            return envelope[1]
+
+        status = run_packed(index, fn, packed, blocks, telem, reply)
+        self.tasks_run += 1
+        self._event("host_task", task=index, status=status)
 
     def _serve_connection(self, sock, peer) -> bool:
         """Serve one coordinator session.  Returns False when the
         session asked the whole host to shut down."""
-        hello = recv_frame(sock)
-        if (not isinstance(hello, tuple) or len(hello) != 2
-                or hello[0] != "hello"):
-            raise FrameError(f"coordinator sent a bad hello: {hello!r}")
+        hello = check_frame(recv_frame(sock), {"hello": 2})
+        if hello is None:
+            return True  # the peer closed before saying hello
+        if not isinstance(hello[1], dict):
+            raise FrameError("coordinator sent a bad hello")
         info = hello[1]
         if info.get("version") != WIRE_VERSION:
             send_frame(sock, ("hello", {"version": WIRE_VERSION,
@@ -331,15 +323,15 @@ class WorkerHost:
                             self._reap_worker_reply(item, sock)
                     if sock not in ready:
                         continue
-                try:
-                    message = recv_frame(sock)
-                except (OSError, FrameError, ConnectionError):
-                    message = None
+                message = check_frame(recv_frame(sock), _FRAME_ARITY)
                 if message is None:
                     break
                 kind = message[0]
                 if kind == "blob":
                     _, content_hash, dtype, shape, data = message
+                    if not (isinstance(content_hash, str)
+                            and isinstance(data, bytes)):
+                        raise FrameError("malformed blob frame")
                     before = len(self.store)
                     self.store.put(content_hash, dtype, shape, data)
                     self._event("host_blob", hash=content_hash[:16],
@@ -351,11 +343,9 @@ class WorkerHost:
                     send_frame(sock, ("pong",))
                 elif kind == "bye":
                     break
-                elif kind == "shutdown":
+                else:  # shutdown
                     keep_serving = False
                     break
-                else:
-                    raise FrameError(f"unexpected frame {kind!r}")
         finally:
             self._drain_busy()
             self._event("host_disconnect", coordinator=run_id,
@@ -387,7 +377,11 @@ class WorkerHost:
                 try:
                     if not self._serve_connection(sock, peer):
                         self._stop = True
-                except (OSError, FrameError, ConnectionError, EOFError):
+                except FrameError as exc:
+                    # A malformed frame ends only this session.
+                    self._event("host_bad_frame",
+                                peer=f"{peer[0]}:{peer[1]}", error=str(exc))
+                except (OSError, ConnectionError, EOFError):
                     pass  # coordinator died; back to accept
                 finally:
                     try:

@@ -1,5 +1,4 @@
-"""Serialization for the runtime: ``.npz`` persistence and the remote
-task-manifest layer.
+"""Serialization for the runtime: ``.npz`` persistence and task packing.
 
 **Persistence** — a model's state is a nested dict whose leaves are
 either numpy arrays (weights, quantile tables, embedding matrices) or
@@ -11,21 +10,21 @@ is gathered into one JSON document stored under ``__meta__``.
 contain ``/`` (the path separator); parameter names use ``.`` so this
 never collides in practice.
 
-**Task manifests** — the remote executor cannot ship
-:class:`~repro.runtime.shm.ArrayRef`/:class:`~repro.runtime.
-chunk_tasks.FrozenState` handles to another machine (shared-memory
-names are host-local), so :func:`pack_tasks` rewrites each task into a
-wire shape: every bulk payload becomes a content-hash-keyed
-:class:`BlobManifest` (wrapped in :class:`ArrayManifest` /
-:class:`StateManifest` / :class:`EncodedManifest` so the receiver
-knows which runtime type to rebuild) and the blob bytes travel in a
-side table, deduplicated by hash — N tasks referencing one model
-state produce one blob.  On the worker host, :func:`unpack_task`
-resolves each manifest against the host's own ``SharedArena`` and
-rebuilds the task in exactly the local pool's staged shape
-(``ArrayRef``/``FrozenState``/``SharedEncodedFlows``), so the existing
-task functions, thaw caches, and local worker pools run unchanged —
-which is what keeps remote output bit-identical to serial.
+**Task packing** — the one place that names a task's bulk payloads:
+:class:`~repro.core.flow_encoder.EncodedFlows` tensors,
+:class:`~repro.runtime.chunk_tasks.FrozenState` payloads, and
+``np.ndarray`` fields of the task object itself (RowGAN rows).
+:func:`pack_tasks` swaps each for a content-hash :class:`BlobManifest`
+in place (an ``EncodedFlows`` of three manifests, a ``FrozenState``
+whose payload is a manifest, a bare manifest for an array) and puts
+the bytes in a side table deduplicated by hash, so N tasks sharing
+one model state carry one blob.  Arrays nested deeper (a ``DgConfig``
+anchor matrix) and plain dict states pickle inline: generate workers
+keep models beyond the task, so a view held there would pin its block.
+The process pool stages the table in a per-call ``SharedArena``; the
+``remote`` backend ships it to worker hosts.  Every worker then runs
+:func:`unpack_task`, which rebuilds plain views of the staged blocks,
+so task functions only ever see plain values.
 """
 
 from __future__ import annotations
@@ -33,17 +32,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.flow_encoder import EncodedFlows
 from .chunk_tasks import FrozenState
-from .shm import ArrayRef, SharedEncodedFlows, attach_array
+from .shm import ArrayRef, Attachments
 
 __all__ = ["flatten_state", "unflatten_state", "save_state_npz",
-           "load_state_npz", "BlobManifest", "ArrayManifest",
-           "StateManifest", "EncodedManifest", "pack_tasks",
+           "load_state_npz", "BlobManifest", "pack_tasks",
            "unpack_task", "manifest_hashes"]
 
 _META_KEY = "__meta__"
@@ -126,18 +124,19 @@ def load_state_npz(path) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Remote task manifests: the wire shape of a task's bulk payloads.
+# Task packing: the dispatch shape of a task's bulk payloads.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BlobManifest:
     """Content-addressed descriptor of one bulk payload.
 
-    ``content_hash`` keys the per-host dedup ledger (a blob crosses
-    the wire at most once per host per content) and the host's blob
-    store; shape/dtype let the receiver rebuild the typed view without
-    any task context.  All fields are hash-stable primitives so the
-    manifest itself pickles into a few dozen bytes.
+    ``content_hash`` keys the per-call blob table (a payload is staged
+    once per call however many tasks share it), the remote per-host
+    dedup ledger and the host's blob store; shape/dtype let the
+    receiver rebuild the typed view without any task context.  All
+    fields are hash-stable primitives so the manifest itself pickles
+    into a few dozen bytes.
     """
 
     content_hash: str
@@ -150,170 +149,133 @@ class BlobManifest:
                    * int(np.prod(self.shape, dtype=np.int64)))
 
 
-@dataclass(frozen=True)
-class ArrayManifest:
-    """Wire replacement for an :class:`ArrayRef` task field."""
-
-    blob: BlobManifest
-
-
-@dataclass(frozen=True)
-class StateManifest:
-    """Wire replacement for a :class:`FrozenState` task field (the
-    blob holds the pickled state bytes; its hash *is* the frozen
-    state's content hash, so worker-side thaw caches stay warm)."""
-
-    blob: BlobManifest
-
-
-@dataclass(frozen=True)
-class EncodedManifest:
-    """Wire replacement for a ``SharedEncodedFlows``/``EncodedFlows``
-    task field: three typed blobs, one per tensor."""
-
-    metadata: BlobManifest
-    measurements: BlobManifest
-    gen_flags: BlobManifest
-
-
 def _hash_array(array: np.ndarray) -> str:
     digest = hashlib.sha256()
     digest.update(array.dtype.str.encode("ascii"))
     digest.update(repr(tuple(array.shape)).encode("ascii"))
-    digest.update(np.ascontiguousarray(array).data)
+    digest.update(array.data)
     return digest.hexdigest()
 
 
-def _blob_for(array: np.ndarray, blobs: Dict[str, np.ndarray],
-              content_hash: "str | None" = None) -> BlobManifest:
-    array = np.ascontiguousarray(array)
-    digest = content_hash if content_hash is not None else _hash_array(array)
-    blobs.setdefault(digest, array)
-    return BlobManifest(content_hash=digest, shape=tuple(array.shape),
-                        dtype=array.dtype.str)
-
-
-def _pack_value(value: Any, blobs: Dict[str, np.ndarray],
-                memo: Dict[int, Any]) -> Any:
-    packed = memo.get(id(value))
-    if packed is not None:
-        return packed
-    if isinstance(value, FrozenState):
-        payload = value.payload
-        if isinstance(payload, ArrayRef):
-            data = attach_array(payload)
-        else:
-            data = np.frombuffer(payload, dtype=np.uint8)
-        packed = StateManifest(blob=_blob_for(
-            data, blobs, content_hash=value.content_hash))
-    elif isinstance(value, ArrayRef):
-        packed = ArrayManifest(blob=_blob_for(attach_array(value), blobs))
-    elif isinstance(value, (SharedEncodedFlows, EncodedFlows)):
-        encoded = (value.materialize()
-                   if isinstance(value, SharedEncodedFlows) else value)
-        packed = EncodedManifest(
-            metadata=_blob_for(encoded.metadata, blobs),
-            measurements=_blob_for(encoded.measurements, blobs),
-            gen_flags=_blob_for(encoded.gen_flags, blobs),
-        )
-    elif is_dataclass(value) and not isinstance(value, type):
+def _over_fields(task: Any, convert: Callable[[Any], Any]) -> Any:
+    """Apply ``convert`` to the task itself, or else to each of its
+    fields (dataclass fields or dict values); rebuild what changed."""
+    converted = convert(task)
+    if converted is not task:
+        return converted
+    if isinstance(task, dict):
+        items = {key: convert(value) for key, value in task.items()}
+        return (items if any(items[k] is not task[k] for k in task)
+                else task)
+    if is_dataclass(task) and not isinstance(task, type):
         changed = {}
-        for field_info in fields(value):
-            old = getattr(value, field_info.name)
-            new = _pack_value(old, blobs, memo)
+        for field_info in fields(task):
+            old = getattr(task, field_info.name)
+            new = convert(old)
             if new is not old:
                 changed[field_info.name] = new
-        packed = replace(value, **changed) if changed else value
-    elif isinstance(value, dict):
-        items = {k: _pack_value(v, blobs, memo) for k, v in value.items()}
-        packed = (items if any(items[k] is not value[k] for k in items)
-                  else value)
-    elif isinstance(value, (list, tuple)):
-        items = [_pack_value(v, blobs, memo) for v in value]
-        packed = (type(value)(items)
-                  if any(a is not b for a, b in zip(items, value))
-                  else value)
-    else:
-        return value
-    memo[id(value)] = packed
-    return packed
+        return replace(task, **changed) if changed else task
+    return task
 
 
 def pack_tasks(tasks: Sequence[Any]
                ) -> Tuple[List[Any], Dict[str, np.ndarray]]:
-    """Rewrite tasks into wire shape; return ``(packed, blob table)``.
+    """Rewrite tasks into dispatch shape; return ``(packed, blob table)``.
 
-    The blob table maps content hash to the typed array holding the
-    payload bytes.  Values staged in a ``SharedArena`` are returned as
-    zero-copy views, so the table stays valid only while the arena is
-    open — which holds for the remote executor's use (packing and
-    shipping both happen inside the caller's ``map_tasks`` window).
-    A ``FrozenState``/``ArrayRef`` instance shared by many tasks is
-    hashed and tabled once (identity-memoized within a call).
+    The blob table maps content hash to a contiguous array holding the
+    payload bytes (the caller's own array where it already is one).  A
+    payload object shared by many tasks is hashed and tabled once
+    (identity-memoized within a call); a ``FrozenState`` reuses the
+    hash it was frozen under, so worker-side thaw caches stay warm.
     """
     blobs: Dict[str, np.ndarray] = {}
     memo: Dict[int, Any] = {}
-    return [_pack_value(task, blobs, memo) for task in tasks], blobs
+
+    def blob(array: np.ndarray, digest: "str | None" = None) -> BlobManifest:
+        array = np.ascontiguousarray(array)
+        digest = digest or _hash_array(array)
+        blobs.setdefault(digest, array)
+        return BlobManifest(content_hash=digest, shape=tuple(array.shape),
+                            dtype=array.dtype.str)
+
+    def convert(value: Any) -> Any:
+        if isinstance(value, FrozenState):
+            packed = FrozenState(value.content_hash, blob(
+                np.frombuffer(value.payload, dtype=np.uint8),
+                value.content_hash))
+        elif isinstance(value, EncodedFlows):
+            packed = EncodedFlows(metadata=blob(value.metadata),
+                                  measurements=blob(value.measurements),
+                                  gen_flags=blob(value.gen_flags))
+        elif isinstance(value, np.ndarray):
+            packed = blob(value)
+        else:
+            return value
+        memo[id(value)] = packed
+        return packed
+
+    def memoized(value: Any) -> Any:
+        packed = memo.get(id(value))
+        return packed if packed is not None else convert(value)
+
+    return [_over_fields(task, memoized) for task in tasks], blobs
+
+
+def _manifests(value: Any) -> List[BlobManifest]:
+    if isinstance(value, BlobManifest):
+        return [value]
+    if isinstance(value, FrozenState) and isinstance(value.payload,
+                                                     BlobManifest):
+        return [value.payload]
+    if isinstance(value, EncodedFlows):
+        return [m for m in (value.metadata, value.measurements,
+                            value.gen_flags)
+                if isinstance(m, BlobManifest)]
+    return []
 
 
 def manifest_hashes(packed_task: Any) -> Set[str]:
-    """Every blob hash a packed task references (dispatch dedup and
-    the host-side availability check both walk this)."""
+    """Every blob hash a packed task references (the pool's per-task
+    block table, dispatch dedup and the host-side availability check
+    all walk this)."""
     needed: Set[str] = set()
 
-    def walk(value: Any) -> None:
-        if isinstance(value, BlobManifest):
-            needed.add(value.content_hash)
-        elif is_dataclass(value) and not isinstance(value, type):
-            for field_info in fields(value):
-                walk(getattr(value, field_info.name))
-        elif isinstance(value, dict):
-            for item in value.values():
-                walk(item)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                walk(item)
+    def collect(value: Any) -> Any:
+        needed.update(m.content_hash for m in _manifests(value))
+        return value
 
-    walk(packed_task)
+    _over_fields(packed_task, collect)
     return needed
 
 
-def unpack_task(packed_task: Any,
-                resolve: Callable[[BlobManifest], ArrayRef]) -> Any:
-    """Rebuild a packed task in the local pool's staged shape.
+def unpack_task(packed_task: Any, blocks: Mapping[str, str],
+                attachments: Attachments) -> Any:
+    """Rebuild a packed task from plain views of its staged blocks.
 
-    ``resolve`` maps a :class:`BlobManifest` to a host-local
-    :class:`ArrayRef` (the worker host's blob store).  Manifests become
-    exactly the types the task functions already accept — ``ArrayRef``,
-    ``FrozenState`` with a shared-memory payload, and
-    ``SharedEncodedFlows`` — so local fan-out and the per-process
-    thaw/model caches work unchanged on the remote host.
+    ``blocks`` maps each content hash to the shared-memory block that
+    holds it; ``attachments`` maps the blocks and is closed by the
+    caller once the task's reply is pickled.  Manifests become exactly
+    the plain values the task was built from: an ``np.ndarray`` view,
+    an ``EncodedFlows`` of three views, a ``FrozenState`` whose
+    payload is a byte view (thawed through the content-hash cache).
     """
 
-    def walk(value: Any) -> Any:
-        if isinstance(value, ArrayManifest):
-            return resolve(value.blob)
-        if isinstance(value, StateManifest):
-            return FrozenState(content_hash=value.blob.content_hash,
-                               payload=resolve(value.blob))
-        if isinstance(value, EncodedManifest):
-            return SharedEncodedFlows(
-                metadata=resolve(value.metadata),
-                measurements=resolve(value.measurements),
-                gen_flags=resolve(value.gen_flags),
-            )
-        if is_dataclass(value) and not isinstance(value, type):
-            changed = {}
-            for field_info in fields(value):
-                old = getattr(value, field_info.name)
-                new = walk(old)
-                if new is not old:
-                    changed[field_info.name] = new
-            return replace(value, **changed) if changed else value
-        if isinstance(value, dict):
-            return {k: walk(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return type(value)(walk(v) for v in value)
+    def view(blob: BlobManifest) -> np.ndarray:
+        return attachments.array(ArrayRef(
+            name=blocks[blob.content_hash], shape=blob.shape,
+            dtype=blob.dtype))
+
+    def convert(value: Any) -> Any:
+        if isinstance(value, BlobManifest):
+            return view(value)
+        if isinstance(value, FrozenState) and isinstance(value.payload,
+                                                         BlobManifest):
+            return FrozenState(value.content_hash, view(value.payload))
+        if isinstance(value, EncodedFlows) and isinstance(value.metadata,
+                                                          BlobManifest):
+            return EncodedFlows(metadata=view(value.metadata),
+                                measurements=view(value.measurements),
+                                gen_flags=view(value.gen_flags))
         return value
 
-    return walk(packed_task)
+    return _over_fields(packed_task, convert)

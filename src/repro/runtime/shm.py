@@ -1,31 +1,33 @@
-"""Zero-copy shared-memory data plane for the task executors.
+"""Shared-memory blocks for the process pool and the worker hosts.
 
 Pickling every task into the worker pipe would make a
 :class:`~repro.runtime.chunk_tasks.ChunkTask` carrying a chunk's
 encoded tensors (and possibly a full warm-start ``state_dict``) pay a
 serialize/deserialize round-trip per task — for large chunks, dispatch
-cost rivals training cost.  This module removes the payload from the
-pipe: arrays are placed in ``multiprocessing.shared_memory`` blocks
-owned by a :class:`SharedArena`, and tasks carry only tiny
-:class:`ArrayRef` manifests (name/shape/dtype).  Workers attach to the
-named block and build a numpy view directly onto the shared buffer —
-no copy, no pickle.
+cost rivals training cost.  The executors keep that payload out of the
+pipe: :func:`~repro.runtime.serialization.pack_tasks` names each bulk
+payload once, the ``multiprocessing`` pool copies it into a
+``multiprocessing.shared_memory`` block owned by a :class:`SharedArena`,
+and tasks travel with only tiny manifests.  Workers map the named
+block and rebuild a numpy view directly onto the shared buffer — no
+copy, no pickle.  Callers never see any of this: they build tasks from
+plain values.
 
 Lifecycle rules:
 
-* the **arena** (parent process) owns every block it creates and
-  unlinks them all when its ``with`` block exits — on normal exit, on
-  a task exception, and even if a worker died mid-task (POSIX shared
-  memory persists until explicitly unlinked, so cleanup is the
-  parent's job and only the parent's job).  A ``weakref.finalize``
-  backstop covers arenas that are never used as context managers.
-* **workers** (and same-process attachers) hold their tensor
-  attachments in a per-process cache so repeated refs to one block
-  share a single mapping; handles are released at process exit.
-  Attached views are only valid while the arena is open — tasks must
-  copy anything that outlives the ``map_tasks`` call (training results
-  already do: ``state_dict()`` copies).  Byte blobs are copied out and
-  their mapping closed at once (:func:`read_shared_bytes`).
+* the **arena** (the pool's ``map_tasks`` call, or a worker host's
+  blob store) owns every block it creates and unlinks them all when
+  it closes — on normal return, on a task exception, and even if a
+  worker died mid-task (POSIX shared memory persists until explicitly
+  unlinked, so cleanup is the owner's job and only the owner's job).
+  A ``weakref.finalize`` backstop covers arenas that are never closed.
+* **workers** map blocks per task through :class:`Attachments` and
+  close those mappings once the task's reply is pickled, so a
+  long-lived worker holds no block of a finished call.  A worker also
+  closes the mappings it inherited from its parent's arenas when it
+  is forked (:func:`release_inherited`).  Views are only valid while
+  the task runs — anything that outlives the task must be a copy
+  (training results already are: ``state_dict()`` copies).
 * Python < 3.13 registers *attached* segments with the resource
   tracker as if the attacher owned them (bpo-39959).  Pool workers
   share the coordinator's tracker (the pool starts it before forking),
@@ -37,6 +39,7 @@ Lifecycle rules:
 
 from __future__ import annotations
 
+import gc
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -45,18 +48,15 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from ..core.flow_encoder import EncodedFlows
 from ..telemetry import emit_event
 from ..telemetry.state import STATE
 
 __all__ = [
     "ArrayRef",
-    "SharedEncodedFlows",
     "SharedArena",
-    "attach_array",
-    "read_shared_bytes",
+    "Attachments",
     "block_exists",
-    "detach_all",
+    "release_inherited",
 ]
 
 
@@ -74,33 +74,10 @@ class ArrayRef:
         return int(np.dtype(self.dtype).itemsize * int(np.prod(self.shape, dtype=np.int64)))
 
 
-@dataclass(frozen=True)
-class SharedEncodedFlows:
-    """An :class:`EncodedFlows` whose tensors live in shared memory."""
-
-    metadata: ArrayRef
-    measurements: ArrayRef
-    gen_flags: ArrayRef
-
-    def materialize(self) -> EncodedFlows:
-        """Attach and return zero-copy views as a real EncodedFlows."""
-        return EncodedFlows(
-            metadata=attach_array(self.metadata),
-            measurements=attach_array(self.measurements),
-            gen_flags=attach_array(self.gen_flags),
-        )
-
-    def __len__(self) -> int:
-        return int(self.metadata.shape[0])
-
-
 # Blocks created by arenas in *this* process: attaching to one of our
 # own blocks reuses the creator's mapping instead of opening a second
 # handle (and keeps the resource tracker's books balanced).
 _OWNED_BLOCKS: Dict[str, shared_memory.SharedMemory] = {}
-# Blocks this process attached to (worker side): one mapping per name,
-# kept alive for the process lifetime so views never dangle.
-_ATTACHED_BLOCKS: Dict[str, shared_memory.SharedMemory] = {}
 
 
 def _untrack(segment: shared_memory.SharedMemory) -> None:
@@ -112,35 +89,59 @@ def _untrack(segment: shared_memory.SharedMemory) -> None:
         pass
 
 
-def _mapped(name: str):
-    """This process's open mapping of a block, if it has one."""
-    return _OWNED_BLOCKS.get(name) or _ATTACHED_BLOCKS.get(name)
-
-
-def attach_array(ref: ArrayRef) -> np.ndarray:
-    """Return a zero-copy numpy view onto the referenced shared block."""
-    block = _mapped(ref.name)
-    if block is None:
-        block = shared_memory.SharedMemory(name=ref.name)
-        _ATTACHED_BLOCKS[ref.name] = block
-    return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=block.buf)
-
-
-def read_shared_bytes(ref: ArrayRef) -> bytes:
-    """Copy a byte-blob (uint8 block) out of shared memory.
-
-    A blob is thawed once and dropped, so its segment stays mapped only
-    for the copy: caching the mapping the way :func:`attach_array` does
-    would pin every blob a long-lived worker ever read, unlinked or not.
-    """
-    block = _mapped(ref.name)
-    if block is not None:
-        return bytes(block.buf[:ref.nbytes])
-    block = shared_memory.SharedMemory(name=ref.name)
+def _close(block: shared_memory.SharedMemory) -> bool:
+    """Close one mapping; False while a view still exports it."""
     try:
-        return bytes(block.buf[:ref.nbytes])
-    finally:
         block.close()
+    except BufferError:
+        return False
+    return True
+
+
+class Attachments:
+    """The blocks one task maps, closed together when the task ends.
+
+    :meth:`array` returns a zero-copy view; a block this process owns
+    is viewed through the owner's mapping, any other is mapped once
+    per ``Attachments`` and closed by :meth:`close`.  Every view must
+    be dead by then: a view kept alive by a reference cycle (a
+    traceback holding a task frame, say) is collected first, and one
+    that is still referenced keeps its block mapped until it dies.
+    """
+
+    def __init__(self):
+        self._opened: Dict[str, shared_memory.SharedMemory] = {}
+
+    def array(self, ref: ArrayRef) -> np.ndarray:
+        block = _OWNED_BLOCKS.get(ref.name) or self._opened.get(ref.name)
+        if block is None:
+            block = shared_memory.SharedMemory(name=ref.name)
+            self._opened[ref.name] = block
+        return np.ndarray(ref.shape, dtype=np.dtype(ref.dtype),
+                          buffer=block.buf)
+
+    def close(self) -> None:
+        """Close every mapping this task opened (idempotent)."""
+        if not all(_close(block) for block in self._opened.values()):
+            gc.collect()
+            for block in self._opened.values():
+                _close(block)
+        self._opened.clear()
+
+    def __enter__(self) -> "Attachments":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+def release_inherited() -> None:
+    """Close the mappings a forked child inherited from its parent's
+    arenas.  The parent still owns (and unlinks) those blocks; the
+    child maps what its tasks need through :class:`Attachments`."""
+    for block in _OWNED_BLOCKS.values():
+        _close(block)
+    _OWNED_BLOCKS.clear()
 
 
 def block_exists(name: str) -> bool:
@@ -158,41 +159,32 @@ def block_exists(name: str) -> bool:
     return True
 
 
-def detach_all() -> None:
-    """Drop this process's attachment cache (test/teardown helper)."""
-    for block in _ATTACHED_BLOCKS.values():
-        try:
-            block.close()
-        except BufferError:
-            pass  # a view still references the buffer; leave it mapped
-    _ATTACHED_BLOCKS.clear()
+def _unlink(name: str, block: shared_memory.SharedMemory) -> None:
+    """Unlink + close one owned block."""
+    _OWNED_BLOCKS.pop(name, None)
+    try:
+        block.unlink()
+    except FileNotFoundError:
+        pass
+    _close(block)  # a dangling view keeps the memory until it dies
 
 
 def _release(blocks: Dict[str, shared_memory.SharedMemory]) -> None:
     """Unlink + close a set of owned blocks (module-level so the
     weakref finalizer holds no reference to the arena itself)."""
     for name, block in list(blocks.items()):
-        _OWNED_BLOCKS.pop(name, None)
-        try:
-            block.unlink()
-        except FileNotFoundError:
-            pass
-        try:
-            block.close()
-        except BufferError:
-            pass  # dangling view; memory is reclaimed when it dies
+        _unlink(name, block)
     blocks.clear()
 
 
 class SharedArena:
     """Owns a family of shared-memory blocks with guaranteed unlink.
 
-    Use as a context manager around an ``Executor.map_tasks`` call::
+    The process pool opens one around each ``map_tasks`` call::
 
         with SharedArena() as arena:
-            ref = arena.share_array(encoded.metadata)
-            ...
-            executor.map_tasks(train_chunk, tasks)
+            ref = arena.share_array(payload)
+            ...  # workers attach ``ref`` while the call runs
         # every block is unlinked here, whatever happened above
     """
 
@@ -201,8 +193,7 @@ class SharedArena:
         self._blocks: Dict[str, shared_memory.SharedMemory] = {}
         # Staged payload bytes per block (ArrayRef.nbytes, NOT the OS
         # block size: that is floored at 1 byte for empty arrays and
-        # page-rounded on some platforms, which would skew the
-        # dispatch-byte metric in BENCH_runtime.json).
+        # page-rounded on some platforms).
         self._nbytes: Dict[str, int] = {}
         self._finalizer = weakref.finalize(self, _release, self._blocks)
 
@@ -227,18 +218,6 @@ class SharedArena:
                        shape=list(ref.shape), dtype=ref.dtype)
         return ref
 
-    def share_bytes(self, payload: bytes) -> ArrayRef:
-        """Place an opaque byte-blob (e.g. a pickled state) in a block."""
-        return self.share_array(np.frombuffer(payload, dtype=np.uint8))
-
-    def share_encoded(self, encoded: EncodedFlows) -> SharedEncodedFlows:
-        """Move a chunk's three tensors into the arena."""
-        return SharedEncodedFlows(
-            metadata=self.share_array(encoded.metadata),
-            measurements=self.share_array(encoded.measurements),
-            gen_flags=self.share_array(encoded.gen_flags),
-        )
-
     # -- introspection -------------------------------------------------
     @property
     def block_names(self):
@@ -260,17 +239,8 @@ class SharedArena:
         name = ref.name if isinstance(ref, ArrayRef) else str(ref)
         block = self._blocks.pop(name, None)
         self._nbytes.pop(name, None)
-        if block is None:
-            return
-        _OWNED_BLOCKS.pop(name, None)
-        try:
-            block.unlink()
-        except FileNotFoundError:
-            pass
-        try:
-            block.close()
-        except BufferError:
-            pass  # dangling view; memory reclaimed when it dies
+        if block is not None:
+            _unlink(name, block)
 
     def close(self) -> None:
         """Unlink and release every block (idempotent)."""
@@ -284,22 +254,3 @@ class SharedArena:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def maybe_arena(executor) -> "SharedArena | _NullArena":
-    """An open arena if the executor wants shared memory (every backend
-    but serial), else a no-op stand-in — lets call sites use one
-    ``with`` either way."""
-    if getattr(executor, "uses_shared_memory", False):
-        return SharedArena()
-    return _NullArena()
-
-
-class _NullArena:
-    """Context-manager stand-in for the serial backend."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None

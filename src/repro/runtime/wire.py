@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
-__all__ = ["FrameError", "send_frame", "recv_frame", "MAX_FRAME_BYTES"]
+__all__ = ["FrameError", "send_frame", "recv_frame", "check_frame",
+           "MAX_FRAME_BYTES"]
 
 #: Upper bound on one frame's payload: a desynchronized or hostile
 #: stream must not make us allocate an arbitrary buffer.  Generous
@@ -32,7 +33,8 @@ _HEADER = struct.Struct(">Q")
 
 
 class FrameError(ConnectionError):
-    """The stream ended or desynchronized mid-frame."""
+    """The stream ended or desynchronized mid-frame, or a frame does
+    not decode to a message of the protocol."""
 
 
 def send_frame(sock, obj: Any) -> int:
@@ -67,9 +69,10 @@ def _recv_exact(sock, n: int) -> Tuple[bytes, bool]:
 def recv_frame(sock) -> Optional[Any]:
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
-    Raises :class:`FrameError` on a torn frame or an implausible
-    header, ``OSError`` (including ``socket.timeout``) on transport
-    failure — both mean the peer is unusable.
+    Raises :class:`FrameError` on a torn frame, an implausible header
+    or a payload that does not unpickle, ``OSError`` (including
+    ``socket.timeout``) on transport failure — all mean the peer is
+    unusable.
     """
     header, clean = _recv_exact(sock, _HEADER.size)
     if len(header) < _HEADER.size:
@@ -84,4 +87,20 @@ def recv_frame(sock) -> Optional[Any]:
     payload, _ = _recv_exact(sock, length)
     if len(payload) < length:
         raise FrameError("connection closed mid-frame")
-    return pickle.loads(payload)
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        raise FrameError(f"undecodable frame: {exc!r}") from None
+
+
+def check_frame(message: Any, arity: Mapping[str, int]) -> Any:
+    """Return a decoded frame if it is a tuple whose first field names
+    a kind in ``arity`` with exactly that many fields; ``None`` (clean
+    EOF) passes through.  Raises :class:`FrameError` otherwise."""
+    if message is None:
+        return None
+    if not (isinstance(message, tuple) and message
+            and isinstance(message[0], str)
+            and arity.get(message[0]) == len(message)):
+        raise FrameError(f"malformed frame: {message!r:.80}")
+    return message

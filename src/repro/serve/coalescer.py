@@ -42,7 +42,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.netshare import GenerateSession
 from ..nn import bucket_size
 from ..runtime.chunk_tasks import generate_chunk
-from ..runtime.shm import maybe_arena
 from ..telemetry import emit_event
 from .protocol import (
     derive_client_seed,
@@ -223,34 +222,29 @@ def run_generation_batch(batch: List[PendingRequest],
         "tasks": 0,
         "planned_flows": 0,
     }
+    # Sessions on one model share the registry's frozen states, so the
+    # executor stages each state once per call, whatever the batch.
     live = list(sessions)
-    with maybe_arena(executor) as arena:
-        if arena is not None:
-            for item in live:
-                # FrozenState passes through freeze_state without
-                # re-pickling, so staging a registry hit into the
-                # batch arena costs one shm copy, not a pickle.
-                item[1].stage(arena)
-        while live:
-            tasks = []
-            slices: List[Tuple[Any, int, int]] = []
-            for item in live:
-                planned = item[1].plan_round()
-                slices.append((item, len(tasks), len(planned)))
-                tasks.extend(planned)
-            if tasks:
-                stats["executor_calls"] += 1
-                stats["tasks"] += len(tasks)
-                # Planned sizes are already bucket_size fixed points;
-                # the tally feeds the coalescing/padding metrics.
-                stats["planned_flows"] += sum(t.n_flows for t in tasks)
-                results = executor.map_tasks(generate_chunk, tasks)
-            else:
-                results = []
-            for item, offset, count in slices:
-                if count:
-                    item[1].consume_round(results[offset:offset + count])
-            live = [item for item in live if not item[1].done]
+    while live:
+        tasks = []
+        slices: List[Tuple[Any, int, int]] = []
+        for item in live:
+            planned = item[1].plan_round()
+            slices.append((item, len(tasks), len(planned)))
+            tasks.extend(planned)
+        if tasks:
+            stats["executor_calls"] += 1
+            stats["tasks"] += len(tasks)
+            # Planned sizes are already bucket_size fixed points;
+            # the tally feeds the coalescing/padding metrics.
+            stats["planned_flows"] += sum(t.n_flows for t in tasks)
+            results = executor.map_tasks(generate_chunk, tasks)
+        else:
+            results = []
+        for item, offset, count in slices:
+            if count:
+                item[1].consume_round(results[offset:offset + count])
+        live = [item for item in live if not item[1].done]
 
     produced = 0
     for pending, session, info in sessions:

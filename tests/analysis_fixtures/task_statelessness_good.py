@@ -5,7 +5,8 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.shm import ArrayRef
+from repro.core.flow_encoder import EncodedFlows
+from repro.runtime.chunk_tasks import FrozenState
 
 
 @dataclass(frozen=True)
@@ -14,7 +15,8 @@ class CleanTask:
     seed: int
     label: str
     payload: np.ndarray
-    manifest: Optional[ArrayRef]
+    encoded: Optional[EncodedFlows]
+    frozen: Optional[FrozenState]
     state: Dict[str, Any]          # Any is fine *inside* a container
     bounds: Tuple[float, float]
     extra: "Optional[bytes]"       # string annotations are parsed too

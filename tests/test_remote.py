@@ -12,6 +12,7 @@ pytest was invoked from.
 import os
 import pickle
 import socket
+import struct
 import threading
 import time
 
@@ -26,21 +27,21 @@ from repro.runtime.remote import (
     MAX_CONNECT_FAILURES,
     RECONNECT_BASE,
     RECONNECT_CAP,
+    WIRE_VERSION,
     RemoteExecutor,
     _HostLink,
     parse_hosts,
     spawn_worker_host,
 )
+from repro.core.flow_encoder import EncodedFlows
+from repro.runtime import FrozenState
 from repro.runtime.serialization import (
-    ArrayManifest,
     BlobManifest,
-    EncodedManifest,
-    StateManifest,
     manifest_hashes,
     pack_tasks,
     unpack_task,
 )
-from repro.runtime.shm import SharedArena, attach_array
+from repro.runtime.shm import Attachments, SharedArena
 from repro.runtime.wire import FrameError, recv_frame, send_frame
 from repro.serve import ServeClient, ServeConfig, ServeDaemon, \
     derive_client_seed
@@ -65,9 +66,8 @@ def _slow_square(x):
 
 
 def _scaled_sum(task):
-    """A staged-payload task: attach the shared block, reduce it."""
-    data = attach_array(task["ref"])
-    return float(data.sum()) * task["scale"]
+    """An array task (the array ships as a blob): reduce it."""
+    return float(task["ref"].sum()) * task["scale"]
 
 
 def _state_key_sum(task):
@@ -143,6 +143,81 @@ class TestWire:
             b.close()
 
 
+class TestMalformedFrames:
+    """A frame that does not decode or does not match its kind's shape
+    ends only its own session, on the host and on the coordinator."""
+
+    FRAMES = {
+        "undecodable": b"\x80\x05 this is not a pickle",
+        "blob_size": pickle.dumps(("blob", "h" * 64, "<f8", (4,),
+                                   b"\x00" * 8)),
+        "task_arity": pickle.dumps(("task", 0, _square)),
+    }
+
+    def test_host_survives_bad_frames(self, tmp_path):
+        journal = tmp_path / "host"
+        host = spawn_worker_host(jobs=1, env=HOST_ENV,
+                                 journal_dir=str(journal))
+        try:
+            for frame in self.FRAMES.values():
+                sock = socket.create_connection(host.address, timeout=10)
+                try:
+                    send_frame(sock, ("hello", {"version": WIRE_VERSION}))
+                    assert recv_frame(sock)[0] == "hello"
+                    sock.sendall(struct.pack(">Q", len(frame)) + frame)
+                    assert recv_frame(sock) is None  # session ended
+                finally:
+                    sock.close()
+                assert host.process.poll() is None
+            # A fresh coordinator maps correctly on the same host.
+            ex = RemoteExecutor(hosts=[host.address])
+            try:
+                assert ex.map_tasks(_square, [1, 2, 3]) == [1, 4, 9]
+            finally:
+                ex.close()
+        finally:
+            host.stop()
+        assert host.process.returncode == 0
+        _, events = load_journals([str(journal)])
+        bad = [e for e in events if e["event"] == "host_bad_frame"]
+        assert len(bad) == len(self.FRAMES)
+
+    def test_undecodable_reply_takes_host_down_path(self):
+        """A reply that does not unpickle is a dead host: the task is
+        re-queued and the redialed host answers it."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)
+        listener.settimeout(10)
+
+        def fake_host():
+            for reply in (None, ("ok", 42)):
+                conn, _ = listener.accept()
+                with conn:
+                    recv_frame(conn)
+                    send_frame(conn, ("hello", {"version": WIRE_VERSION,
+                                                "slots": 1}))
+                    task = recv_frame(conn)
+                    if reply is None:
+                        junk = b"\x80\x05 garbage"
+                        conn.sendall(struct.pack(">Q", len(junk)) + junk)
+                        continue
+                    send_frame(conn, ("result", task[1]) + reply + (None,))
+                    recv_frame(conn)  # bye
+
+        thread = threading.Thread(target=fake_host, daemon=True)
+        thread.start()
+        ex = RemoteExecutor(hosts=[listener.getsockname()[:2]])
+        try:
+            assert ex.map_tasks(_square, [7]) == [42]
+            assert ex.stats["host_failures"] == 1
+            assert ex.stats["retries"] == 1
+        finally:
+            ex.close()
+            thread.join(timeout=10)
+            listener.close()
+
+
 class TestParseHosts:
     def test_string_and_pairs(self):
         assert parse_hosts("a:1, b:2") == [("a", 1), ("b", 2)]
@@ -169,7 +244,7 @@ class TestParseHosts:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         ex = get_executor(2, None, hosts="a:1,b:2")
         assert isinstance(ex, RemoteExecutor)
-        assert ex.name == "remote" and ex.uses_shared_memory
+        assert ex.name == "remote"
         assert ex.host_labels == ["a:1", "b:2"]
         ex.close()
 
@@ -193,46 +268,42 @@ class TestPackUnpack:
         packed, blobs = pack_tasks(tasks)
         assert len(blobs) == 1  # four tasks, one deduped payload
         manifest = packed[0]["state"]
-        assert isinstance(manifest, StateManifest)
-        assert manifest.blob.content_hash == frozen.content_hash
+        assert isinstance(manifest, FrozenState)
+        assert isinstance(manifest.payload, BlobManifest)
+        assert manifest.payload.content_hash == frozen.content_hash
         assert manifest_hashes(packed[0]) == {frozen.content_hash}
 
     def test_round_trip_rebuilds_shm_shapes(self):
-        arena = SharedArena(prefix="reprotest")
-        try:
-            payload = np.linspace(0.0, 1.0, 24).reshape(4, 6)
-            ref = arena.share_array(payload)
-            frozen = freeze_state({"weights": {"w": np.ones((2, 2))}})
-            task = {"ref": ref, "state": frozen, "scale": 3,
-                    "nested": [ref, ("keep", 7)]}
-            packed, blobs = pack_tasks([task])
-            assert isinstance(packed[0]["ref"], ArrayManifest)
-            assert packed[0]["scale"] == 3
-            # Play the host's part: re-stage the blobs in a second
-            # arena and resolve manifests against it.
-            host_arena = SharedArena(prefix="reprotest")
-            try:
-                refs = {h: host_arena.share_array(a)
-                        for h, a in blobs.items()}
-                rebuilt = unpack_task(
-                    packed[0], lambda m: refs[m.content_hash])
-                np.testing.assert_array_equal(
-                    attach_array(rebuilt["ref"]), payload)
-                assert rebuilt["state"].content_hash == frozen.content_hash
-                np.testing.assert_array_equal(
-                    rebuilt["state"].thaw()["weights"]["w"], np.ones((2, 2)))
-                assert rebuilt["nested"][1] == ("keep", 7)
-            finally:
-                host_arena.close()
-        finally:
-            arena.close()
+        """Top-level arrays and frozen states become blobs; nested
+        arrays pickle inline.  Unpacked against staged blocks, the task
+        is plain values again."""
+        payload = np.linspace(0.0, 1.0, 24).reshape(4, 6)
+        frozen = freeze_state({"weights": {"w": np.ones((2, 2))}})
+        task = {"ref": payload, "state": frozen, "scale": 3,
+                "nested": [payload, ("keep", 7)]}
+        packed, blobs = pack_tasks([task])
+        assert isinstance(packed[0]["ref"], BlobManifest)
+        assert packed[0]["scale"] == 3
+        assert packed[0]["nested"][0] is payload
+        # Play the host's part: stage the blobs in an arena and rebuild
+        # the task from views of its blocks.
+        with SharedArena(prefix="reprotest") as host_arena, \
+                Attachments() as attachments:
+            names = {h: host_arena.share_array(a).name
+                     for h, a in blobs.items()}
+            rebuilt = unpack_task(packed[0], names, attachments)
+            np.testing.assert_array_equal(rebuilt["ref"], payload)
+            assert rebuilt["state"].content_hash == frozen.content_hash
+            np.testing.assert_array_equal(
+                rebuilt["state"].thaw()["weights"]["w"], np.ones((2, 2)))
+            assert rebuilt["nested"][1] == ("keep", 7)
 
     def test_blob_manifest_nbytes(self):
         blob = BlobManifest(content_hash="x", shape=(3, 5), dtype="<f8")
         assert blob.nbytes == 3 * 5 * 8
 
     def test_encoded_manifest_walks_all_three_blobs(self):
-        manifest = EncodedManifest(
+        manifest = EncodedFlows(
             metadata=BlobManifest("a", (1,), "<f8"),
             measurements=BlobManifest("b", (1,), "<f8"),
             gen_flags=BlobManifest("c", (1,), "<f8"))
@@ -253,28 +324,22 @@ class TestLoopbackMap:
         assert executor.map_tasks(_square, []) == []
 
     def test_staged_blob_ships_once_per_host(self, executor, hosts):
-        arena = SharedArena(prefix="reprotest")
-        try:
-            payload = np.arange(1024.0)
-            ref = arena.share_array(payload)
-            tasks = [{"ref": ref, "scale": i} for i in range(6)]
-            expected = [float(payload.sum()) * i for i in range(6)]
-            assert executor.map_tasks(_scaled_sum, tasks) == expected
-            assert executor.stats["blobs_sent"] == len(hosts)
-            assert executor.stats["blob_dedup_hits"] > 0
-            assert set(executor.ship_counts.values()) == {1}
+        payload = np.arange(1024.0)
+        tasks = [{"ref": payload, "scale": i} for i in range(6)]
+        expected = [float(payload.sum()) * i for i in range(6)]
+        assert executor.map_tasks(_scaled_sum, tasks) == expected
+        assert executor.stats["blobs_sent"] == len(hosts)
+        assert executor.stats["blob_dedup_hits"] > 0
+        assert set(executor.ship_counts.values()) == {1}
 
-            # A second map over the *same content* (re-staged, so a new
-            # ArrayRef) ships zero new blobs: dedup is content-hash
-            # keyed and survives across map_tasks calls.
-            ref2 = arena.share_array(np.arange(1024.0))
-            again = executor.map_tasks(
-                _scaled_sum, [{"ref": ref2, "scale": 2}])
-            assert again == [float(payload.sum()) * 2]
-            assert executor.stats["blobs_sent"] == len(hosts)
-            assert set(executor.ship_counts.values()) == {1}
-        finally:
-            arena.close()
+        # A second map over the *same content* (a new array object)
+        # ships zero new blobs: dedup is content-hash keyed and
+        # survives across map_tasks calls.
+        again = executor.map_tasks(
+            _scaled_sum, [{"ref": np.arange(1024.0), "scale": 2}])
+        assert again == [float(payload.sum()) * 2]
+        assert executor.stats["blobs_sent"] == len(hosts)
+        assert set(executor.ship_counts.values()) == {1}
 
     def test_frozen_state_tasks(self, executor):
         frozen = freeze_state(
@@ -384,10 +449,9 @@ class TestFaultModel:
         answers ``need``, and the re-ship heals the map."""
         host = spawn_worker_host(jobs=1, blob_capacity=1, env=HOST_ENV)
         ex = RemoteExecutor(hosts=[host.address])
-        arena = SharedArena(prefix="reprotest")
         try:
-            a = arena.share_array(np.arange(64.0))
-            b = arena.share_array(np.arange(64.0) * 2)
+            a = np.arange(64.0)
+            b = np.arange(64.0) * 2
             sum_a, sum_b = float(np.arange(64.0).sum()), \
                 float((np.arange(64.0) * 2).sum())
             assert ex.map_tasks(_scaled_sum,
@@ -401,7 +465,6 @@ class TestFaultModel:
             assert sorted(ex.ship_counts.values()) == [1, 2]
             assert ex.stats["blobs_sent"] == 3
         finally:
-            arena.close()
             ex.close()
             host.stop()
 

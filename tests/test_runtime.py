@@ -2,7 +2,6 @@
 serial/multiprocessing determinism, state serialization, and the
 NetShare save/load + generation top-up guarantees that ride on it."""
 
-import glob
 import os
 import pickle
 import signal
@@ -16,6 +15,7 @@ import pytest
 
 from repro import FlowTrace, NetShare, NetShareConfig, load_dataset
 from repro.baselines import EWganGp
+from repro.core.flow_encoder import EncodedFlows
 from repro.gan.doppelganger import DgConfig, DoppelGANger
 from repro.runtime import (
     BACKEND_ENV_VAR,
@@ -23,8 +23,6 @@ from repro.runtime import (
     ChunkTask,
     MultiprocessingExecutor,
     SerialExecutor,
-    SharedArena,
-    attach_array,
     flatten_state,
     freeze_state,
     get_executor,
@@ -107,21 +105,18 @@ class TestBackendSelection:
         assert isinstance(get_executor(4, "serial"), SerialExecutor)
         pool = get_executor(1, "multiprocessing")
         assert isinstance(pool, MultiprocessingExecutor)
-        assert pool.uses_shared_memory  # the one local pool always stages
-        assert not SerialExecutor().uses_shared_memory
         monkeypatch.setenv(BACKEND_ENV_VAR, "multiprocessing")
         assert isinstance(get_executor(2), MultiprocessingExecutor)
 
     def test_shm_map_matches_serial(self):
-        """Tasks that are shared-memory manifests map through the pool
-        exactly as they run in-process."""
-        with SharedArena() as arena, MultiprocessingExecutor(2) as pool:
-            refs = [arena.share_array(np.arange(6.0) * i) for i in range(5)]
-            pooled = pool.map_tasks(attach_array, refs)
-            # Serial results are live views: compare before unlinking.
-            serial = SerialExecutor().map_tasks(attach_array, refs)
-            for a, b in zip(pooled, serial):
-                np.testing.assert_array_equal(a, b)
+        """Array tasks, which the pool stages in shared memory, map
+        through the pool exactly as they run in-process."""
+        arrays = [np.arange(6.0) * i for i in range(5)]
+        with MultiprocessingExecutor(2) as pool:
+            pooled = pool.map_tasks(_square, arrays)
+        serial = SerialExecutor().map_tasks(_square, arrays)
+        for a, b in zip(pooled, serial):
+            np.testing.assert_array_equal(a, b)
 
     def test_shm_is_rejected(self, monkeypatch):
         """The staged pool is the ``multiprocessing`` backend; the old
@@ -432,8 +427,8 @@ def _slow_square(x):
 class TestWorkerPoolShutdown:
     """Regression tests for the drain-aware, idempotent pool close the
     repro.serve SIGTERM path depends on: a shutdown from another thread
-    must never terminate workers mid-map (they could be reading a
-    SharedArena block the caller is about to unlink)."""
+    must never terminate workers mid-map (they could be reading a block
+    of the call's arena, which the call unlinks when it ends)."""
 
     def test_close_is_idempotent_and_seals_the_pool(self):
         executor = MultiprocessingExecutor(2)
@@ -475,35 +470,38 @@ class TestWorkerPoolShutdown:
 
 # ----------------------------------------------------------------------
 # Pool lifecycle against a killed coordinator.  Each case runs the
-# coordinator in a subprocess: it stages blocks, maps tasks over a
-# two-worker pool, prints the worker pids and then exits cleanly or
-# SIGKILLs itself.
+# coordinator in a subprocess: it maps plain tasks (which the pool
+# stages) over a two-worker pool, prints the worker pids and then exits
+# cleanly or SIGKILLs itself; ``kill_busy`` dies while both workers are
+# mid-task on staged blocks, whose names it prints first.
 
 _COORDINATOR = r"""
-import os, signal, sys
+import glob, os, signal, sys, threading, time
 import numpy as np
-from repro.runtime import (MultiprocessingExecutor, SharedArena,
-                           attach_array, read_shared_bytes)
+from repro.runtime import MultiprocessingExecutor, freeze_state, thaw_state
 
-prefix, order, mode = sys.argv[1:4]
+def hold(array):
+    time.sleep(60)
+
+order, mode = sys.argv[1:3]
 executor = MultiprocessingExecutor(2)
 if order == "pool_first":
     executor.map_tasks(abs, [-1, -2])   # fork before the tracker runs
-arena = SharedArena(prefix=prefix)
-arrays = [arena.share_array(np.full(8, float(i))) for i in range(3)]
-blob = arena.share_bytes(b"state" * 100)
-executor.map_tasks(attach_array, arrays)
-executor.map_tasks(read_shared_bytes, [blob, blob])
+executor.map_tasks(np.sum, [np.full(8, float(i)) for i in range(3)])
+frozen = freeze_state({"w": np.arange(100.0)})
+executor.map_tasks(thaw_state, [frozen, frozen])
 print(" ".join(map(str, executor.worker_pids)), flush=True)
-if mode == "kill_busy":   # die while both workers are mid-task
-    import threading, time
+staged = set()
+if mode == "kill_busy":
+    before = set(glob.glob("/dev/shm/repro_*"))
     threading.Thread(target=executor.map_tasks, daemon=True,
-                     args=(time.sleep, [60, 60])).start()
+                     args=(hold, [np.ones(4), np.zeros(4)])).start()
     time.sleep(1.0)
+    staged = set(glob.glob("/dev/shm/repro_*")) - before
+print(" ".join(sorted(staged)), flush=True)
 if mode.startswith("kill"):
     os.kill(os.getpid(), signal.SIGKILL)
 executor.close()
-arena.close()
 """
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -527,16 +525,18 @@ def _wait_gone(pids, timeout: float = 10.0) -> list:
     return [pid for pid in pids if _alive(pid)]
 
 
-def _run_coordinator(prefix: str, order: str, mode: str):
-    """Run one coordinator to the end; return (worker pids, stderr,
-    worker pids still alive after the grace period)."""
+def _run_coordinator(order: str, mode: str):
+    """Run one coordinator to the end; return (worker pids, blocks it
+    had staged when it died, stderr, worker pids still alive after the
+    grace period)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.Popen(
-        [sys.executable, "-c", _COORDINATOR, prefix, order, mode],
+        [sys.executable, "-c", _COORDINATOR, order, mode],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
     pids = [int(pid) for pid in proc.stdout.readline().split()]
+    staged = proc.stdout.readline().split()
     proc.wait(timeout=60)
     survivors = _wait_gone(pids)
     try:
@@ -549,7 +549,7 @@ def _run_coordinator(prefix: str, order: str, mode: str):
             os.kill(pid, signal.SIGKILL)
         proc.stdout.close()
         proc.stderr.close()
-    return pids, stderr, survivors
+    return pids, staged, stderr, survivors
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -558,40 +558,83 @@ class TestPoolLifecycle:
     @pytest.mark.parametrize("mode", ["kill", "kill_busy"],
                              ids=["idle", "busy"])
     def test_workers_exit_when_coordinator_is_killed(self, mode):
-        pids, _, survivors = _run_coordinator(
-            f"repro_orphan{os.getpid()}", "arena_first", mode)
+        pids, _, _, survivors = _run_coordinator("arena_first", mode)
         assert len(pids) == 2
         assert survivors == [], "pool workers outlived their coordinator"
 
     @pytest.mark.parametrize("order", ["arena_first", "pool_first"])
     def test_tracker_owns_blocks_workers_attach(self, order):
         """Workers share the coordinator's resource tracker and never
-        unregister: a clean run prints no tracker error, and a killed
-        coordinator's blocks are all reclaimed."""
-        prefix = f"repro_track{os.getpid()}{order[0]}"
-        _, stderr, _ = _run_coordinator(prefix, order, "exit")
+        unregister: a clean run prints no tracker error, and the blocks
+        of a call in flight when its coordinator is killed are all
+        reclaimed."""
+        _, _, stderr, _ = _run_coordinator(order, "exit")
         assert "Traceback" not in stderr and "resource_tracker" not in stderr
-        _, stderr, survivors = _run_coordinator(prefix, order, "kill")
+        _, staged, stderr, survivors = _run_coordinator(order, "kill_busy")
         assert survivors == []
         assert "Traceback" not in stderr
-        assert glob.glob(f"/dev/shm/{prefix}_*") == []
+        assert staged
+        assert [name for name in staged if os.path.exists(name)] == []
 
     def test_pool_holds_no_blob_mappings(self):
-        """Thawed byte blobs are copied out and their segment closed,
+        """A worker closes a frozen state's blob mapping with its task,
         so a long-lived worker does not pin every blob it ever read."""
-        executor = MultiprocessingExecutor(2)
-        names = set()
-        try:
+        with MultiprocessingExecutor(2) as executor:
             for i in range(6):
-                with SharedArena() as arena:
-                    frozen = freeze_state({"w": np.full(64, float(i))},
-                                          arena)
-                    names.add(frozen.payload.name)
-                    executor.map_tasks(thaw_state, [frozen, frozen])
-            for pid in executor.worker_pids:
-                with open(f"/proc/{pid}/maps") as handle:
-                    maps = handle.read()
-                mapped = {name for name in names if name in maps}
-                assert len(mapped) <= 1, mapped
+                frozen = freeze_state({"w": np.full(64, float(i))})
+                executor.map_tasks(thaw_state, [frozen, frozen])
+                for pid in executor.worker_pids:
+                    assert _shm_mappings(pid) == set()
+
+    @pytest.mark.parametrize("where", ["pool", "remote_host"])
+    def test_no_worker_maps_a_finished_call(self, where):
+        """Six sequential calls, each staging two EncodedFlows: every
+        task maps its blocks while it runs, and once a call returns no
+        worker (a pool worker, or a --jobs 2 host's pool worker) still
+        maps any block."""
+        from repro.runtime.remote import RemoteExecutor, spawn_worker_host
+
+        host = None
+        if where == "pool":
+            executor = MultiprocessingExecutor(2)
+        else:
+            host = spawn_worker_host(jobs=2, env=_HOST_ENV)
+            executor = RemoteExecutor(hosts=[host.address])
+        rng = np.random.default_rng(0)
+        try:
+            for call in range(6):
+                tasks = [EncodedFlows(
+                    metadata=rng.normal(size=(4, 3)),
+                    measurements=rng.normal(size=(4, 2, 2)),
+                    gen_flags=rng.uniform(size=(4, 2))) for _ in range(2)]
+                results = executor.map_tasks(_encoded_probe, tasks)
+                assert [total for _, total, _ in results] == \
+                    [float(t.metadata.sum()) for t in tasks]
+                assert all(len(mapped) == 3 for _, _, mapped in results)
+                for pid, _, _ in results:
+                    assert _shm_mappings(pid) == set(), (call, pid)
         finally:
             executor.close()
+            if host is not None:
+                host.stop()
+
+
+#: Environment for a spawned worker host: it must import ``repro`` and
+#: this module (task functions pickle by reference).
+_HOST_ENV = {"PYTHONPATH": os.pathsep.join(
+    [_SRC, str(Path(__file__).resolve().parents[1]),
+     os.environ.get("PYTHONPATH", "")])}
+
+
+def _shm_mappings(pid: int) -> set:
+    """Shared-memory blocks the process maps right now."""
+    with open(f"/proc/{pid}/maps") as handle:
+        return {line.split()[5] for line in handle
+                if "/dev/shm/repro" in line}
+
+
+def _encoded_probe(encoded):
+    """Report the worker pid, a checksum, and the blocks mapped while
+    the task runs."""
+    return (os.getpid(), float(encoded.metadata.sum()),
+            _shm_mappings(os.getpid()))

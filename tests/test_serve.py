@@ -17,11 +17,12 @@ import time
 import numpy as np
 import pytest
 
-from repro import NetShare, NetShareConfig, load_dataset
+from repro import NetShare, NetShareConfig, load_dataset, telemetry
 from repro.analysis import check_paths
 from repro.nn import bucket_size as nn_bucket_size
 from repro.nn.tape import bucket_size as tape_bucket_size
 from repro.core.netshare import GenerateSession
+from repro.runtime import MultiprocessingExecutor
 from repro.serve import (
     ModelRegistry,
     PROTOCOL_VERSION,
@@ -193,6 +194,36 @@ class TestRegistry:
         assert set(entry.model_states) == {
             c.index for c in entry.model._chunks}
         assert entry.kind == "netflow"
+
+
+class TestCoalescedStaging:
+    def test_two_sessions_on_one_model_stage_each_state_once(
+            self, model_path, offline_model, tmp_path):
+        """Sessions on one model share the registry's frozen states, so
+        the pool stages each state once per coalesced call, not once
+        per session — and both responses still match offline
+        generation bit for bit."""
+        registry = ModelRegistry(capacity=2)
+        registry.register("m", model_path)
+        states = 1 + len(registry.get("m").model_states)
+        requests = [("alice", 40, 3), ("bob", 40, 5)]
+        batch = [coalescer.PendingRequest({
+            "op": "generate", "model": "m", "n_records": n, "seed": seed,
+            "client_id": client_id}) for client_id, n, seed in requests]
+        with telemetry.session(journal_dir=tmp_path / "runs"):
+            with MultiprocessingExecutor(2) as pool:
+                stats = coalescer.run_generation_batch(batch, registry, pool)
+            staged = telemetry.metrics().snapshot()["counters"][
+                "shm.blocks_staged"]
+        assert stats["executor_calls"] == 1  # one round serves both
+        assert staged == states
+        for pending, (client_id, n, seed) in zip(batch, requests):
+            assert pending.response["status"] == "ok"
+            trace = payload_to_trace(pending.response["trace"])
+            offline = offline_model.generate(
+                n, seed=derive_client_seed(client_id, seed))
+            for name, column in offline._columns().items():
+                assert np.array_equal(trace._columns()[name], column), name
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,20 @@
-"""Tests for the zero-copy shared-memory data plane (repro.runtime.shm):
-manifest round-trips, FrozenState caching, and — the part that matters
-operationally — the arena's guaranteed-unlink lifecycle on normal exit,
-on task exceptions, and on worker death."""
+"""Tests for the zero-copy shared-memory data plane (repro.runtime.shm
+and the pool's per-call staging): manifest round-trips, FrozenState
+caching, and — the part that matters operationally — the guaranteed
+unlink of every block a call stages, on normal return, on task
+exceptions, and on worker death."""
 
 import multiprocessing
 import os
+import pathlib
+import pickle
+import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.flow_encoder import EncodedFlows
 from repro.runtime import (
     ArrayRef,
@@ -16,44 +22,54 @@ from repro.runtime import (
     MultiprocessingExecutor,
     SerialExecutor,
     SharedArena,
-    attach_array,
     block_exists,
     freeze_state,
-    maybe_arena,
-    read_shared_bytes,
+    pack_tasks,
     thaw_state,
+    unpack_task,
 )
+from repro.runtime.shm import Attachments
+
+
+@contextmanager
+def staged(task):
+    """Play the pool's part in-process: pack one task, stage its blob
+    table in an arena, and yield the task rebuilt from plain views."""
+    (packed,), blobs = pack_tasks([task])
+    with SharedArena() as arena, Attachments() as attachments:
+        names = {h: arena.share_array(a).name for h, a in blobs.items()}
+        yield unpack_task(packed, names, attachments)
 
 
 class TestArrayRef:
     def test_round_trip(self):
         data = np.arange(24, dtype=np.float64).reshape(4, 6) * 0.5
-        with SharedArena() as arena:
+        with SharedArena() as arena, Attachments() as attachments:
             ref = arena.share_array(data)
             assert isinstance(ref, ArrayRef)
             assert ref.shape == (4, 6)
             assert ref.nbytes == data.nbytes
-            view = attach_array(ref)
+            view = attachments.array(ref)
             np.testing.assert_array_equal(view, data)
             # The view is a window onto the block, not a copy.
             assert view.base is not None
 
     def test_bytes_round_trip(self):
+        """A frozen state's payload stages as a byte block and comes
+        back as a byte view of it."""
         payload = b"frozen-state-blob" * 100
-        with SharedArena() as arena:
-            ref = arena.share_bytes(payload)
-            assert read_shared_bytes(ref) == payload
+        with staged(FrozenState("blob", payload)) as rebuilt:
+            assert bytes(rebuilt.payload) == payload
 
     def test_empty_bytes_round_trip(self):
         """Blobs read back without the block's padding: an empty blob
         still occupies a 1-byte block."""
-        with SharedArena() as arena:
-            assert read_shared_bytes(arena.share_bytes(b"")) == b""
+        with staged(FrozenState("empty", b"")) as rebuilt:
+            assert bytes(rebuilt.payload) == b""
 
     def test_shared_bytes_matches_staged_refs(self):
         """The arena's byte accounting is the sum of the staged blocks'
-        ArrayRef.nbytes — the number BENCH_runtime.json's dispatch-byte
-        metric divides by — not OS block sizes (floored at 1 byte for
+        ArrayRef.nbytes, not OS block sizes (floored at 1 byte for
         empty arrays, page-rounded on some platforms)."""
         arrays = [
             np.arange(24, dtype=np.float64).reshape(4, 6),
@@ -64,7 +80,8 @@ class TestArrayRef:
         with SharedArena() as arena:
             assert arena.shared_bytes == 0
             refs = [arena.share_array(a) for a in arrays]
-            refs.append(arena.share_bytes(payload))
+            refs.append(arena.share_array(
+                np.frombuffer(payload, dtype=np.uint8)))
             assert [r.nbytes for r in refs[:3]] == [a.nbytes for a in arrays]
             assert refs[3].nbytes == len(payload)
             assert arena.shared_bytes == sum(r.nbytes for r in refs)
@@ -77,10 +94,9 @@ class TestArrayRef:
             measurements=rng.normal(size=(5, 4, 2)),
             gen_flags=rng.uniform(size=(5, 4)),
         )
-        with SharedArena() as arena:
-            shared = arena.share_encoded(encoded)
-            assert len(shared) == 5
-            view = shared.materialize()
+        with staged(encoded) as view:
+            assert isinstance(view, EncodedFlows)
+            assert len(view) == 5
             np.testing.assert_array_equal(view.metadata, encoded.metadata)
             np.testing.assert_array_equal(view.measurements,
                                           encoded.measurements)
@@ -146,7 +162,7 @@ class TestArenaLifecycle:
 
 
 def _attach_and_die(ref):
-    view = attach_array(ref)
+    view = Attachments().array(ref)
     assert float(view[0]) == 7.0
     os._exit(17)   # simulated crash: no atexit, no finalizers, no GC
 
@@ -177,22 +193,128 @@ class TestFrozenState:
         assert thaw_state(None) is None
 
     def test_frozen_state_via_arena(self):
+        """A staged frozen state keeps its hash and its payload is a
+        byte view of its block (read directly: a thaw-cache hit would
+        not read it at all)."""
         state = {"w": np.linspace(0, 1, 7)}
-        with SharedArena() as arena:
-            frozen = freeze_state(state, arena)
-            assert isinstance(frozen.payload, ArrayRef)
-            thawed = thaw_state(frozen)
+        frozen = freeze_state(state)
+        with staged(frozen) as rebuilt:
+            assert isinstance(rebuilt.payload, np.ndarray)
+            assert rebuilt.content_hash == frozen.content_hash
+            thawed = pickle.loads(rebuilt.payload)
             np.testing.assert_array_equal(thawed["w"], state["w"])
 
 
-class TestMaybeArena:
-    def test_shm_executor_gets_arena(self):
-        """The process pool always stages: it is the shm executor."""
-        with maybe_arena(MultiprocessingExecutor(2)) as arena:
-            assert isinstance(arena, SharedArena)
-            name = arena.share_array(np.ones(2)).name
-        assert not block_exists(name)
+# ----------------------------------------------------------------------
+# Per-call staging in the process pool: callers hand over plain tasks,
+# the pool stages their payloads for exactly one call.
 
-    def test_other_backends_get_none(self):
-        with maybe_arena(SerialExecutor()) as arena:
-            assert arena is None
+def _total(task):
+    encoded = task["encoded"]
+    return float(task["rows"].sum() + encoded.metadata.sum()
+                 + thaw_state(task["state"])["w"].sum())
+
+
+def _fail(task):
+    raise ValueError(f"task failed on {task['rows'].shape}")
+
+
+def _exit_mid_task(task):
+    os._exit(3)
+
+
+def _tasks(n, shared=()):
+    """``n`` tasks with their own rows; encoded tensors and frozen state
+    are per task too unless named in ``shared``."""
+    rng = np.random.default_rng(n)
+
+    def encoded():
+        return EncodedFlows(metadata=rng.normal(size=(3, 2)),
+                            measurements=rng.normal(size=(3, 2, 2)),
+                            gen_flags=rng.uniform(size=(3, 2)))
+
+    def state():
+        return freeze_state({"w": rng.normal(size=4)})
+
+    one = {"encoded": encoded(), "state": state()}
+    return [{"rows": rng.normal(size=(4, 3)),
+             "encoded": one["encoded"] if "encoded" in shared else encoded(),
+             "state": one["state"] if "state" in shared else state()}
+            for _ in range(n)]
+
+
+@pytest.fixture
+def staged_names(monkeypatch):
+    """Names of every block an arena stages while the test runs."""
+    names = []
+    share_array = SharedArena.share_array
+
+    def spy(self, array):
+        ref = share_array(self, array)
+        names.append(ref.name)
+        return ref
+
+    monkeypatch.setattr(SharedArena, "share_array", spy)
+    return names
+
+
+class TestCallScopedArena:
+    """A call's blocks live exactly as long as the call."""
+
+    def test_blocks_gone_after_return(self, staged_names):
+        tasks = _tasks(4)
+        with MultiprocessingExecutor(2) as pool:
+            assert pool.map_tasks(_total, tasks) == [_total(t) for t in tasks]
+        assert staged_names
+        assert not any(block_exists(name) for name in staged_names)
+
+    def test_blocks_gone_after_task_raises(self, staged_names):
+        with MultiprocessingExecutor(2) as pool:
+            with pytest.raises(ValueError, match="task failed"):
+                pool.map_tasks(_fail, _tasks(3))
+        assert staged_names
+        assert not any(block_exists(name) for name in staged_names)
+
+    def test_blocks_gone_after_worker_exits_mid_task(self, staged_names):
+        with MultiprocessingExecutor(2) as pool:
+            with pytest.raises(RuntimeError, match="worker died"):
+                pool.map_tasks(_exit_mid_task, _tasks(2))
+        assert staged_names
+        assert not any(block_exists(name) for name in staged_names)
+
+    def test_serial_and_single_task_calls_stage_nothing(self, staged_names):
+        tasks = _tasks(2)
+        assert SerialExecutor().map_tasks(_total, tasks) == \
+            [_total(t) for t in tasks]
+        with MultiprocessingExecutor(2) as pool:
+            assert pool.map_tasks(_total, tasks[:1]) == [_total(tasks[0])]
+        assert staged_names == []
+
+    @pytest.mark.parametrize("shared", ["state", "encoded"])
+    def test_shared_payload_staged_once_per_call(self, shared, tmp_path):
+        """A FrozenState or EncodedFlows shared by N tasks is staged
+        once per call; per-task rows and payloads once per task."""
+        n = 5
+        tasks = _tasks(n, shared=(shared,))
+        per_call = n + (3 if shared == "encoded" else 3 * n) + \
+            (1 if shared == "state" else n)
+        with telemetry.session(journal_dir=tmp_path / "runs"):
+            with MultiprocessingExecutor(2) as pool:
+                pool.map_tasks(_total, tasks)
+                pool.map_tasks(_total, tasks)
+            staged_blocks = telemetry.metrics().snapshot()["counters"][
+                "shm.blocks_staged"]
+        assert staged_blocks == 2 * per_call
+
+
+def test_only_the_runtime_stages():
+    """Callers build plain tasks: no module outside repro.runtime
+    imports the shared-memory layer or constructs an arena."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    offenders = [
+        str(path.relative_to(src)) for path in src.rglob("*.py")
+        if "runtime" not in path.relative_to(src).parts[:1]
+        and "analysis" not in path.relative_to(src).parts[:1]
+        and re.search(r"runtime\.shm|SharedArena\(", path.read_text())
+    ]
+    assert offenders == []
