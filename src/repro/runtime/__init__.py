@@ -17,8 +17,11 @@ over length-prefixed socket frames.  See
 :mod:`repro.runtime.executor` for the determinism contract and
 :mod:`repro.runtime.chunk_tasks` for the task functions.
 
-The remote coordinator/host classes import lazily (``from
-repro.runtime import remote``) so the single-machine path never loads
+The ``multiprocessing`` executor and a ``--jobs N`` worker host
+drive the same pipe-worker pool.  The remote coordinator/host classes
+are not imported here (``from repro.runtime import remote``), and
+:func:`~repro.runtime.executor.get_executor` imports them only to
+build a ``remote`` executor, so the single-machine path never loads
 the socket layer.
 """
 
@@ -31,7 +34,6 @@ from .executor import (
     MultiprocessingExecutor,
     SerialExecutor,
     get_executor,
-    register_backend,
     resolve_backend,
     resolve_jobs,
 )
@@ -76,7 +78,6 @@ __all__ = [
     "SerialExecutor",
     "MultiprocessingExecutor",
     "get_executor",
-    "register_backend",
     "resolve_jobs",
     "resolve_backend",
     "ChunkTask",

@@ -11,7 +11,7 @@ third, ``remote``, lives in :mod:`repro.runtime.remote`):
   reference semantics every other backend must reproduce bit-exactly);
 * :class:`MultiprocessingExecutor` — a persistent pipe-based worker
   pool reused across ``map_tasks`` calls, with dead workers respawned
-  and their tasks retried.  Callers hand it plain tasks; the pool
+  and their tasks retried.  Callers hand it plain tasks; the executor
   alone decides what crosses the process boundary.  It packs each
   call's bulk payloads (:func:`~repro.runtime.serialization.
   pack_tasks`), stages them in a :class:`~repro.runtime.shm.
@@ -20,11 +20,19 @@ third, ``remote``, lives in :mod:`repro.runtime.remote`):
   Each worker rebuilds plain views before it calls the task function
   and closes them once its reply is pickled.
 
+The pool itself (``_WorkerPool``) is only a mechanism: it spawns
+workers, sends pre-pickled messages, turns ready pipes into replies,
+and replaces dead workers, resending their messages within
+:data:`MAX_TASK_ATTEMPTS`.  Two callers run it: this module's
+executor, and a ``--jobs N`` worker host
+(:mod:`repro.runtime.remote_worker`).
+
 The pool persists for the lifetime of the executor — per-process
 caches in :mod:`repro.runtime.chunk_tasks` (frozen-state thaw cache,
 generate-side model/encoder caches) survive from one ``map_tasks``
 call to the next, which is what makes ``generate``'s top-up rounds
 cheap.  Executors are context managers; ``close()`` (or ``with``)
+waits for a ``map_tasks`` call in flight on another thread, then
 shuts the pool down, and a ``weakref.finalize`` backstop reaps workers
 if an executor is dropped without closing.  Workers also exit on
 their own once the coordinator process dies (SIGKILL, OOM kill), and
@@ -49,9 +57,11 @@ what it dispatches on ``dispatch_bytes`` / ``dispatch_tasks``: the
 pickled size of each inline task for the serial backend, the bytes of
 each packed task message actually sent for the pool and ``remote`` —
 the number the zero-copy plane exists to shrink.  Independently,
-while :mod:`repro.telemetry` is enabled the pool counts the actual
-bytes written to worker pipes (``runtime.dispatch_bytes``) and times
-every task (``runtime.task_seconds``), and each worker ships its span
+while :mod:`repro.telemetry` is enabled the ``multiprocessing``
+executor counts the bytes of each task message it sends
+(``runtime.dispatch_bytes``; a resend after a worker death counts in
+``runtime.worker_retries``) and times every task
+(``runtime.task_seconds``), and each worker ships its span
 buffer and metric deltas back inside the result envelope so the
 orchestrator can splice one trace tree per run.
 """
@@ -66,10 +76,11 @@ import time
 import weakref
 from abc import ABC, abstractmethod
 from collections import deque
+from contextlib import contextmanager
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _conn_wait
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Tuple)
 
 from .. import telemetry
 from ..telemetry.spans import set_task, span
@@ -84,7 +95,6 @@ __all__ = [
     "resolve_jobs",
     "resolve_backend",
     "get_executor",
-    "register_backend",
     "JOBS_ENV_VAR",
     "BACKEND_ENV_VAR",
     "MEASURE_DISPATCH_ENV_VAR",
@@ -102,8 +112,9 @@ MEASURE_DISPATCH_ENV_VAR = "REPRO_MEASURE_DISPATCH"
 
 #: Recognised backend names, in the order the docs present them.
 #: ``remote`` fans tasks out to socket-connected worker hosts (see
-#: :mod:`repro.runtime.remote`); its factory registers lazily so the
-#: single-machine path never imports the socket layer.
+#: :mod:`repro.runtime.remote`); :func:`get_executor` imports that
+#: module only to build one, so the single-machine path never loads the
+#: socket layer.
 BACKENDS = ("serial", "multiprocessing", "remote")
 
 #: How many times one task may be dispatched before a dying worker is
@@ -279,13 +290,6 @@ class _WorkerHandle:
         self.conn = conn
 
 
-def _pool_context():
-    """fork is cheapest where available (Linux); spawn elsewhere."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
 def _spawn_worker(ctx) -> _WorkerHandle:
     """Start one pipe-connected worker process.
 
@@ -325,40 +329,55 @@ def _close_pool(workers: List[_WorkerHandle]) -> None:
 
 
 class _WorkerPool:
-    """A persistent set of pipe-connected worker processes.
+    """A persistent set of pipe-connected worker processes, driven by
+    one thread through :meth:`submit` and :meth:`collect`.
 
     Unlike ``multiprocessing.Pool`` (which deadlocks when a worker dies
     mid-task), each worker here owns a duplex pipe: a dead worker shows
     up as an ``EOFError`` on its connection, at which point the pool
-    respawns a replacement and re-queues the in-flight task (up to
-    :data:`MAX_TASK_ATTEMPTS` dispatches per task).
+    replaces it and resends its message, up to :data:`MAX_TASK_ATTEMPTS`
+    dispatches per message.  ``on_retry(key, attempt, pid)`` hears of
+    every resend.  The ``multiprocessing`` backend drives one pool per
+    executor; a ``--jobs N`` worker host drives one for its lifetime,
+    naming itself in its errors through ``where``.
     """
 
-    def __init__(self, ctx, max_workers: int):
-        self._ctx = ctx
+    def __init__(self, max_workers: int,
+                 on_retry: Callable[[Any, int, int], None],
+                 where: str = ""):
+        # fork is cheapest where available (Linux); spawn elsewhere.
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
         self.max_workers = max_workers
+        self._on_retry = on_retry
+        self._where = where
         self._workers: List[_WorkerHandle] = []
+        self._idle: Deque[_WorkerHandle] = deque()
+        # worker conn -> (worker, key, message, dispatches so far)
+        self._busy: Dict[Any, Tuple[_WorkerHandle, Any, bytes, int]] = {}
         self._closed = False
-        # Set while no run() is active: close(drain=True) waits on it
-        # so a shutdown requested from another thread (the repro.serve
-        # daemon's SIGTERM path) never terminates a worker mid-task —
-        # in particular never while it is still reading a block of the
-        # call's arena.
-        self._idle = threading.Event()
-        self._idle.set()
 
     @property
     def worker_pids(self) -> List[int]:
         return [w.process.pid for w in self._workers]
 
+    @property
+    def busy(self) -> int:
+        """Messages sent whose replies :meth:`collect` has not returned."""
+        return len(self._busy)
+
     def _spawn(self) -> _WorkerHandle:
+        # close() empties the idle queue, so this check also seals
+        # submit() on a closed pool.
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
         worker = _spawn_worker(self._ctx)
         self._workers.append(worker)
         return worker
 
     def _discard(self, worker: _WorkerHandle) -> None:
-        if worker in self._workers:
-            self._workers.remove(worker)
+        self._workers.remove(worker)
         if worker.process.is_alive():
             worker.process.terminate()
         worker.process.join(timeout=2.0)
@@ -367,138 +386,77 @@ class _WorkerPool:
         except OSError:
             pass
 
-    def run(self, fn: Callable[[Any], Any], tasks: Sequence[Any],
-            workers: int, telem: bool,
-            record: Optional[Callable[[Iterable[int]], None]] = None
-            ) -> List[Any]:
-        """Dispatch every task, in task order, over ``workers`` pipes.
+    def start(self, workers: int) -> None:
+        """Spawn up to ``workers`` workers and queue every worker idle in
+        spawn order (only while nothing is busy).
 
-        Workers are spawned before staging, so a fork never inherits
-        this call's mappings.  The call's bulk payloads are staged in
-        an arena that lives exactly as long as the call: its blocks
-        are unlinked on return, when a task raises, and after a worker
-        dies mid-task.  ``record`` receives the size of every packed
-        task message.
+        A call then hands its first tasks to the workers in spawn order.
+        Each worker's caches (thaw, model, encoder, inference tapes)
+        fill with whatever tasks land on it, so a fixed order keeps the
+        same work on the same worker from one call to the next.
         """
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        self._idle.clear()
+        while len(self._workers) < min(workers, self.max_workers):
+            self._spawn()
+        self._idle = deque(self._workers)
+
+    def submit(self, key: Any, message: bytes, attempt: int = 1) -> None:
+        """Send one pre-pickled ``(key, fn, packed, blocks, telem)``
+        message to an idle worker, spawning one while the pool has
+        fewer than ``max_workers``.  ``attempt`` counts this dispatch
+        (resends from :meth:`collect` pass it on).  A send that fails
+        still counts: the dead worker's pipe reads EOF in
+        :meth:`collect`, which resends or fails the message."""
+        if self._idle:
+            worker = self._idle.popleft()
+        elif len(self._workers) < self.max_workers:
+            worker = self._spawn()
+        else:
+            raise RuntimeError("every pool worker is busy")
+        self._busy[worker.conn] = (worker, key, message, attempt)
         try:
-            while len(self._workers) < min(workers, self.max_workers,
-                                           len(tasks)):
-                self._spawn()
-            packed, blobs = pack_tasks(tasks)
-            with SharedArena() as arena:
-                names = {digest: arena.share_array(array).name
-                         for digest, array in blobs.items()}
-                messages = [pickle.dumps(
-                    (index, fn, task,
-                     {h: names[h] for h in manifest_hashes(task)}, telem),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-                    for index, task in enumerate(packed)]
-                if record is not None:
-                    record(map(len, messages))
-                return self._run(messages, telem)
-        finally:
-            self._idle.set()
+            worker.conn.send_bytes(message)
+        except (BrokenPipeError, OSError):
+            pass
 
-    def _run(self, messages: List[bytes], telem: bool) -> List[Any]:
-        results: List[Any] = [None] * len(messages)
-        pending: Deque[int] = deque(range(len(messages)))
-        attempts: Dict[int, int] = {}
-        in_flight: Dict[Any, Tuple[_WorkerHandle, int]] = {}
-        error: Optional[BaseException] = None
-        registry = STATE.registry
-        idle: Deque[_WorkerHandle] = deque(self._workers)
+    def collect(self, *others: Any) -> Tuple[List[Tuple[int, Any]],
+                                              List[Any]]:
+        """Wait until a busy worker's pipe, or one of ``others``, is
+        ready; return the replies that arrived and the ready ``others``.
 
-        while pending or in_flight:
-            while pending and idle and error is None:
-                index = pending.popleft()
-                attempts[index] = attempts.get(index, 0) + 1
-                worker = idle.popleft()
-                blob = messages[index]
-                if telem:
-                    registry.counter("runtime.dispatch_bytes").inc(len(blob))
-                    registry.counter("runtime.tasks_dispatched").inc()
-                try:
-                    worker.conn.send_bytes(blob)
-                except (BrokenPipeError, OSError):
-                    # Worker died while idle: replace it, put the task
-                    # back (dispatch never reached it).
-                    self._discard(worker)
-                    if attempts[index] >= MAX_TASK_ATTEMPTS:
-                        error = RuntimeError(
-                            f"task {index} could not be dispatched after "
-                            f"{MAX_TASK_ATTEMPTS} attempts: workers keep "
-                            "dying")
-                        break
-                    self._note_retry(index, attempts[index], worker, telem)
-                    pending.appendleft(index)
-                    idle.append(self._spawn())
-                    continue
-                in_flight[worker.conn] = (worker, index)
-            if not in_flight:
-                break
-            for conn in _conn_wait(list(in_flight)):
-                worker, index = in_flight.pop(conn)
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    # Worker died mid-task.
-                    pid = worker.process.pid
-                    self._discard(worker)
-                    if attempts[index] >= MAX_TASK_ATTEMPTS:
-                        if error is None:
-                            error = RuntimeError(
-                                f"task {index} failed {MAX_TASK_ATTEMPTS} "
-                                f"times: worker died (last pid {pid})")
-                        continue
-                    self._note_retry(index, attempts[index], worker, telem)
-                    if error is None:
-                        pending.append(index)
-                        idle.append(self._spawn())
-                    continue
-                _, status, value, payload = reply
-                if telem:
-                    telemetry.absorb_worker_payload(payload)
-                if status == "ok":
-                    results[index] = value
-                elif error is None:
-                    error = value
-                idle.append(worker)
-        if error is not None:
-            raise error
-        return results
-
-    @staticmethod
-    def _note_retry(index: int, attempt: int, worker: _WorkerHandle,
-                    telem: bool) -> None:
-        if telem:
-            STATE.registry.counter("runtime.worker_retries").inc()
-            telemetry.emit_event(
-                "worker_retry", task=index, attempt=attempt,
-                pid=worker.process.pid)
-
-    #: How long close(drain=True) waits for an in-flight run() before
-    #: shutting workers down anyway (a backstop, not a contract: the
-    #: remaining batch is then interrupted mid-task).
-    DRAIN_TIMEOUT = 60.0
-
-    def close(self, drain: bool = True,
-              timeout: Optional[float] = None) -> None:
-        """Shut the pool down (idempotent).
-
-        With ``drain`` (the default), waits for any in-flight
-        :meth:`run` — typically on another thread — to finish first,
-        so workers are never terminated while holding task state or
-        reading shared-memory blocks their caller is about to unlink.
+        Each reply is ``(pid, (key, status, value, telemetry))`` with the
+        pid of the worker that ran it.  A worker that died is replaced
+        and its message resent; once the message has had
+        :data:`MAX_TASK_ATTEMPTS` dispatches, its reply is an
+        ``"error"`` carrying a :class:`RuntimeError`.
         """
-        if self._closed:
-            return
-        if drain:
-            self._idle.wait(self.DRAIN_TIMEOUT if timeout is None
-                            else timeout)
+        ready = _conn_wait(list(self._busy) + list(others))
+        replies: List[Tuple[int, Any]] = []
+        for conn in ready:
+            if conn not in self._busy:
+                continue
+            worker, key, message, attempt = self._busy.pop(conn)
+            pid = worker.process.pid
+            try:
+                reply = conn.recv()
+            except (EOFError, OSError):
+                self._discard(worker)
+                if attempt < MAX_TASK_ATTEMPTS:
+                    self._on_retry(key, attempt, pid)
+                    self.submit(key, message, attempt + 1)
+                    continue
+                reply = (key, "error", RuntimeError(
+                    f"task {key} failed {MAX_TASK_ATTEMPTS} times"
+                    f"{self._where}: worker died (last pid {pid})"), None)
+            else:
+                self._idle.append(worker)
+            replies.append((pid, reply))
+        return replies, [item for item in ready if item in others]
+
+    def close(self) -> None:
+        """Shut the workers down (idempotent); the pool stays sealed."""
         self._closed = True
+        self._idle.clear()
+        self._busy.clear()
         _close_pool(self._workers)
 
 
@@ -514,12 +472,24 @@ class Executor(ABC):
     name: str = "base"
     #: Number of concurrent workers this executor may use.
     jobs: int = 1
+    #: How long a pooled backend's close() waits for a map_tasks call in
+    #: flight on another thread before releasing its workers anyway (a
+    #: backstop, not a contract: the rest of that call is then
+    #: interrupted mid-task).
+    DRAIN_TIMEOUT = 60.0
 
     def __init__(self):
         #: Cumulative dispatched task bytes (only populated while
         #: REPRO_MEASURE_DISPATCH is set; None otherwise).
         self.dispatch_bytes: Optional[int] = None
         self.dispatch_tasks: int = 0
+        # Set while no pooled map_tasks call is in flight.  close() waits
+        # on it, so a shutdown requested from another thread (the
+        # repro.serve daemon's SIGTERM path) never ends a worker
+        # mid-task, in particular never while it still reads a block
+        # its call is about to unlink.
+        self._idle = threading.Event()
+        self._idle.set()
 
     @abstractmethod
     def map_tasks(self, fn: Callable[[Any], Any],
@@ -528,6 +498,21 @@ class Executor(ABC):
 
     def close(self) -> None:
         """Release pooled workers (no-op for in-process backends)."""
+
+    @contextmanager
+    def _in_flight(self) -> Iterator[None]:
+        """Mark one map_tasks call in flight for :meth:`_drain`."""
+        self._idle.clear()
+        try:
+            yield
+        finally:
+            self._idle.set()
+
+    def _drain(self) -> None:
+        """Wait (up to :attr:`DRAIN_TIMEOUT`) for a map_tasks call in
+        flight on another thread; pooled backends' close() calls it
+        first."""
+        self._idle.wait(self.DRAIN_TIMEOUT)
 
     def __enter__(self) -> "Executor":
         return self
@@ -586,7 +571,7 @@ class MultiprocessingExecutor(Executor):
 
     def _ensure_pool(self) -> _WorkerPool:
         if self._pool is None:
-            self._pool = _WorkerPool(_pool_context(), self.jobs)
+            self._pool = _WorkerPool(self.jobs, on_retry=_note_retry)
             # Backstop: reap workers if the executor is garbage
             # collected without close() (must not capture ``self``).
             self._finalizer = weakref.finalize(
@@ -599,6 +584,7 @@ class MultiprocessingExecutor(Executor):
         return self._pool.worker_pids if self._pool is not None else []
 
     def close(self) -> None:
+        self._drain()
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
@@ -618,31 +604,65 @@ class MultiprocessingExecutor(Executor):
                   jobs=workers):
             if workers <= 1:
                 return _run_inline(fn, tasks)
-            return self._ensure_pool().run(fn, tasks, workers, telem,
-                                           self._record_dispatch)
+            with self._in_flight():
+                return self._run(fn, tasks, workers, telem)
+
+    def _run(self, fn: Callable[[Any], Any], tasks: List[Any],
+             workers: int, telem: bool) -> List[Any]:
+        """Stage the call's payloads and dispatch every task, in task
+        order, over ``workers`` pipes.
+
+        Workers are spawned before staging, so a fork never inherits
+        this call's mappings.  The call's bulk payloads are staged in
+        an arena that lives exactly as long as the call: its blocks
+        are unlinked on return, when a task raises, and after a worker
+        dies mid-task.  After the first task error no further task is
+        sent; the call waits for those in flight, then raises it.
+        """
+        pool = self._ensure_pool()
+        pool.start(workers)
+        packed, blobs = pack_tasks(tasks)
+        with SharedArena() as arena:
+            names = {digest: arena.share_array(array).name
+                     for digest, array in blobs.items()}
+            messages = [pickle.dumps(
+                (index, fn, task,
+                 {h: names[h] for h in manifest_hashes(task)}, telem),
+                protocol=pickle.HIGHEST_PROTOCOL)
+                for index, task in enumerate(packed)]
+            self._record_dispatch(map(len, messages))
+            results: List[Any] = [None] * len(messages)
+            pending: Deque[int] = deque(range(len(messages)))
+            error: Optional[BaseException] = None
+            registry = STATE.registry
+            while (pending and error is None) or pool.busy:
+                while (pending and error is None
+                       and pool.busy < workers):
+                    index = pending.popleft()
+                    if telem:
+                        registry.counter("runtime.dispatch_bytes").inc(
+                            len(messages[index]))
+                        registry.counter("runtime.tasks_dispatched").inc()
+                    pool.submit(index, messages[index])
+                replies, _ = pool.collect()
+                for _, (index, status, value, payload) in replies:
+                    if telem:
+                        telemetry.absorb_worker_payload(payload)
+                    if status == "ok":
+                        results[index] = value
+                    elif error is None:
+                        error = value
+        if error is not None:
+            raise error
+        return results
 
 
-# Backend registry: name -> factory(jobs, hosts).  The in-process
-# backends register here eagerly; the remote backend registers itself
-# when repro.runtime.remote is imported (get_executor imports it
-# lazily on first use so the socket layer stays off the single-machine
-# import path).
-_BACKEND_FACTORIES: Dict[str, Callable[..., Executor]] = {}
-
-
-def register_backend(name: str,
-                     factory: Callable[..., Executor]) -> None:
-    """Register an executor factory for a :data:`BACKENDS` name.
-
-    ``factory(jobs, hosts)`` must return an :class:`Executor`;
-    backends that ignore one of the arguments simply drop it.
-    """
-    _BACKEND_FACTORIES[str(name)] = factory
-
-
-register_backend("serial", lambda jobs, hosts: SerialExecutor())
-register_backend("multiprocessing",
-                 lambda jobs, hosts: MultiprocessingExecutor(jobs))
+def _note_retry(index: int, attempt: int, pid: int) -> None:
+    """The pool's resend hook: count and journal a worker death."""
+    if STATE.enabled and not STATE.worker_mode:
+        STATE.registry.counter("runtime.worker_retries").inc()
+        telemetry.emit_event("worker_retry", task=index, attempt=attempt,
+                             pid=pid)
 
 
 def get_executor(jobs: Optional[int] = None,
@@ -661,8 +681,11 @@ def get_executor(jobs: Optional[int] = None,
         chosen = "remote"
     if chosen is None:
         chosen = "serial" if resolved <= 1 else "multiprocessing"
-    if chosen not in _BACKEND_FACTORIES:
-        # The remote factory lives in its own module; importing it
-        # registers the backend (see module docstring there).
-        from . import remote  # noqa: F401  (import-for-registration)
-    return _BACKEND_FACTORIES[chosen](resolved, hosts)
+    if chosen == "serial":
+        return SerialExecutor()
+    if chosen == "multiprocessing":
+        return MultiprocessingExecutor(resolved)
+    # Imported here so the single-machine path never loads the socket
+    # layer.
+    from .remote import RemoteExecutor
+    return RemoteExecutor(resolved, hosts=hosts)

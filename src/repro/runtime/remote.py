@@ -24,7 +24,9 @@ Design, point by point:
   :data:`~repro.runtime.executor.MAX_TASK_ATTEMPTS` dispatches per
   task; the dead host is redialed with exponential backoff and,
   on reconnect, a cleared dedup ledger (its blob store may be gone).
-  ``close()`` is drain-aware and idempotent, like the pool's.
+  ``close()`` is idempotent and, like the local pool's, waits for
+  a map in flight on another thread (the drain guard both inherit
+  from :class:`~repro.runtime.executor.Executor`).
 * **Determinism.**  Tasks carry every seed they need, so *where* a
   task runs never changes its result: remote output is bit-identical
   to the serial oracle for fit, generate, and serve — the parity
@@ -41,7 +43,6 @@ import select
 import socket
 import subprocess
 import sys
-import threading
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
@@ -50,7 +51,7 @@ from .. import telemetry
 from ..telemetry import emit_event
 from ..telemetry.spans import span
 from ..telemetry.state import STATE
-from .executor import Executor, MAX_TASK_ATTEMPTS, register_backend
+from .executor import Executor, MAX_TASK_ATTEMPTS
 from .serialization import manifest_hashes, pack_tasks
 from .wire import FrameError, check_frame, recv_frame, send_frame
 
@@ -167,8 +168,6 @@ class RemoteExecutor(Executor):
         # one slot per host (jobs is advisory for this backend).
         self.jobs = max(len(self._links), int(jobs or 0) or 1)
         self._closed = False
-        self._idle = threading.Event()
-        self._idle.set()
         raw_timeout = os.environ.get(REMOTE_TIMEOUT_ENV_VAR, "").strip()
         self._task_timeout = float(raw_timeout) if raw_timeout else None
         #: Wire accounting, exposed for the dedup/dispatch-byte gates:
@@ -329,13 +328,9 @@ class RemoteExecutor(Executor):
         if not tasks:
             return []
         telem = STATE.enabled and not STATE.worker_mode
-        self._idle.clear()
-        try:
-            with span("map_tasks", backend=self.name, tasks=len(tasks),
-                      jobs=self.jobs):
-                return self._run(fn, tasks, telem)
-        finally:
-            self._idle.set()
+        with self._in_flight(), span("map_tasks", backend=self.name,
+                                     tasks=len(tasks), jobs=self.jobs):
+            return self._run(fn, tasks, telem)
 
     def _run(self, fn, tasks: List[Any], telem: bool) -> List[Any]:
         packed, blobs = pack_tasks(tasks)
@@ -474,13 +469,9 @@ class RemoteExecutor(Executor):
         return 0  # pong
 
     # -- lifecycle ------------------------------------------------------
-    #: How long close() waits for an in-flight map_tasks on another
-    #: thread before closing sockets anyway (backstop, not contract).
-    DRAIN_TIMEOUT = 60.0
-
-    def close(self, drain: bool = True,
-              timeout: Optional[float] = None) -> None:
-        """Disconnect from every host (idempotent, drain-aware).
+    def close(self) -> None:
+        """Disconnect from every host (idempotent).  Waits first for a
+        map_tasks call in flight on another thread.
 
         Worker hosts are long-lived infrastructure — closing the
         executor ends *this coordinator's session* (a polite ``bye``),
@@ -488,9 +479,7 @@ class RemoteExecutor(Executor):
         """
         if self._closed:
             return
-        if drain:
-            self._idle.wait(self.DRAIN_TIMEOUT if timeout is None
-                            else timeout)
+        self._drain()
         self._closed = True
         for link in self._links:
             if link.sock is None:
@@ -504,10 +493,6 @@ class RemoteExecutor(Executor):
             except OSError:
                 pass
             link.sock = None
-
-
-register_backend("remote",
-                 lambda jobs, hosts: RemoteExecutor(jobs, hosts=hosts))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ functions and their per-process caches (frozen-state thaw,
 generate-side model/encoder) therefore run unchanged, which is what
 keeps remote output bit-identical to the serial oracle.
 
-With ``--jobs > 1`` the host fans tasks out to its own persistent
-pipe-worker pool (the same ``_worker_main`` protocol as the
-single-machine backends) and streams results back as they complete;
-a worker that dies mid-task is respawned and the task retried locally
-before the failure is surfaced to the coordinator.
+With ``--jobs > 1`` the host submits each task frame to the
+``multiprocessing`` backend's own pipe-worker pool
+(``repro.runtime.executor._WorkerPool``), kept for the host's
+lifetime, and forwards each reply the moment the pool collects it.
+The pool replaces a worker that dies mid-task and resends its task
+within its per-task dispatch budget (the host journals each resend as
+``host_worker_death``) before an error naming the host reaches the
+coordinator.
 
 If the coordinator references a blob the store has evicted, the host
 replies ``("need", index, missing_hashes)`` instead of running the
@@ -48,16 +51,13 @@ import pickle
 import signal
 import socket
 import sys
-from collections import OrderedDict, deque
-from multiprocessing.connection import wait as _conn_wait
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..telemetry.journal import RunJournal
-from .executor import (MAX_TASK_ATTEMPTS, _close_pool, _pool_context,
-                       _spawn_worker, _WorkerHandle, resolve_jobs,
-                       run_packed)
+from .executor import _WorkerPool, resolve_jobs, run_packed
 from .remote import WIRE_VERSION
 from .serialization import manifest_hashes
 from .shm import ArrayRef, SharedArena
@@ -158,13 +158,9 @@ class WorkerHost:
         # (see :meth:`request_stop`).
         self._in_session = False
         self._listener: Optional[socket.socket] = None
-        # Host-side pipe-worker pool (only with --jobs > 1); reuses the
-        # single-machine worker protocol wholesale.
-        self._ctx = _pool_context()
-        self._workers: List[_WorkerHandle] = []
-        self._idle: Deque[_WorkerHandle] = deque()
-        # worker conn -> (worker, index, pickled message, attempts)
-        self._busy: Dict[Any, Tuple[Any, ...]] = {}
+        # Used only with --jobs > 1; spawns its workers on first use.
+        self._pool = _WorkerPool(self.jobs, on_retry=self._worker_died,
+                                 where=f" on host {self.host_id}")
         # The host writes its own journal shard directly (never through
         # STATE: task execution switches STATE into worker mode, which
         # nulls STATE.journal by design).
@@ -180,88 +176,17 @@ class WorkerHost:
                                worker_pid=os.getpid(), **fields)
 
     # -- local execution ------------------------------------------------
-    def _spawn_worker(self) -> _WorkerHandle:
-        worker = _spawn_worker(self._ctx)
-        self._workers.append(worker)
-        return worker
+    def _worker_died(self, index: int, attempt: int, pid: int) -> None:
+        self._event("host_worker_death", task=index, pid=pid,
+                    attempt=attempt)
 
-    def _discard_worker(self, worker: _WorkerHandle) -> None:
-        if worker in self._workers:
-            self._workers.remove(worker)
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(timeout=2.0)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-
-    def _dispatch_local(self, index: int, message: bytes,
-                        attempts: int = 1) -> Optional[Tuple[str, Any]]:
-        """Hand a pickled task message to an idle pool worker.  Returns
-        an error envelope only when the task's local attempt budget is
-        spent."""
-        while True:
-            if not self._idle:
-                if len(self._workers) < self.jobs:
-                    self._idle.append(self._spawn_worker())
-                else:  # pragma: no cover - coordinator respects slots
-                    raise RuntimeError("no idle worker for dispatch")
-            worker = self._idle.popleft()
-            try:
-                worker.conn.send_bytes(message)
-            except (BrokenPipeError, OSError):
-                self._discard_worker(worker)
-                if attempts >= MAX_TASK_ATTEMPTS:
-                    return ("error", RuntimeError(
-                        f"task {index} could not be dispatched after "
-                        f"{MAX_TASK_ATTEMPTS} attempts on host "
-                        f"{self.host_id}"))
-                attempts += 1
-                continue
-            self._busy[worker.conn] = (worker, index, message, attempts)
-            return None
-
-    def _reap_worker_reply(self, conn, sock) -> None:
-        """Forward one pool-worker reply to the coordinator (or retry
-        locally if the worker died mid-task)."""
-        worker, index, message, attempts = self._busy.pop(conn)
-        try:
-            reply = conn.recv()
-        except (EOFError, OSError):
-            pid = worker.process.pid
-            self._discard_worker(worker)
-            self._event("host_worker_death", task=index, pid=pid,
-                        attempt=attempts)
-            if attempts >= MAX_TASK_ATTEMPTS:
-                send_frame(sock, ("result", index, "error", RuntimeError(
-                    f"task {index} failed {MAX_TASK_ATTEMPTS} times on "
-                    f"host {self.host_id}: worker died (last pid {pid})"),
-                    None))
-                return
-            failure = self._dispatch_local(index, message, attempts + 1)
-            if failure is not None:
-                send_frame(sock, ("result", index) + failure + (None,))
-            return
-        _, status, value, payload = reply
-        self._idle.append(worker)
-        self.tasks_run += 1
-        send_frame(sock, ("result", index, status, value, payload))
-        self._event("host_task", task=index, status=status,
-                    pool_pid=worker.process.pid)
-
-    def _drain_busy(self) -> None:
-        """Coordinator left with tasks still running: let them finish
-        and drop the results, so the pool is clean for the next one."""
-        while self._busy:
-            for conn in _conn_wait(list(self._busy)):
-                worker = self._busy.pop(conn)[0]
-                try:
-                    conn.recv()
-                except (EOFError, OSError):
-                    self._discard_worker(worker)
-                    continue
-                self._idle.append(worker)
+    def _forward(self, sock, replies) -> None:
+        """Send each collected pool reply to the coordinator."""
+        for pid, (index, status, value, payload) in replies:
+            self.tasks_run += 1
+            send_frame(sock, ("result", index, status, value, payload))
+            self._event("host_task", task=index, status=status,
+                        pool_pid=pid)
 
     # -- protocol -------------------------------------------------------
     def _handle_task_frame(self, sock, message) -> None:
@@ -274,11 +199,9 @@ class WorkerHost:
             return
         blocks = self.store.block_names(needed)
         if self.jobs > 1:
-            failure = self._dispatch_local(index, pickle.dumps(
+            self._pool.submit(index, pickle.dumps(
                 (index, fn, packed, blocks, telem),
                 protocol=pickle.HIGHEST_PROTOCOL))
-            if failure is not None:
-                send_frame(sock, ("result", index) + failure + (None,))
             return
 
         def reply(envelope: Tuple[Any, ...]) -> str:
@@ -316,12 +239,10 @@ class WorkerHost:
                 # With pool tasks in flight, multiplex the socket
                 # against the worker pipes so results stream back the
                 # moment they finish.
-                if self._busy:
-                    ready = _conn_wait([sock] + list(self._busy))
-                    for item in ready:
-                        if item is not sock:
-                            self._reap_worker_reply(item, sock)
-                    if sock not in ready:
+                if self._pool.busy:
+                    replies, ready = self._pool.collect(sock)
+                    self._forward(sock, replies)
+                    if not ready:
                         continue
                 message = check_frame(recv_frame(sock), _FRAME_ARITY)
                 if message is None:
@@ -347,7 +268,11 @@ class WorkerHost:
                     keep_serving = False
                     break
         finally:
-            self._drain_busy()
+            # The coordinator left with tasks still running: let them
+            # finish and drop their replies, so the pool is clean for
+            # the next session.
+            while self._pool.busy:
+                self._pool.collect()
             self._event("host_disconnect", coordinator=run_id,
                         tasks=self.tasks_run - tasks_before)
         return keep_serving
@@ -413,9 +338,7 @@ class WorkerHost:
             except OSError:
                 pass
             self._listener = None
-        _close_pool(self._workers)
-        self._idle.clear()
-        self._busy.clear()
+        self._pool.close()
         self.store.close()
         self._event("host_stop", tasks=self.tasks_run)
         if self.journal is not None:

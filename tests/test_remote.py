@@ -22,6 +22,7 @@ import pytest
 from repro import NetShare, NetShareConfig, load_dataset
 from repro.runtime import get_executor
 from repro.runtime.chunk_tasks import freeze_state
+from repro.runtime.executor import MAX_TASK_ATTEMPTS
 from repro.runtime.remote import (
     HOSTS_ENV_VAR,
     MAX_CONNECT_FAILURES,
@@ -362,6 +363,90 @@ class TestLoopbackMap:
 
 def _div_by(x):
     return 1 // x
+
+
+def _explode_once(task):
+    """Kill this worker process the first time it sees the poison
+    value; succeed on the retry (the marker file is the memory)."""
+    value, marker = task
+    if value == 2 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return value * 10
+
+
+def _always_explode(_):
+    os._exit(1)
+
+
+class TestHostPool:
+    """A ``--jobs 2`` host runs tasks in its own pipe-worker pool: a
+    worker that dies mid-task is replaced and its task resent on the
+    host, within MAX_TASK_ATTEMPTS dispatches, and the coordinator sees
+    no host failure."""
+
+    def test_worker_death_is_retried_on_the_host(self, tmp_path):
+        journal = tmp_path / "host"
+        host = spawn_worker_host(jobs=2, env=HOST_ENV,
+                                 journal_dir=str(journal))
+        marker = str(tmp_path / "exploded")
+        ex = RemoteExecutor(hosts=[host.address])
+        try:
+            results = ex.map_tasks(_explode_once,
+                                   [(i, marker) for i in range(6)])
+            assert results == [i * 10 for i in range(6)]
+            assert os.path.exists(marker)
+            assert ex.stats["host_failures"] == 0
+        finally:
+            ex.close()
+            host.stop()
+        _, events = load_journals([str(journal)])
+        deaths = [e for e in events if e["event"] == "host_worker_death"]
+        assert len(deaths) == 1
+        assert deaths[0]["task"] == 2
+        assert deaths[0]["attempt"] == 1
+
+    def test_spent_attempts_fail_the_task_and_the_host_recovers(self):
+        host = spawn_worker_host(jobs=2, env=HOST_ENV)
+        ex = RemoteExecutor(hosts=[host.address])
+        try:
+            with pytest.raises(RuntimeError,
+                               match=f"failed {MAX_TASK_ATTEMPTS} times "
+                                     "on host"):
+                ex.map_tasks(_always_explode, [0, 1])
+            assert ex.map_tasks(_square, [1, 2, 3]) == [1, 4, 9]
+        finally:
+            ex.close()
+            host.stop()
+
+    def test_close_from_another_thread_drains_in_flight_map(self, hosts):
+        ex = RemoteExecutor(hosts=[hosts[1].address])  # the --jobs 2 host
+        try:
+            # Connect first, so the map below goes straight to the host.
+            assert ex.map_tasks(_square, [1, 2]) == [1, 4]
+            started = threading.Event()
+            outcome = {}
+
+            def mapper():
+                started.set()
+                outcome["results"] = ex.map_tasks(_slow_square,
+                                                  list(range(4)))
+
+            thread = threading.Thread(target=mapper)
+            thread.start()
+            started.wait(5.0)
+            time.sleep(0.1)  # let the dispatch reach the host
+            closed_at = time.monotonic()
+            ex.close()  # must block until the in-flight map finishes
+            close_seconds = time.monotonic() - closed_at
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            assert outcome["results"] == [x * x for x in range(4)]
+            assert close_seconds > 0.05
+            with pytest.raises(RuntimeError, match="closed"):
+                ex.map_tasks(_square, [1])
+        finally:
+            ex.close()
 
 
 # ----------------------------------------------------------------------

@@ -41,6 +41,11 @@ def _square(x):
     return x * x
 
 
+def _pid_after(delay):
+    time.sleep(delay)
+    return os.getpid()
+
+
 class TestResolveJobs:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -108,6 +113,27 @@ class TestBackendSelection:
         monkeypatch.setenv(BACKEND_ENV_VAR, "multiprocessing")
         assert isinstance(get_executor(2), MultiprocessingExecutor)
 
+    def test_single_machine_path_never_loads_the_socket_layer(self):
+        """``get_executor`` imports the remote backend only to build a
+        ``remote`` executor, so importing the package, building a pool
+        and importing NetShare leave the socket modules unloaded."""
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "from repro import NetShare\n"
+            "from repro.runtime import get_executor\n"
+            "get_executor(2).close()\n"
+            "print(sorted(m for m in sys.modules if m in\n"
+            "      ('repro.runtime.remote', 'repro.runtime.wire')))\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("REPRO_BACKEND", "REPRO_HOSTS")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_shm_map_matches_serial(self):
         """Array tasks, which the pool stages in shared memory, map
         through the pool exactly as they run in-process."""
@@ -141,6 +167,16 @@ class TestExecutors:
 
     def test_empty_task_list(self):
         assert MultiprocessingExecutor(2).map_tasks(_square, []) == []
+
+    def test_each_call_starts_on_workers_in_spawn_order(self):
+        """Worker caches fill with whatever tasks land on them, so every
+        call hands task i to the i-th spawned worker, even when the
+        previous call's workers finished in the other order."""
+        with MultiprocessingExecutor(2) as executor:
+            for _ in range(3):
+                # Task 0 finishes last, so completion order is reversed.
+                pids = executor.map_tasks(_pid_after, [0.3, 0.0])
+                assert pids == executor.worker_pids
 
 
 class TestStateNpz:
@@ -437,7 +473,7 @@ class TestWorkerPoolShutdown:
         executor.close()
         executor.close()  # second close is a no-op, not an error
         with pytest.raises(RuntimeError, match="closed"):
-            pool.run(_square, [1, 2], 2, False)
+            pool.submit(0, pickle.dumps((0, _square, 1, {}, False)))
 
     def test_close_from_another_thread_drains_in_flight_map(self):
         import threading
