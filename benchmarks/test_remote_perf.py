@@ -74,11 +74,11 @@ TRACE_COLUMNS = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol",
                  "start_time", "duration", "packets", "bytes")
 
 
-def _config(backend, jobs, hosts=None):
+def _config(jobs, hosts=None):
     return NetShareConfig(
         n_chunks=N_CHUNKS, epochs_seed=EPOCHS_SEED,
         epochs_fine_tune=EPOCHS_FINE_TUNE, ip2vec_public_records=400,
-        batch_size=32, seed=0, jobs=jobs, backend=backend, hosts=hosts,
+        batch_size=32, seed=0, jobs=jobs, hosts=hosts,
     )
 
 
@@ -137,8 +137,8 @@ def bench():
         }
 
         # -- local oracles -------------------------------------------
-        serial = NetShare(_config("serial", 1)).fit(trace)
-        pooled = NetShare(_config("multiprocessing", JOBS)).fit(trace)
+        serial = NetShare(_config(1)).fit(trace)
+        pooled = NetShare(_config(JOBS)).fit(trace)
         for label, model in (("serial", serial),
                              ("multiprocessing", pooled)):
             report["fit"][label] = {
@@ -162,8 +162,7 @@ def bench():
         # -- remote fit (own journal session: isolates its wire cost)
         with telemetry.session(
                 journal_dir=str(JOURNAL_DIR / "coordinator-fit")):
-            remote = NetShare(
-                _config("remote", JOBS, hosts=hosts_str)).fit(trace)
+            remote = NetShare(_config(JOBS, hosts=hosts_str)).fit(trace)
         assert remote.backend == "remote"
         report["fit"]["remote"] = {
             "jobs": remote.config.jobs,
@@ -200,7 +199,6 @@ def bench():
             serial_wall = time.perf_counter() - t0
             t0 = time.perf_counter()
             gen_remote = serial.generate(GEN_RECORDS, seed=7, jobs=JOBS,
-                                         backend="remote",
                                          hosts=hosts_str)
             remote_wall = time.perf_counter() - t0
             generate_identical = _trace_equal(gen_serial, gen_remote)
@@ -254,7 +252,7 @@ def bench():
                 # Two slots for N_CHUNKS tasks: the victim is
                 # guaranteed in-flight work when the kill lands.
                 gen_fault = serial.generate(
-                    GEN_RECORDS, seed=11, jobs=JOBS, backend="remote",
+                    GEN_RECORDS, seed=11, jobs=JOBS,
                     hosts=",".join([victim.label, hosts[0].label]))
             finally:
                 killer.cancel()

@@ -49,17 +49,13 @@ from repro.datasets import load_dataset
 from repro.gan.doppelganger import DgConfig, DoppelGANger
 from repro.nn import tape as nn_tape
 from repro.privacy import DpSgdConfig
-from repro.runtime import BACKENDS, MEASURE_DISPATCH_ENV_VAR
+from repro.runtime import MEASURE_DISPATCH_ENV_VAR
 from repro.telemetry import load_journal
 from repro.telemetry.spans import span
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_runtime.json"
 JOURNAL_DIR = REPO_ROOT / "BENCH_journal"
-
-# Single-machine backends only; the remote backend needs worker hosts
-# and has its own bench (benchmarks/test_remote_perf.py).
-LOCAL_BACKENDS = tuple(b for b in BACKENDS if b != "remote")
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE", "").strip())
 RECORDS = 240 if SMOKE else 600
@@ -73,11 +69,11 @@ TRACE_COLUMNS = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol",
                  "start_time", "duration", "packets", "bytes")
 
 
-def _config(backend: str, jobs: int) -> NetShareConfig:
+def _config(jobs: int) -> NetShareConfig:
     return NetShareConfig(
         n_chunks=N_CHUNKS, epochs_seed=EPOCHS_SEED,
         epochs_fine_tune=EPOCHS_FINE_TUNE, ip2vec_public_records=400,
-        batch_size=32, seed=0, jobs=jobs, backend=backend,
+        batch_size=32, seed=0, jobs=jobs,
     )
 
 
@@ -484,12 +480,13 @@ def bench():
             "fit": {}, "generate": {},
         }
 
+        # jobs=1 fits serially and jobs=JOBS on the pool; each run is
+        # filed under the executor it used.
         models = {}
-        for backend in LOCAL_BACKENDS:
-            jobs = 1 if backend == "serial" else JOBS
-            model = NetShare(_config(backend, jobs)).fit(trace)
-            models[backend] = model
-            report["fit"][backend] = {
+        for jobs in (1, JOBS):
+            model = NetShare(_config(jobs)).fit(trace)
+            models[model.backend] = model
+            report["fit"][model.backend] = {
                 "jobs": jobs,
                 "wall_seconds": round(model.wall_seconds, 3),
                 "cpu_seconds": round(model.cpu_seconds, 3),
@@ -507,12 +504,9 @@ def bench():
         )
 
         traces = {}
-        for label, jobs, backend in (
-            ("serial_jobs1", 1, "serial"),
-            (f"multiprocessing_jobs{JOBS}", JOBS, "multiprocessing"),
-        ):
-            traces[label] = serial.generate(GEN_RECORDS, seed=7,
-                                            jobs=jobs, backend=backend)
+        for label, jobs in (("serial_jobs1", 1),
+                            (f"multiprocessing_jobs{JOBS}", JOBS)):
+            traces[label] = serial.generate(GEN_RECORDS, seed=7, jobs=jobs)
             report["generate"][label] = {
                 "wall_seconds": round(serial.generate_wall_seconds, 3),
                 "dispatch_bytes": serial.generate_dispatch_bytes,
@@ -564,8 +558,7 @@ def bench():
         # must reproduce the (taped) serial trace byte for byte.
         nn_tape.configure(False)
         try:
-            trace_eager = serial.generate(GEN_RECORDS, seed=7,
-                                          jobs=1, backend="serial")
+            trace_eager = serial.generate(GEN_RECORDS, seed=7, jobs=1)
         finally:
             nn_tape.configure(None)
         report["infer"]["netshare_bit_identical_with_eager"] = _trace_equal(
@@ -578,7 +571,7 @@ def bench():
             shutil.rmtree(JOURNAL_DIR)
         with telemetry.session(journal_dir=JOURNAL_DIR,
                                label="bench-runtime") as journal:
-            model_telem = NetShare(_config("multiprocessing", JOBS)).fit(trace)
+            model_telem = NetShare(_config(JOBS)).fit(trace)
             trace_telem = model_telem.generate(GEN_RECORDS, seed=7)
             journal_path = journal.directory
         telem_identical = all(
@@ -675,7 +668,7 @@ class TestRuntimePerf:
         assert set(data) >= {"config", "cpus", "fit", "generate", "summary",
                              "telemetry", "tape", "tape_check",
                              "infer", "dp"}
-        assert set(data["fit"]) == set(LOCAL_BACKENDS)
+        assert set(data["fit"]) == {"serial", "multiprocessing"}
         for entry in data["fit"].values():
             assert entry["dispatch_bytes"] > 0
             assert entry["dispatch_tasks"] >= N_CHUNKS - 1

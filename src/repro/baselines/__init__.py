@@ -63,13 +63,12 @@ _FACTORIES: Dict[str, Callable[..., Synthesizer]] = {
 
 
 def make_baseline(name: str, epochs: int = 30, seed: int = 0,
-                  jobs: Optional[int] = None,
-                  backend: Optional[str] = None) -> Synthesizer:
+                  jobs: Optional[int] = None) -> Synthesizer:
     """Build a baseline by its paper name.
 
-    ``jobs`` / ``backend`` select the repro.runtime executor for
-    baselines with parallelisable training (ignored by the rest);
-    the ``multiprocessing`` pool routes task payloads through the
+    ``jobs`` selects the repro.runtime executor for baselines with
+    parallelisable training (ignored by the rest); the
+    ``multiprocessing`` pool routes task payloads through the
     zero-copy shared-memory data plane.
     """
     try:
@@ -81,6 +80,4 @@ def make_baseline(name: str, epochs: int = 30, seed: int = 0,
     model = factory(epochs=epochs, seed=seed)
     if jobs is not None:
         model.jobs = jobs
-    if backend is not None:
-        model.backend = backend
     return model

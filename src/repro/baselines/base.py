@@ -28,14 +28,11 @@ class Synthesizer(ABC):
     #: (e.g. the epoch-parallel E-WGAN-GP) dispatch through this so
     #: scalability comparisons with NetShare share infrastructure.
     jobs: Optional[int] = None
-    #: Executor backend name (None = pick from jobs / REPRO_BACKEND;
-    #: 'serial' or 'multiprocessing' for zero-copy process dispatch).
-    backend: Optional[str] = None
 
     def _executor(self):
         from ..runtime import get_executor
 
-        return get_executor(self.jobs, self.backend)
+        return get_executor(self.jobs)
 
     def _check_support(self, trace) -> str:
         kind = "netflow" if isinstance(trace, FlowTrace) else (

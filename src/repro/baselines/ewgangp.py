@@ -53,8 +53,7 @@ class EWganGp(Synthesizer):
 
     def __init__(self, epochs: int = 30, embedding_dim: int = 8,
                  seed: int = 0, config: Optional[RowGanConfig] = None,
-                 epoch_models: int = 1, jobs: Optional[int] = None,
-                 backend: Optional[str] = None):
+                 epoch_models: int = 1, jobs: Optional[int] = None):
         """``epoch_models > 1`` trains one WGAN per measurement epoch
         (time slice), as the original per-epoch baselines do — an
         embarrassingly parallel workload dispatched through the
@@ -69,7 +68,6 @@ class EWganGp(Synthesizer):
         self.config = config or RowGanConfig()
         self.epoch_models = int(epoch_models)
         self.jobs = jobs
-        self.backend = backend
         self._gan: Optional[RowGan] = None
         self._gans: List[Tuple[RowGan, int]] = []   # (model, rows trained on)
         self._ip2vec: Optional[IP2Vec] = None

@@ -9,7 +9,8 @@ Subcommands:
   zero-copy shared memory) and ``--save-model`` persists the trained
   NetShare model to ``.npz``;
 * ``generate``  — sample from a saved NetShare ``.npz`` model without
-  retraining (``--jobs``/``--backend`` parallelize per-chunk sampling);
+  retraining (``--jobs`` parallelizes per-chunk sampling, ``--hosts``
+  or ``REPRO_HOSTS`` fans it out to remote worker hosts);
 * ``evaluate``  — per-field JSD/EMD fidelity report between two CSVs;
 * ``consistency`` — Appendix-B protocol-compliance checks on a CSV;
 * ``anonymize`` — prefix-preserving or truncation IP anonymization.
@@ -26,7 +27,6 @@ from typing import List, Optional
 
 from . import NetShare, NetShareConfig, telemetry
 from .baselines import make_baseline
-from .runtime import BACKENDS
 from .datasets import (
     DATASET_PROFILES,
     anonymize_trace,
@@ -81,13 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel training workers (default: REPRO_JOBS "
                         "env var, then serial; 0 = one per CPU)")
-    p.add_argument("--backend", choices=list(BACKENDS), default=None,
-                   help="executor backend (default: REPRO_BACKEND env "
-                        "var, then picked from --jobs; 'multiprocessing' "
-                        "stages tensors in zero-copy shared memory)")
     p.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                    help="remote worker hosts (default: REPRO_HOSTS env "
-                        "var); implies --backend remote")
+                        "var; NetShare only)")
     p.add_argument("--save-model", default=None, metavar="PATH",
                    help="persist the trained NetShare model to a .npz "
                         "archive (NetShare only)")
@@ -105,12 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel sampling workers (default: the saved "
                         "model's setting, then REPRO_JOBS)")
-    p.add_argument("--backend", choices=list(BACKENDS), default=None,
-                   help="executor backend for sampling (output is "
-                        "bit-identical across backends)")
     p.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                    help="remote worker hosts (default: REPRO_HOSTS env "
-                        "var); implies --backend remote")
+                        "var); output is bit-identical to --jobs 1")
     p.add_argument("--journal", default=None, metavar="DIR",
                    help="stream a telemetry run journal to DIR/<run-id>/")
 
@@ -166,15 +159,17 @@ def _run_synthesize(args) -> int:
         model = NetShare(NetShareConfig(
             n_chunks=args.chunks, epochs_seed=args.epochs,
             epochs_fine_tune=max(3, args.epochs // 3), seed=args.seed,
-            jobs=args.jobs, backend=args.backend, hosts=args.hosts,
+            jobs=args.jobs, hosts=args.hosts,
         ))
     else:
-        if args.save_model:
-            print("--save-model only supports the NetShare model")
-            return 2
+        # Baselines still reach worker hosts through REPRO_HOSTS.
+        for flag, value in (("--save-model", args.save_model),
+                            ("--hosts", args.hosts)):
+            if value:
+                print(f"{flag} only supports the NetShare model")
+                return 2
         model = make_baseline(args.model, epochs=args.epochs,
-                              seed=args.seed, jobs=args.jobs,
-                              backend=args.backend)
+                              seed=args.seed, jobs=args.jobs)
     print(f"training {args.model} on {len(trace)} records...")
     model.fit(trace)
     if isinstance(model, NetShare):
@@ -202,8 +197,7 @@ def _cmd_generate(args) -> int:
 def _run_generate(args) -> int:
     model = NetShare.load(args.model)
     synthetic = model.generate(args.records, seed=args.seed,
-                               jobs=args.jobs, backend=args.backend,
-                               hosts=args.hosts)
+                               jobs=args.jobs, hosts=args.hosts)
     _write_trace(synthetic, args.output, model.kind)
     print(f"wrote {len(synthetic)} synthetic {model.kind} records "
           f"to {args.output}")

@@ -13,7 +13,7 @@ Pipeline, combining the paper's four insights:
    on private data with DP-SGD.  Chunk training runs on the
    :mod:`repro.runtime` executor layer: the seed chunk trains first,
    the remaining chunks fan out as stateless tasks across the
-   configured backend (``config.jobs`` / ``REPRO_JOBS``), and results
+   executor that ``config.jobs`` / ``config.hosts`` select, and results
    are bit-identical across backends because every task derives its
    RNG from ``config.seed + chunk_index``.
 3. **Post-processing**: decode embeddings (nearest neighbour),
@@ -83,14 +83,9 @@ class NetShareConfig:
     # Training parallelism: worker count for the repro.runtime executor
     # (None = REPRO_JOBS env var, then 1 = serial; 0 = one per CPU).
     jobs: Optional[int] = None
-    # Executor backend: None (pick serial/multiprocessing from jobs),
-    # 'serial', 'multiprocessing' (process pool fed through zero-copy
-    # shared memory), or 'remote' (multi-host socket fan-out); None
-    # also falls back to the REPRO_BACKEND env var.
-    backend: Optional[str] = None
-    # Worker hosts for the remote backend ('host:port,host:port'; None
-    # falls back to REPRO_HOSTS).  Setting hosts without a backend
-    # selects 'remote'.
+    # Worker hosts ('host:port,host:port'; None falls back to
+    # REPRO_HOSTS).  Hosts select the remote executor; without them,
+    # jobs > 1 selects the local process pool.
     hosts: Optional[str] = None
     # Differential privacy (Insight 4); None disables DP.
     dp: Optional[DpSgdConfig] = None
@@ -225,7 +220,7 @@ class NetShare:
         # The executor's worker pool lives for the training window
         # (closed by the ``with``); it stages the tasks' tensors and
         # states itself, per map_tasks call.
-        with get_executor(cfg.jobs, cfg.backend, cfg.hosts) as executor, \
+        with get_executor(cfg.jobs, cfg.hosts) as executor, \
                 span("netshare.fit", backend=executor.name,
                      n_chunks=len(occupied)):
             self.backend = executor.name
@@ -395,10 +390,9 @@ class NetShare:
         if state.get("format") != cls._SAVE_FORMAT:
             raise ValueError(f"{path} is not a NetShare model archive")
         cfg_data = dict(state["config"])
-        if cfg_data.get("backend") == "shm":
-            # Archives written before the staged pool became the one
-            # local pool name the backend it replaced.
-            cfg_data["backend"] = "multiprocessing"
+        # Older archives name an executor backend; jobs and hosts now
+        # select it.
+        cfg_data.pop("backend", None)
         dp_data = cfg_data.pop("dp", None)
         config = NetShareConfig(
             dp=DpSgdConfig(**dp_data) if dp_data is not None else None,
@@ -452,14 +446,13 @@ class NetShare:
 
     def generate(self, n_records: int, seed: Optional[int] = None,
                  jobs: Optional[int] = None,
-                 backend: Optional[str] = None,
                  hosts: Optional[str] = None):
         """Generate a synthetic trace with roughly ``n_records`` records.
 
         Per-chunk sampling and decoding fan out as
         :class:`~repro.runtime.chunk_tasks.GenerateTask` work items
         through the same executor layer as training: ``jobs`` /
-        ``backend`` default to the fitted config's values, and results
+        ``hosts`` default to the fitted config's values, and results
         are bit-identical across backends because every task's seeds
         derive from ``(seed, retry round, chunk index)``.
 
@@ -474,7 +467,6 @@ class NetShare:
         cfg = self.config
         wall_start = time.perf_counter()
         with get_executor(cfg.jobs if jobs is None else jobs,
-                          cfg.backend if backend is None else backend,
                           cfg.hosts if hosts is None else hosts
                           ) as executor, \
                 span("netshare.generate", backend=executor.name,

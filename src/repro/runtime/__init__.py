@@ -5,8 +5,9 @@ Work across the codebase — NetShare's per-chunk fine-tuning
 epoch-parallel tabular baselines — is expressed as stateless,
 picklable tasks mapped through one ``Executor.map_tasks()`` interface
 with interchangeable ``serial``, ``multiprocessing`` and ``remote``
-backends.  Callers build tasks from plain values; the executor alone
-decides what crosses a process boundary.
+backends, which :func:`~repro.runtime.executor.get_executor` picks
+from ``jobs`` and ``hosts`` alone.  Callers build tasks from plain
+values; the executor alone decides what crosses a process boundary.
 :func:`~repro.runtime.serialization.pack_tasks` names each call's
 bulk payloads once (content-hash blob manifests plus a deduplicated
 blob table): the ``multiprocessing`` pool stages the table in a
@@ -26,15 +27,13 @@ the socket layer.
 """
 
 from .executor import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
+    HOSTS_ENV_VAR,
     JOBS_ENV_VAR,
     MEASURE_DISPATCH_ENV_VAR,
     Executor,
     MultiprocessingExecutor,
     SerialExecutor,
     get_executor,
-    resolve_backend,
     resolve_jobs,
 )
 from .chunk_tasks import (
@@ -71,15 +70,13 @@ from .shm import (
 
 __all__ = [
     "JOBS_ENV_VAR",
-    "BACKEND_ENV_VAR",
+    "HOSTS_ENV_VAR",
     "MEASURE_DISPATCH_ENV_VAR",
-    "BACKENDS",
     "Executor",
     "SerialExecutor",
     "MultiprocessingExecutor",
     "get_executor",
     "resolve_jobs",
-    "resolve_backend",
     "ChunkTask",
     "ChunkResult",
     "GenerateTask",

@@ -45,11 +45,13 @@ change *where* a task runs — results are bit-identical across
 backends and across ``jobs`` settings.  Telemetry likewise never
 feeds an RNG: outputs are bit-identical with telemetry on or off.
 
-Backend selection: ``get_executor(jobs, backend)``; a ``jobs`` of
-``None`` falls back to the ``REPRO_JOBS`` environment variable, then
-to 1 (serial), and ``jobs=0`` means "one worker per CPU".  A
-``backend`` of ``None`` falls back to ``REPRO_BACKEND``, then to
-serial/multiprocessing chosen by the job count.
+Executor selection: ``get_executor(jobs, hosts)`` follows from what
+the caller says.  Worker hosts (the ``hosts`` argument, else the
+``REPRO_HOSTS`` environment variable) select ``remote`` at any job
+count; otherwise more than one job selects ``multiprocessing``, and
+anything else ``serial``.  A ``jobs`` of ``None`` falls back to the
+``REPRO_JOBS`` environment variable, then to 1, and ``jobs=0`` means
+"one worker per CPU".
 
 Dispatch instrumentation: when ``REPRO_MEASURE_DISPATCH`` is set (the
 perf benchmark harness does this), every ``map_tasks`` call records
@@ -93,29 +95,21 @@ __all__ = [
     "SerialExecutor",
     "MultiprocessingExecutor",
     "resolve_jobs",
-    "resolve_backend",
     "get_executor",
     "JOBS_ENV_VAR",
-    "BACKEND_ENV_VAR",
+    "HOSTS_ENV_VAR",
     "MEASURE_DISPATCH_ENV_VAR",
-    "BACKENDS",
     "MAX_TASK_ATTEMPTS",
 ]
 
 #: Environment variable consulted when no explicit job count is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
-#: Environment variable consulted when no explicit backend is given.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
+#: Worker host list (``host:port,host:port``) consulted when no
+#: explicit ``hosts`` is given; set, it selects the ``remote`` executor.
+HOSTS_ENV_VAR = "REPRO_HOSTS"
 #: When set (to anything non-empty), executors record dispatch payload
 #: sizes — used by the perf benchmark harness.
 MEASURE_DISPATCH_ENV_VAR = "REPRO_MEASURE_DISPATCH"
-
-#: Recognised backend names, in the order the docs present them.
-#: ``remote`` fans tasks out to socket-connected worker hosts (see
-#: :mod:`repro.runtime.remote`); :func:`get_executor` imports that
-#: module only to build one, so the single-machine path never loads the
-#: socket layer.
-BACKENDS = ("serial", "multiprocessing", "remote")
 
 #: How many times one task may be dispatched before a dying worker is
 #: treated as the task's fault and the run fails.
@@ -143,20 +137,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs == 0:
         jobs = os.cpu_count() or 1
     return jobs
-
-
-def resolve_backend(backend: Optional[str] = None) -> Optional[str]:
-    """Resolve a backend name: explicit value > ``REPRO_BACKEND`` > None
-    (None = pick serial/multiprocessing from the job count)."""
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR, "").strip() or None
-    if backend is None:
-        return None
-    backend = str(backend).lower()
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return backend
 
 
 def _run_inline(fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
@@ -666,26 +646,22 @@ def _note_retry(index: int, attempt: int, pid: int) -> None:
 
 
 def get_executor(jobs: Optional[int] = None,
-                 backend: Optional[str] = None,
                  hosts: Optional[str] = None) -> Executor:
-    """Build the executor for a job count and optional backend name
-    (see :func:`resolve_jobs` / :func:`resolve_backend`).
+    """Build the executor for a job count (see :func:`resolve_jobs`)
+    and optional worker hosts.
 
-    ``hosts`` (a ``host:port,host:port`` list, or the ``REPRO_HOSTS``
-    environment variable) only matters to the ``remote`` backend; when
-    ``hosts`` is given without an explicit backend, remote is chosen.
+    Hosts (a ``host:port,host:port`` list, else the ``REPRO_HOSTS``
+    environment variable) select ``remote``; otherwise more than one
+    job selects ``multiprocessing``, and anything else ``serial``.
     """
     resolved = resolve_jobs(jobs)
-    chosen = resolve_backend(backend)
-    if chosen is None and hosts:
-        chosen = "remote"
-    if chosen is None:
-        chosen = "serial" if resolved <= 1 else "multiprocessing"
-    if chosen == "serial":
-        return SerialExecutor()
-    if chosen == "multiprocessing":
+    if hosts is None:
+        hosts = os.environ.get(HOSTS_ENV_VAR, "").strip()
+    if hosts:
+        # Imported here so the single-machine path never loads the
+        # socket layer.
+        from .remote import RemoteExecutor
+        return RemoteExecutor(resolved, hosts=hosts)
+    if resolved > 1:
         return MultiprocessingExecutor(resolved)
-    # Imported here so the single-machine path never loads the socket
-    # layer.
-    from .remote import RemoteExecutor
-    return RemoteExecutor(resolved, hosts=hosts)
+    return SerialExecutor()

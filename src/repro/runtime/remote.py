@@ -51,7 +51,7 @@ from .. import telemetry
 from ..telemetry import emit_event
 from ..telemetry.spans import span
 from ..telemetry.state import STATE
-from .executor import Executor, MAX_TASK_ATTEMPTS
+from .executor import HOSTS_ENV_VAR, Executor, MAX_TASK_ATTEMPTS
 from .serialization import manifest_hashes, pack_tasks
 from .wire import FrameError, check_frame, recv_frame, send_frame
 
@@ -65,9 +65,6 @@ __all__ = [
     "WIRE_VERSION",
 ]
 
-#: Fallback host list (``host:port,host:port``) when no explicit
-#: ``hosts`` is passed to :func:`~repro.runtime.executor.get_executor`.
-HOSTS_ENV_VAR = "REPRO_HOSTS"
 #: Optional per-task socket deadline in seconds: a host that holds a
 #: task longer is treated as dead (its tasks re-queue).  Unset = wait.
 REMOTE_TIMEOUT_ENV_VAR = "REPRO_REMOTE_TIMEOUT"
@@ -350,9 +347,10 @@ class RemoteExecutor(Executor):
             self._reconnect_due(now)
             # Dispatch onto the healthiest hosts first so a flapping
             # peer doesn't burn a task's attempt budget while stable
-            # hosts sit idle.
+            # hosts sit idle; ties keep the configured host order (the
+            # sort is stable), never the order of port numbers.
             live = sorted((link for link in self._links if link.connected),
-                          key=lambda link: (link.failures, link.label))
+                          key=lambda link: link.failures)
             if error is None:
                 for link in live:
                     while pending and len(link.in_flight) < link.slots:

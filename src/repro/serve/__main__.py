@@ -24,7 +24,6 @@ from typing import Dict, Optional
 from .. import telemetry
 from ..datasets.io import write_flow_csv, write_packet_csv
 from ..datasets.records import FlowTrace
-from ..runtime import BACKENDS
 from .cache import DEFAULT_CACHE_CAPACITY
 from .client import ServeClient
 from .daemon import ServeConfig, ServeDaemon, install_signal_handlers
@@ -51,7 +50,7 @@ def _cmd_serve(args) -> int:
         max_batch=args.max_batch,
         queue_limit=args.queue_limit,
         retry_after=args.retry_after,
-        jobs=args.jobs, backend=args.backend, hosts=args.hosts,
+        jobs=args.jobs, hosts=args.hosts,
         cache_capacity=args.cache_capacity,
     )
     models = _parse_models(args.model)
@@ -134,10 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-limit", type=int, default=64)
     serve.add_argument("--retry-after", type=float, default=0.25)
     serve.add_argument("--jobs", type=int, default=None)
-    serve.add_argument("--backend", default=None, choices=list(BACKENDS))
     serve.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                        help="remote worker hosts (default: REPRO_HOSTS "
-                            "env var); implies --backend remote")
+                            "env var); selects the remote executor")
     serve.add_argument("--cache-capacity", type=int,
                        default=DEFAULT_CACHE_CAPACITY, metavar="N",
                        help="cross-request result cache size in "

@@ -104,10 +104,9 @@ class ServeConfig:
     queue_limit: int = 64
     retry_after: float = 0.25
     jobs: Optional[int] = None
-    backend: Optional[str] = None
-    # Remote-backend worker hosts ('host:port,host:port'; None falls
-    # back to REPRO_HOSTS).  Setting hosts without a backend selects
-    # the remote backend.
+    # Worker hosts ('host:port,host:port'; None falls back to
+    # REPRO_HOSTS).  Hosts select the remote executor; without them,
+    # jobs > 1 selects the local process pool.
     hosts: Optional[str] = None
     # Cross-request result cache capacity in responses (0 disables).
     # Keyed on (model, model generation, derived seed, n_records), so
@@ -220,9 +219,7 @@ class ServeDaemon:
         """Bind, spawn server + scheduler threads, start accepting."""
         if self._server is not None:
             raise RuntimeError("daemon already started")
-        self._executor = get_executor(self.config.jobs,
-                                      self.config.backend,
-                                      self.config.hosts)
+        self._executor = get_executor(self.config.jobs, self.config.hosts)
         self._server = _ServeServer(
             (self.config.host, self.config.port), _Handler)
         self._server.serve_daemon = self

@@ -20,6 +20,7 @@ untouched by these values.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -43,9 +44,15 @@ def _json_default(value: Any) -> Any:
     return str(value)
 
 
+#: Per-process session counter: two sessions that one process opens
+#: within the same second still get distinct run ids (zero-padded, so
+#: the ids keep sorting chronologically).
+_RUN_SEQUENCE = itertools.count(1)
+
+
 def _new_run_id() -> str:
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    return f"{stamp}-p{os.getpid()}"
+    return f"{stamp}-p{os.getpid()}-{next(_RUN_SEQUENCE):04d}"
 
 
 class RunJournal:

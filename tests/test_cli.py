@@ -37,25 +37,6 @@ class TestParser:
         ):
             assert parser.parse_args(argv).command == argv[0]
 
-    @pytest.mark.parametrize("argv", [
-        ["synthesize", "a.csv", "b.csv"],
-        ["generate", "m.npz", "b.csv"],
-        ["serve", "--model", "demo=m.npz"],
-    ])
-    def test_backend_choices_follow_the_registry(self, argv, capsys):
-        """Every CLI takes --backend from repro.runtime.BACKENDS, so the
-        removed 'shm' name is refused everywhere alike."""
-        from repro.runtime import BACKENDS
-        from repro.serve.__main__ import build_parser as serve_parser
-
-        parser = serve_parser() if argv[0] == "serve" else build_parser()
-        for backend in BACKENDS:
-            assert parser.parse_args(argv + ["--backend", backend]).backend \
-                == backend
-        with pytest.raises(SystemExit):
-            parser.parse_args(argv + ["--backend", "shm"])
-        assert "invalid choice: 'shm'" in capsys.readouterr().err
-
 
 class TestDatasetCommand:
     def test_writes_csv(self, dataset_csv):
@@ -112,6 +93,21 @@ class TestSynthesizeCommand:
             "--save-model", str(tmp_path / "x.npz"),
         ])
         assert code == 2
+
+    def test_hosts_rejected_for_baselines(self, dataset_csv, tmp_path,
+                                          capsys):
+        """Baselines reach worker hosts only through REPRO_HOSTS, so
+        --hosts is refused rather than dropped for a local run."""
+        out = tmp_path / "x.csv"
+        code = main([
+            "synthesize", str(dataset_csv), str(out),
+            "--model", "E-WGAN-GP", "--epochs", "2", "--records", "50",
+            "--jobs", "2", "--hosts", "127.0.0.1:9",
+        ])
+        assert code == 2
+        assert "--hosts only supports the NetShare model" in \
+            capsys.readouterr().out
+        assert not out.exists()
 
     def test_baseline_model(self, dataset_csv, tmp_path):
         out = tmp_path / "ctgan.csv"

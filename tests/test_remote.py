@@ -242,11 +242,21 @@ class TestParseHosts:
 
     def test_get_executor_selects_remote_for_hosts(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        ex = get_executor(2, None, hosts="a:1,b:2")
+        monkeypatch.delenv(HOSTS_ENV_VAR, raising=False)
+        ex = get_executor(2, hosts="a:1,b:2")
         assert isinstance(ex, RemoteExecutor)
         assert ex.name == "remote"
         assert ex.host_labels == ["a:1", "b:2"]
+        ex.close()
+        # Hosts select remote at any job count, and REPRO_HOSTS alone
+        # selects it too.
+        ex = get_executor(1, hosts="a:1")
+        assert ex.name == "remote"
+        ex.close()
+        monkeypatch.setenv(HOSTS_ENV_VAR, "envhost:9")
+        ex = get_executor()
+        assert ex.name == "remote"
+        assert ex.host_labels == ["envhost:9"]
         ex.close()
 
     def test_backoff_grows_to_cap(self):
@@ -353,6 +363,20 @@ class TestLoopbackMap:
         with pytest.raises(ZeroDivisionError):
             executor.map_tasks(_div_by, [0])
 
+    def test_dispatch_follows_the_configured_host_order(self, hosts):
+        """Equally healthy hosts take tasks in the order they were
+        listed, whatever their ports: listed in reverse label order, a
+        one-task map still ships its blob to the first host only."""
+        ordered = sorted(hosts, key=lambda h: h.label, reverse=True)
+        ex = RemoteExecutor(hosts=[h.address for h in ordered])
+        try:
+            task = {"ref": np.arange(8.0), "scale": 1}
+            assert ex.map_tasks(_scaled_sum, [task]) == [28.0]
+            assert {label for label, _ in ex.ship_counts} == \
+                {ordered[0].label}
+        finally:
+            ex.close()
+
     def test_closed_executor_rejects_maps(self, hosts):
         ex = RemoteExecutor(hosts=[h.address for h in hosts])
         ex.close()
@@ -372,6 +396,16 @@ def _explode_once(task):
     if value == 2 and not os.path.exists(marker):
         open(marker, "w").close()
         os._exit(1)
+    return value * 10
+
+
+def _stall_once(task):
+    """Hang past the per-task deadline the first time task 0 runs;
+    answer at once on the retry (the marker file is the memory)."""
+    value, marker = task
+    if value == 0 and not os.path.exists(marker):
+        open(marker, "w").close()
+        time.sleep(3.0)
     return value * 10
 
 
@@ -471,6 +505,28 @@ class TestFaultModel:
             ex.close()
             survivor.stop()
             victim.stop()
+
+    def test_task_deadline_requeues_a_hung_task(self, tmp_path,
+                                                 monkeypatch):
+        """REPRO_REMOTE_TIMEOUT bounds how long a host may hold a task:
+        the host that hangs is taken down, its task re-runs on the
+        other host, and the executor keeps working."""
+        monkeypatch.setenv("REPRO_REMOTE_TIMEOUT", "1")
+        first = spawn_worker_host(jobs=1, env=HOST_ENV)
+        second = spawn_worker_host(jobs=1, env=HOST_ENV)
+        ex = RemoteExecutor(hosts=[first.address, second.address])
+        try:
+            tasks = [(value, str(tmp_path / "stalled"))
+                     for value in range(4)]
+            expected = [value * 10 for value in range(4)]
+            assert ex.map_tasks(_stall_once, tasks) == expected
+            assert ex.stats["host_failures"] == 1
+            assert ex.stats["retries"] >= 1
+            assert ex.map_tasks(_stall_once, tasks) == expected
+        finally:
+            ex.close()
+            first.stop()
+            second.stop()
 
     def test_all_hosts_dead_raises(self):
         host = spawn_worker_host(jobs=1, env=HOST_ENV)
@@ -590,7 +646,6 @@ class TestRemoteParity:
     def test_generate_bit_identical(self, fitted_serial, hosts):
         base = fitted_serial.generate(80, seed=3)
         remote = fitted_serial.generate(80, seed=3, jobs=2,
-                                        backend="remote",
                                         hosts=_hosts_string(hosts))
         for name, column in base._columns().items():
             np.testing.assert_array_equal(

@@ -18,8 +18,7 @@ from repro.baselines import EWganGp
 from repro.core.flow_encoder import EncodedFlows
 from repro.gan.doppelganger import DgConfig, DoppelGANger
 from repro.runtime import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
+    HOSTS_ENV_VAR,
     ChunkTask,
     MultiprocessingExecutor,
     SerialExecutor,
@@ -27,7 +26,6 @@ from repro.runtime import (
     freeze_state,
     get_executor,
     load_state_npz,
-    resolve_backend,
     resolve_jobs,
     save_state_npz,
     thaw_state,
@@ -74,7 +72,7 @@ class TestResolveJobs:
 
     def test_get_executor_backends(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        monkeypatch.delenv(HOSTS_ENV_VAR, raising=False)
         assert isinstance(get_executor(), SerialExecutor)
         assert isinstance(get_executor(1), SerialExecutor)
         assert isinstance(get_executor(4), MultiprocessingExecutor)
@@ -83,36 +81,6 @@ class TestResolveJobs:
 
 
 class TestBackendSelection:
-    def test_resolve_backend_explicit(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        assert resolve_backend("multiprocessing") == "multiprocessing"
-
-    def test_resolve_backend_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "multiprocessing")
-        assert resolve_backend() == "multiprocessing"
-
-    def test_resolve_backend_default_none(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend() is None
-
-    def test_resolve_backend_rejects_unknown(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        with pytest.raises(ValueError):
-            resolve_backend("threads")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(ValueError):
-            resolve_backend()
-
-    def test_get_executor_named_backends(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert BACKENDS == ("serial", "multiprocessing", "remote")
-        assert isinstance(get_executor(4, "serial"), SerialExecutor)
-        pool = get_executor(1, "multiprocessing")
-        assert isinstance(pool, MultiprocessingExecutor)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "multiprocessing")
-        assert isinstance(get_executor(2), MultiprocessingExecutor)
-
     def test_single_machine_path_never_loads_the_socket_layer(self):
         """``get_executor`` imports the remote backend only to build a
         ``remote`` executor, so importing the package, building a pool
@@ -125,8 +93,7 @@ class TestBackendSelection:
             "get_executor(2).close()\n"
             "print(sorted(m for m in sys.modules if m in\n"
             "      ('repro.runtime.remote', 'repro.runtime.wire')))\n")
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("REPRO_BACKEND", "REPRO_HOSTS")}
+        env = {k: v for k, v in os.environ.items() if k != HOSTS_ENV_VAR}
         env["PYTHONPATH"] = os.pathsep.join(
             [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
         proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -143,16 +110,6 @@ class TestBackendSelection:
         serial = SerialExecutor().map_tasks(_square, arrays)
         for a, b in zip(pooled, serial):
             np.testing.assert_array_equal(a, b)
-
-    def test_shm_is_rejected(self, monkeypatch):
-        """The staged pool is the ``multiprocessing`` backend; the old
-        ``shm`` name is gone rather than aliased."""
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        with pytest.raises(ValueError, match="unknown backend 'shm'"):
-            get_executor(2, "shm")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "shm")
-        with pytest.raises(ValueError, match="unknown backend 'shm'"):
-            resolve_backend()
 
 
 class TestExecutors:
@@ -252,8 +209,7 @@ class TestBackendDeterminism:
         tensors live, not what any task computes: staged chunk models
         match serial exactly."""
         monkeypatch.setenv("REPRO_MEASURE_DISPATCH", "1")
-        staged = NetShare(
-            fast_config(jobs=2, backend="multiprocessing")).fit(netflow)
+        staged = NetShare(fast_config(jobs=2)).fit(netflow)
         assert staged.backend == "multiprocessing"
         seed_state = pickle.dumps(fitted_serial._chunks[0].model.state_dict(),
                                   protocol=pickle.HIGHEST_PROTOCOL)
@@ -269,8 +225,7 @@ class TestBackendDeterminism:
         """Parallel generation fans per-chunk sampling out as staged
         tasks; the trace must be bit-identical to serial."""
         base = fitted_serial.generate(80, seed=3)
-        alt = fitted_serial.generate(80, seed=3, jobs=2,
-                                     backend="multiprocessing")
+        alt = fitted_serial.generate(80, seed=3, jobs=2)
         for column in ("src_ip", "dst_ip", "src_port", "dst_port",
                        "protocol", "start_time", "duration",
                        "packets", "bytes"):
@@ -375,15 +330,16 @@ class TestNetShareSaveLoad:
 
     def test_archive_naming_shm_loads_as_the_pool(self, fitted_serial,
                                                   tmp_path):
-        """Archives written while ``shm`` named the staged pool still
-        load and generate, on the backend that replaced it."""
+        """Archives written while a config named a backend (``shm``
+        included) still load, without the field, and generate
+        bit-identically."""
         path = tmp_path / "model.npz"
         fitted_serial.save(path)
         state = load_state_npz(path)
         state["config"]["backend"] = "shm"
         save_state_npz(path, state)
         loaded = NetShare.load(path)
-        assert loaded.config.backend == "multiprocessing"
+        assert not hasattr(loaded.config, "backend")
         np.testing.assert_array_equal(
             loaded.generate(60, seed=2, jobs=1).src_ip,
             fitted_serial.generate(60, seed=2).src_ip)

@@ -195,6 +195,25 @@ class TestJournal:
         assert meta["run_id"] == "z-run"
         assert any(e["event"] == "second" for e in events)
 
+    def test_sessions_within_one_second_get_their_own_runs(
+            self, tmp_path, monkeypatch):
+        """Two sessions one process opens within the same second (the
+        clock is pinned) write two runs, each with its own label and
+        one ``run_start``."""
+        monkeypatch.setattr("repro.telemetry.journal.time.strftime",
+                            lambda fmt: "20260101-000000")
+        labels = ("first", "second")
+        run_dirs = []
+        for label in labels:
+            with telemetry.session(journal_dir=tmp_path,
+                                   label=label) as journal:
+                run_dirs.append(journal.directory)
+        assert run_dirs[0] != run_dirs[1]
+        for run_dir, label in zip(run_dirs, labels):
+            meta, events = load_journal(run_dir)
+            assert meta["label"] == label
+            assert [e["event"] for e in events].count("run_start") == 1
+
     def test_summarize_and_render(self, tmp_path):
         with telemetry.session(journal_dir=tmp_path, label="r") as journal:
             telemetry.emit_event("worker_retry", task=3, attempt=1, pid=99)
