@@ -2,11 +2,11 @@
 
 A recorded tape (``repro.nn.tape``) is a tiny IR: a flat list of kernel
 entries over concrete numpy buffers, plus a liveness coloring that maps
-logical intermediates onto shared physical storage and a peephole
-fusion grouping.  End-to-end bitwise parity on tested cases is the only
-evidence today that a given plan is sound; this module adds a proof
-per tape, re-deriving the invariants from the pre-remap entries and
-checking the planner's output against them:
+logical intermediates onto shared physical storage.  End-to-end bitwise
+parity on tested cases is the only evidence today that a given plan is
+sound; this module adds a proof per tape, re-deriving the invariants
+from the pre-remap entries and checking the planner's output against
+them:
 
 * **dataflow soundness** — SSA-style def-use over the recorded entry
   stream: every read of a tape-owned buffer is dominated by a write
@@ -19,19 +19,17 @@ checking the planner's output against them:
   kernels are findings (``contract-missing``), and an ``out=`` that
   overlaps an input is only legal when the contract allows aliasing
   *and* the overlap is exact (``contract-alias``);
-* **fusion legality** — each fused group must be consecutive entries
-  chained by dataflow with known contracts (``fusion-nonadjacent``,
-  ``fusion-unlinked``, ``fusion-contract``);
 * **replay determinism** — taped rng buffers are refreshed before
   their first read and written by nothing else (``rng-stale-read``,
   ``rng-clobber``), and bound input buffers (compiled inference) are
   never written by the tape, so the runner's pre-replay ``np.copyto``
   refresh dominates every read (``bound-clobber``).
 
-The verifier runs at tape build time (``REPRO_NN_VERIFY``, default on)
-and under ``python -m repro.analysis --check-tapes``; what it cannot
-prove statically, the runtime sanitizer (``REPRO_NN_SANITIZE=1``,
-see ``repro.nn.tape``) traps dynamically.
+The verifier runs at every tape build (tooling that collects findings
+turns it off with ``configure_verify(False)``) and under
+``python -m repro.analysis --check-tapes``; what it cannot prove
+statically, the runtime sanitizer (``REPRO_NN_SANITIZE=1``, see
+``repro.nn.tape``) traps dynamically.
 """
 
 from __future__ import annotations
@@ -42,8 +40,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..nn.contracts import contract_for, kernel_name
-from ..nn.tape import TapePlan, _accepts_out, _entry_refs, _links_to, \
-    _out_of, _walk_arrays
+from ..nn.tape import TapePlan, _accepts_out, _entry_refs, _walk_arrays
 
 __all__ = ["TapeFinding", "TapeVerificationError", "verify_plan",
            "verify_tape", "verify_or_raise", "TAPE_RULES"]
@@ -52,8 +49,7 @@ __all__ = ["TapeFinding", "TapeVerificationError", "verify_plan",
 TAPE_RULES = (
     "use-before-def", "lifetime-overlap", "storage-mismatch",
     "pinned-recycled", "contract-missing", "contract-kind",
-    "contract-alias", "fusion-nonadjacent", "fusion-unlinked",
-    "fusion-contract", "rng-stale-read", "rng-clobber", "bound-clobber",
+    "contract-alias", "rng-stale-read", "rng-clobber", "bound-clobber",
 )
 
 
@@ -314,40 +310,7 @@ class _Verifier:
                         f"copy destination {_describe(dst)} partially "
                         f"overlaps its source")
 
-    # -- (3) fusion legality -------------------------------------------
-    def check_fusion(self) -> None:
-        post = self.plan.post_entries
-        for group in self.plan.groups:
-            if len(group) < 2:
-                continue
-            start = group[0]
-            if tuple(group) != tuple(range(start, start + len(group))):
-                self.report(
-                    "fusion-nonadjacent", start,
-                    f"fused group {list(group)} is not a consecutive "
-                    f"entry range")
-                continue
-            for j in range(len(group) - 1):
-                prev, nxt = post[group[j]], post[group[j + 1]]
-                if not _links_to(nxt, _out_of(prev)):
-                    self.report(
-                        "fusion-unlinked", group[j + 1],
-                        f"fused op does not consume the previous op's "
-                        f"output (group {list(group)})")
-            for index in group:
-                entry = post[index]
-                if entry[0] not in ("k", "a"):
-                    self.report(
-                        "fusion-contract", index,
-                        f"non-kernel entry {entry[0]!r} inside a fused "
-                        f"group")
-                elif contract_for(entry[1]) is None:
-                    self.report(
-                        "fusion-contract", index,
-                        f"fused kernel {kernel_name(entry[1])!r} has no "
-                        f"declared contract to compose from")
-
-    # -- (4) replay determinism: rng stream + bound inputs -------------
+    # -- (3) replay determinism: rng stream + bound inputs -------------
     def check_rng(self) -> None:
         refreshed_at: Dict[int, int] = {}
         for i, entry in enumerate(self.plan.pre_entries):
@@ -393,7 +356,6 @@ class _Verifier:
         self.check_dataflow()
         self.check_coloring()
         self.check_contracts()
-        self.check_fusion()
         self.check_rng()
         self.check_binds()
         self.findings.sort(key=lambda f: (f.op_index, f.rule))
@@ -416,7 +378,7 @@ def verify_tape(tape) -> List[TapeFinding]:
 
 def verify_or_raise(tape) -> None:
     """Build-time hook: raise :class:`TapeVerificationError` on any
-    finding (called from ``Tape.__init__`` when ``REPRO_NN_VERIFY``)."""
+    finding (called from ``Tape.__init__`` on every recording)."""
     findings = verify_tape(tape)
     if findings:
         raise TapeVerificationError(findings)

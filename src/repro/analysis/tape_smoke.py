@@ -165,8 +165,6 @@ def _verify_family(family: str) -> Dict:
             reports.append({
                 "label": tape.label,
                 "ops": len(tape.plan.post_entries),
-                "fused_groups": sum(
-                    1 for g in tape.plan.groups if len(g) > 1),
                 "findings": [f.to_dict() for f in findings],
             })
         return {

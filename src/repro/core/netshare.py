@@ -317,7 +317,11 @@ class NetShare:
         )
         model = DoppelGANger(self._gan_config(self._encoder), seed=cfg.seed)
         model.fit(encoded, epochs=cfg.dp_public_epochs)
-        return model.state_dict()
+        state = model.state_dict()
+        # The model is a reference cycle: free its tapes now, before
+        # the DP fit forks workers that would inherit them.
+        model.release_tapes()
+        return state
 
     def _account_epsilon(self) -> float:
         cfg = self.config

@@ -65,7 +65,6 @@ from .tape import (
     CompiledStep,
     LiveRng,
     TAPE_ENV_VAR,
-    VERIFY_ENV_VAR,
     TapeSanitizerError,
     bucket_size,
     compiled_infer,
@@ -91,7 +90,7 @@ __all__ = [
     "KernelContract", "declare_kernel", "contract_for", "kernel_name",
     "CompiledStep", "compiled_step", "TAPE_ENV_VAR", "tape_enabled",
     "tape_stats", "invalidate_tapes",
-    "VERIFY_ENV_VAR", "verify_enabled", "configure_verify",
+    "verify_enabled", "configure_verify",
     "TapeSanitizerError",
     "CompiledInfer", "compiled_infer", "LiveRng", "bucket_size",
 ]

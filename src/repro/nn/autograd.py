@@ -288,8 +288,6 @@ class Tensor:
         return Tensor._make(out_data, (self,), vjp)
 
     def sigmoid(self) -> "Tensor":
-        # The recorded 5-kernel chain (clip, negate, exp, 1+, 1/) is
-        # what the peephole fusion pass collapses into one closure.
         clipped = _ka(np.clip, self.data, -60.0, 60.0)
         out_data = _ka(np.divide, 1.0,
                        _ka(np.add, 1.0, _ka(np.exp, _ka(np.negative,

@@ -30,18 +30,17 @@ buffers, so three invariants carry the bitwise-parity argument:
   tests guard this); anything data-dependent — accept/reject loops,
   logging, ``loss.item()`` consumers — stays outside in the wrapper.
 
-The planner then runs two passes over the recorded program:
+The planner then runs one pass over the recorded program, a
+**liveness pass**: tape-owned intermediates are colored onto a
+minimal set of physical buffers — a buffer is released at its last
+use and its storage reused by later entries of the same shape, which
+shrinks the replay working set.  Replay runs one prebuilt closure per
+planned entry.  Wrapping adjacent closures in one more closure would
+add a Python call, not remove one, so there is no fusion pass.
 
-* a **liveness pass**: tape-owned intermediates are colored onto a
-  minimal set of physical buffers — a buffer is released at its last
-  use and its storage reused by later entries of the same shape,
-  shrinking peak tape bytes (the refcount-aware recycling §10 named
-  as the next lever);
-* a **peephole fusion pass**: adjacent entry pairs/chains whose link
-  value is tape-local (``matmul+add``, ``mul+add``, the 5-kernel
-  sigmoid chain) are merged into one composite closure, eliminating
-  per-entry dispatch — the tape-level generalization of the hand-done
-  GRU/LSTM gate fusions.
+Every new tape is statically verified (``repro.analysis.tape_check``)
+before it is cached; only tooling turns that off, through
+:func:`configure_verify`.
 
 Eager stays the oracle: ``REPRO_NN_TAPE=0`` (or
 :func:`configure`) disables compilation entirely and every
@@ -53,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
+from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -62,7 +62,6 @@ from . import sanitize as _sanitize
 
 __all__ = [
     "TAPE_ENV_VAR",
-    "VERIFY_ENV_VAR",
     "Recorder",
     "RECORDER",
     "Tape",
@@ -95,16 +94,13 @@ __all__ = [
 #: keep every step on the eager path (the parity oracle).
 TAPE_ENV_VAR = "REPRO_NN_TAPE"
 
-#: Set to ``0`` to skip the static tape verifier at build time.  On by
-#: default: verification runs once per recording (never on the warm
-#: replay path), and a tape that fails it would silently corrupt
-#: everything downstream.
-VERIFY_ENV_VAR = "REPRO_NN_VERIFY"
-
 _OFF_VALUES = frozenset({"0", "false", "off", "no"})
 
 _forced: Optional[bool] = None
-_verify_forced: Optional[bool] = None
+#: Build-time verification runs once per recording (never on the warm
+#: replay path); a tape that failed it would silently corrupt
+#: everything downstream, so it is always on outside tooling.
+_verify = True
 
 
 def tape_enabled() -> bool:
@@ -123,18 +119,16 @@ def configure(enabled: Optional[bool]) -> None:
 
 def verify_enabled() -> bool:
     """True when every newly built tape is statically verified."""
-    if _verify_forced is not None:
-        return _verify_forced
-    return os.environ.get(VERIFY_ENV_VAR, "1").strip().lower() not in _OFF_VALUES
+    return _verify
 
 
 def configure_verify(enabled: Optional[bool]) -> None:
-    """Force build-time tape verification on/off (``None`` restores the
-    environment default).  The smoke recorder turns it off to *collect*
+    """Turn build-time tape verification on/off (``None`` restores the
+    default, on).  The smoke recorder turns it off to *collect*
     findings instead of raising on the first one; tests build known-bad
     tapes the same way."""
-    global _verify_forced
-    _verify_forced = enabled if enabled is None else bool(enabled)
+    global _verify
+    _verify = True if enabled is None else bool(enabled)
 
 
 class TapeSanitizerError(RuntimeError):
@@ -160,11 +154,11 @@ def invalidate_tapes() -> None:
 # count as hits/misses; forward-only inference tapes keep their own
 # pair so the bench's mixed-request-size gate sees only the sampler.
 _STATS = {"hits": 0, "misses": 0, "infer_hits": 0, "infer_misses": 0,
-          "fused_ops": 0, "bytes_recorded": 0, "bytes_planned": 0}
+          "bytes_recorded": 0, "bytes_planned": 0}
 
 
 def tape_stats() -> Dict[str, int]:
-    """Process-wide tape counters (replays, records, fusion, bytes)."""
+    """Process-wide tape counters (replays, records, bytes)."""
     return dict(_STATS)
 
 
@@ -371,7 +365,7 @@ def scratch(shape) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Planning: liveness coloring + peephole fusion + closure build
+# Planning: liveness coloring + closure build
 # ----------------------------------------------------------------------
 # Callables that accept ``out=`` (ufuncs are detected by type).
 _OUT_CAPABLE = {np.sum, np.max, np.min, np.stack, np.concatenate,
@@ -422,9 +416,9 @@ def _entry_refs(entry: Tuple):
 
 class TapePlan:
     """The planner's full output, retained for verification and the
-    sanitizer: the recorded IR before and after storage remapping, the
-    ownership/pinning/interval metadata the coloring was derived from,
-    and the fusion grouping.  ``repro.analysis.tape_check`` re-derives
+    sanitizer: the recorded IR before and after storage remapping, and
+    the ownership/pinning/interval metadata the coloring was derived
+    from.  ``repro.analysis.tape_check`` re-derives
     the invariants from ``pre_entries`` and checks the coloring and the
     ``post_entries`` against them; the sanitized replay builds its
     poison/def schedule from the intervals.
@@ -435,7 +429,7 @@ class TapePlan:
     """
 
     __slots__ = ("pre_entries", "post_entries", "owned", "pinned",
-                 "first", "last", "mapping", "groups", "origins",
+                 "first", "last", "mapping", "origins",
                  "binds", "outs", "scalar", "label",
                  "bytes_recorded", "bytes_planned")
 
@@ -447,7 +441,6 @@ class TapePlan:
         self.first: Dict[int, int] = {}
         self.last: Dict[int, int] = {}
         self.mapping: Dict[int, np.ndarray] = {}
-        self.groups: List[Tuple[int, ...]] = []
         self.origins: List[Optional[str]] = []
         self.binds: List[Optional[np.ndarray]] = []
         self.outs: List[np.ndarray] = []
@@ -598,81 +591,6 @@ def _make_closure(entry: Tuple) -> Callable[[], Any]:
     return entry[1]  # host closure
 
 
-def _out_of(entry: Tuple) -> Optional[np.ndarray]:
-    if entry[0] == "k":
-        return entry[3]
-    if entry[0] in ("a", "g"):
-        return entry[3]
-    return None
-
-
-def _links_to(entry: Tuple, value: Optional[np.ndarray]) -> bool:
-    if value is None or entry[0] not in ("k", "a"):
-        return False
-    return any(a is value for a in entry[2])
-
-
-_SIGMOID_CHAIN = (np.clip, np.negative, np.exp, np.add, np.divide)
-
-
-def _fuse(entries: List[Tuple], closures: List[Callable]
-          ) -> Tuple[List[Callable], int, List[Tuple[int, ...]]]:
-    """Peephole pass: merge adjacent entries whose link value flows
-    straight into the next kernel.  Fusion only coalesces Python
-    dispatch — the composite closure runs the identical kernel
-    sequence on the identical buffers, so it is bitwise-neutral.
-
-    Returns the fused closure list, the number of dispatches removed,
-    and — for the verifier — one entry-index tuple per closure (a
-    singleton for unfused ops, the constituent indices for groups).
-    """
-    fused: List[Callable] = []
-    groups: List[Tuple[int, ...]] = []
-    removed = 0
-    i = 0
-    n = len(entries)
-    while i < n:
-        entry = entries[i]
-        fn = entry[1] if entry[0] in ("k", "a") else None
-        # sigmoid chain: clip -> negative -> exp -> 1+ -> 1/
-        if fn is _SIGMOID_CHAIN[0] and i + 4 < n:
-            window = entries[i:i + 5]
-            if all(w[0] in ("k", "a") and w[1] is _SIGMOID_CHAIN[j]
-                   for j, w in enumerate(window)) and all(
-                       _links_to(window[j + 1], _out_of(window[j]))
-                       for j in range(4)):
-                ops = [closures[i + j] for j in range(5)]
-
-                def run5(ops=tuple(ops)):
-                    for op in ops:
-                        op()
-                fused.append(run5)
-                groups.append(tuple(range(i, i + 5)))
-                removed += 4
-                i += 5
-                continue
-        # pairwise: (matmul|multiply) + add, tanh feeding a multiply
-        if fn in (np.matmul, np.multiply, np.tanh) and i + 1 < n:
-            nxt = entries[i + 1]
-            wanted = np.add if fn in (np.matmul, np.multiply) else np.multiply
-            if (nxt[0] in ("k", "a") and nxt[1] is wanted
-                    and _links_to(nxt, _out_of(entry))):
-                first_op, second_op = closures[i], closures[i + 1]
-
-                def run2(a=first_op, b=second_op):
-                    a()
-                    b()
-                fused.append(run2)
-                groups.append((i, i + 1))
-                removed += 1
-                i += 2
-                continue
-        fused.append(closures[i])
-        groups.append((i,))
-        i += 1
-    return fused, removed, groups
-
-
 #: Open tape-collection buckets (see :func:`collect_tapes`); every
 #: finished ``Tape`` is appended to each.  Empty in normal operation.
 _COLLECTORS: List[List["Tape"]] = []
@@ -700,8 +618,8 @@ def collect_tapes():
 class Tape:
     """A finalized, replayable step: closures plus output buffers.
 
-    Construction runs the planner (liveness coloring + fusion), then —
-    unless ``REPRO_NN_VERIFY=0`` — the static verifier
+    Construction runs the planner (liveness coloring), builds one
+    closure per planned entry, then runs the static verifier
     (``repro.analysis.tape_check``), which proves the recorded schedule
     sound before it is ever replayed; a verifier finding raises
     ``TapeVerificationError`` instead of caching a corrupt tape.  The
@@ -709,7 +627,7 @@ class Tape:
     verifier, the sanitizer, and tooling.
     """
 
-    __slots__ = ("ops", "outs", "scalar", "generation", "fused_ops",
+    __slots__ = ("ops", "outs", "scalar", "generation",
                  "bytes_recorded", "bytes_planned", "plan",
                  "label", "_san")
 
@@ -719,9 +637,7 @@ class Tape:
                  origins: Optional[List[Optional[str]]] = None,
                  label: str = "tape"):
         plan = _plan_buffers(entries, owned, outs)
-        closures = [_make_closure(e) for e in plan.post_entries]
-        self.ops, self.fused_ops, plan.groups = _fuse(
-            plan.post_entries, closures)
+        self.ops = [_make_closure(e) for e in plan.post_entries]
         plan.outs = outs
         plan.scalar = scalar
         plan.label = label
@@ -750,15 +666,6 @@ class Tape:
             return
         for op in self.ops:
             op()
-
-    def results(self):
-        if self.scalar:
-            return float(self.outs[0])
-        return [float(o) for o in self.outs]
-
-    def result_arrays(self):
-        arrays = [o.copy() for o in self.outs]
-        return arrays[0] if self.scalar else arrays
 
     # -- sanitized replay (REPRO_NN_SANITIZE=1) ------------------------
     def _build_sanitizer(self):
@@ -802,8 +709,6 @@ class Tape:
             r, w = _entry_refs(entry)
             reads.append(rooted(r))
             writes.append(rooted(w))
-        # Unfused closures: exact per-entry indices (fusion is dispatch
-        # coalescing only, so op-for-op replay is bitwise identical).
         ops = [_make_closure(e) for e in plan.post_entries]
         self._san = (ops, reads, writes, allowed, expiry,
                      frozenset(poisonable), storages)
@@ -840,87 +745,124 @@ class Tape:
 
 
 # ----------------------------------------------------------------------
-# The public wrapper
+# The public wrappers
 # ----------------------------------------------------------------------
-#: Per-CompiledStep tape cache bound (LRU): chunked fine-tuning swaps
-#: data arrays, and each distinct array identity records a fresh tape.
+#: Per-wrapper tape cache bound (LRU): chunked fine-tuning swaps data
+#: arrays, and each distinct array identity records a fresh tape.
 _MAX_TAPES = 4
 
 
-class CompiledStep:
-    """Compile a training-step function into replayable tapes.
+class _Compiled:
+    """The record path both public wrappers share.
 
-    ``fn(*args)`` must run one full training step, must route every
-    per-step random draw through :func:`taped_draw`, and must return
-    the scalar loss ``Tensor`` (or a list of them).  ``run(key, ...)``
-    returns the loss as float(s).  ``key`` is the step's shape
-    signature — batch sizes plus the identities of the arrays the step
-    closes over; any change records a fresh tape.
-
-    When tapes are disabled (``REPRO_NN_TAPE=0``) or a recording is
-    already open (a compiled step nested inside another compiled
-    region), the call falls through to the eager body.
+    ``run(key, *args)`` replays the tape cached under ``key``, or runs
+    the eager body under the recorder and caches the tape it leaves.
+    The cache keeps the ``_MAX_TAPES`` most recently used keys: a
+    replay moves its key to the back, and a recording past the bound
+    evicts the front.  When tapes are disabled (``REPRO_NN_TAPE=0``)
+    or a recording is already open (a compiled call nested inside
+    another compiled region), the call falls through to the eager body.
     """
 
-    __slots__ = ("fn", "label", "extract", "_tapes")
+    __slots__ = ("fn", "label", "_tapes")
 
-    def __init__(self, fn: Callable, label: str = "step",
-                 extract: str = "float"):
+    #: (``_STATS`` key, telemetry counter) of a replay and a recording.
+    _hit = ("hits", "nn.tape.hits")
+    _miss = ("misses", "nn.tape.misses")
+
+    def __init__(self, fn: Callable, label: str):
         self.fn = fn
         self.label = label
-        self.extract = extract
-        self._tapes: Dict[Tuple, Tape] = {}
+        self._tapes: "OrderedDict[Tuple, Tape]" = OrderedDict()
 
-    def _finish(self, result):
+    def clear(self) -> None:
+        """Drop every recorded tape and the storage it holds."""
+        self._tapes.clear()
+
+    def _body(self, args) -> Tuple[List[np.ndarray], bool]:
+        """Run ``fn`` eagerly: its output arrays, and whether it
+        returned one value rather than a list."""
+        result = self.fn(*args)
         scalar = not isinstance(result, (list, tuple))
         tensors = [result] if scalar else list(result)
         outs = [t.data if hasattr(t, "data") else np.asarray(t)
                 for t in tensors]
         return outs, scalar
 
-    def clear(self) -> None:
-        """Drop every recorded tape and the storage it holds."""
-        self._tapes.clear()
+    def _bind(self, args) -> Tuple[List[Optional[np.ndarray]], Tuple]:
+        """The bound input buffers of a new recording, and the
+        arguments its body runs on."""
+        return [], args
 
-    def _eager(self, args):
-        outs, scalar = self._finish(self.fn(*args))
-        if self.extract == "array":
-            arrays = [o.copy() for o in outs]
-            return arrays[0] if scalar else arrays
-        values = [float(o) for o in outs]
-        return values[0] if scalar else values
+    def _output(self, outs: List[np.ndarray], scalar: bool):
+        arrays = [o.copy() for o in outs]
+        return arrays[0] if scalar else arrays
 
     def run(self, key: Tuple, *args):
         if not tape_enabled() or RECORDER.active:
-            return self._eager(args)
+            return self._output(*self._body(args))
         tape = self._tapes.get(key)
         if tape is not None and tape.generation == _GENERATION:
+            self._tapes.move_to_end(key)
+            for buf, arg in zip(tape.plan.binds, args):
+                if buf is not None:
+                    np.copyto(buf, arg, casting="unsafe")
             tape.replay()
-            _STATS["hits"] += 1
-            if _TELEMETRY.enabled:
-                _TELEMETRY.registry.counter("nn.tape.hits").inc()
-            return (tape.result_arrays() if self.extract == "array"
-                    else tape.results())
+            _count(self._hit)
+        else:
+            tape = self._record(key, args)
+        return self._output(tape.outs, tape.scalar)
+
+    def _record(self, key: Tuple, args) -> Tape:
+        binds, bound = self._bind(args)
         RECORDER.begin()
         try:
-            outs, scalar = self._finish(self.fn(*args))
+            outs, scalar = self._body(bound)
         finally:
             entries = RECORDER.end()
-        tape = Tape(entries, RECORDER.owned, outs, scalar,
+        tape = Tape(entries, RECORDER.owned, outs, scalar, binds=binds,
                     origins=RECORDER.origins, label=self.label)
+        self._tapes.pop(key, None)   # a stale tape under this key
         if len(self._tapes) >= _MAX_TAPES:
-            self._tapes.pop(next(iter(self._tapes)))
+            self._tapes.popitem(last=False)
         self._tapes[key] = tape
-        _STATS["misses"] += 1
-        _STATS["fused_ops"] += tape.fused_ops
+        _count(self._miss)
         _STATS["bytes_recorded"] += tape.bytes_recorded
         _STATS["bytes_planned"] += tape.bytes_planned
-        if _TELEMETRY.enabled:
-            registry = _TELEMETRY.registry
-            registry.counter("nn.tape.misses").inc()
-            registry.counter("nn.tape.fused_ops").inc(tape.fused_ops)
-        return (tape.result_arrays() if self.extract == "array"
-                else tape.results())
+        return tape
+
+
+def _count(counter: Tuple[str, str]) -> None:
+    stat, name = counter
+    _STATS[stat] += 1
+    if _TELEMETRY.enabled:
+        _TELEMETRY.registry.counter(name).inc()
+
+
+class CompiledStep(_Compiled):
+    """Compile a training-step function into replayable tapes.
+
+    ``fn(*args)`` must run one full training step, must route every
+    per-step random draw through :func:`taped_draw`, and must return
+    the scalar loss ``Tensor`` (or a list of them).  ``run(key, ...)``
+    returns the loss as float(s), or detached array copies with
+    ``extract="array"``.  ``key`` is the step's shape signature — batch
+    sizes plus the identities of the arrays the step closes over; any
+    change records a fresh tape.
+    """
+
+    __slots__ = ("extract",)
+
+    def __init__(self, fn: Callable, label: str = "step",
+                 extract: str = "float"):
+        super().__init__(fn, label)
+        self.extract = extract
+
+    def _output(self, outs: List[np.ndarray], scalar: bool):
+        if self.extract == "array":
+            return super()._output(outs, scalar)
+        values = [float(o) for o in outs]
+        return values[0] if scalar else values
 
 
 def compiled_step(fn: Callable, label: str = "step",
@@ -986,7 +928,7 @@ def bucket_size(n: int) -> int:
     return -(-n // _BUCKET_LINEAR) * _BUCKET_LINEAR
 
 
-class CompiledInfer:
+class CompiledInfer(_Compiled):
     """Compile a forward-only sampler body into replayable tapes.
 
     ``fn(*args)`` must run a no-grad forward — the wrapper opens
@@ -1008,90 +950,28 @@ class CompiledInfer:
     ``REPRO_NN_TAPE=0`` as the bitwise parity oracle.
     """
 
-    __slots__ = ("fn", "label", "_tapes")
+    __slots__ = ()
+
+    _hit = ("infer_hits", "nn.tape.infer.hits")
+    _miss = ("infer_misses", "nn.tape.infer.misses")
 
     def __init__(self, fn: Callable, label: str = "infer"):
-        self.fn = fn
-        self.label = label
-        self._tapes: Dict[Tuple, Tuple[Tape, List[Optional[np.ndarray]]]] = {}
+        super().__init__(fn, label)
 
-    def _finish(self, result):
-        scalar = not isinstance(result, (list, tuple))
-        tensors = [result] if scalar else list(result)
-        outs = [t.data if hasattr(t, "data") else np.asarray(t)
-                for t in tensors]
-        return outs, scalar
-
-    def clear(self) -> None:
-        """Drop every recorded tape and the storage it holds."""
-        self._tapes.clear()
-
-    def _eager(self, args):
+    def _body(self, args):
         from .autograd import no_grad
         with no_grad():
-            outs, scalar = self._finish(self.fn(*args))
-        arrays = [o.copy() for o in outs]
-        return arrays[0] if scalar else arrays
+            return super()._body(args)
 
-    def run(self, key: Tuple, *args):
-        if not tape_enabled() or RECORDER.active:
-            return self._eager(args)
-        cached = self._tapes.get(key)
-        if cached is not None and cached[0].generation == _GENERATION:
-            tape, binds = cached
-            for buf, arg in zip(binds, args):
-                if buf is not None:
-                    np.copyto(buf, arg, casting="unsafe")
-            tape.replay()
-            _STATS["infer_hits"] += 1
-            if _TELEMETRY.enabled:
-                _TELEMETRY.registry.counter("nn.tape.infer.hits").inc()
-            return tape.result_arrays()
-        binds: List[Optional[np.ndarray]] = []
-        bound: List[Any] = []
-        for arg in args:
-            if isinstance(arg, np.ndarray):
-                buf = arg.copy()
-                binds.append(buf)
-                bound.append(buf)
-            else:
-                binds.append(None)
-                bound.append(arg)
-        from .autograd import no_grad
-        RECORDER.begin()
-        try:
-            with no_grad():
-                outs, scalar = self._finish(self.fn(*bound))
-        finally:
-            entries = RECORDER.end()
-        tape = Tape(entries, RECORDER.owned, outs, scalar,
-                    binds=binds, origins=RECORDER.origins, label=self.label)
-        if len(self._tapes) >= _MAX_TAPES:
-            self._tapes.pop(next(iter(self._tapes)))
-        self._tapes[key] = (tape, binds)
-        _STATS["infer_misses"] += 1
-        _STATS["fused_ops"] += tape.fused_ops
-        _STATS["bytes_recorded"] += tape.bytes_recorded
-        _STATS["bytes_planned"] += tape.bytes_planned
-        if _TELEMETRY.enabled:
-            registry = _TELEMETRY.registry
-            registry.counter("nn.tape.infer.misses").inc()
-            registry.counter("nn.tape.fused_ops").inc(tape.fused_ops)
-        return tape.result_arrays()
+    def _bind(self, args):
+        binds = [arg.copy() if isinstance(arg, np.ndarray) else None
+                 for arg in args]
+        bound = tuple(arg if buf is None else buf
+                      for buf, arg in zip(binds, args))
+        return binds, bound
 
 
 def compiled_infer(fn: Callable, label: str = "infer") -> CompiledInfer:
     """Convenience constructor mirroring :func:`compiled_step`:
     ``self._c_infer = compiled_infer(self._infer_core, "dg.infer")``."""
     return CompiledInfer(fn, label=label)
-
-
-@contextlib.contextmanager
-def _recording_disabled():
-    """Internal: temporarily force-eager (used by tests)."""
-    previous = _forced
-    configure(False)
-    try:
-        yield
-    finally:
-        configure(previous)

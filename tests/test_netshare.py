@@ -146,6 +146,33 @@ class TestDifferentialPrivacy:
         model = NetShare(config).fit(netflow)
         assert model.spent_epsilon is not None
 
+    def test_pretraining_model_frees_its_tapes(self, netflow, monkeypatch):
+        """The public pretraining model is dropped once its weights are
+        copied out; its tapes must be freed then, not left to the
+        cyclic collector while the DP fit runs (and forks)."""
+        from repro.gan.doppelganger import DoppelGANger
+
+        fitted = []
+        fit = DoppelGANger.fit
+
+        def recording_fit(self, *args, **kwargs):
+            fitted.append(self)
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(DoppelGANger, "fit", recording_fit)
+        config = fast_config(
+            n_chunks=1, epochs_seed=1, epochs_fine_tune=1, batch_size=8,
+            dp=DpSgdConfig(clip_norm=1.0, noise_multiplier=1.0),
+            dp_public_dataset="ugr16", dp_public_records=200,
+            dp_public_epochs=1, jobs=1,
+        )
+        NetShare(config).fit(netflow)
+        # With DP every chunk trains through fit_dp, so the first model
+        # to run fit is the pretraining one.
+        pretrained = fitted[0]
+        assert len(pretrained._c_disc._tapes) == 0
+        assert len(pretrained._c_gen._tapes) == 0
+
     def test_public_kind_mismatch_raises(self, netflow):
         config = fast_config(
             n_chunks=1, epochs_seed=1, batch_size=8,

@@ -205,6 +205,25 @@ def test_manual_invalidate_forces_rerecord():
     assert tape_stats()["misses"] == 2
 
 
+def test_tape_cache_evicts_least_recently_used():
+    """A replay moves its key to the back of the cache, so a fifth
+    signature evicts the tape that went longest without a replay."""
+    buf = np.ones(8)
+
+    def core(scale):
+        return Tensor(ka(np.multiply, buf, scale)).sum()
+
+    step = compiled_step(core, "test.lru")
+    for k in range(1, 5):
+        step.run((k,), float(k))
+    step.run((1,), 1.0)   # replay: (1,) becomes the most recent
+    step.run((5,), 5.0)   # evicts (2,), the least recently used
+    assert list(step._tapes) == [(3,), (4,), (1,), (5,)]
+    assert step.run((1,), 1.0) == 8.0
+    stats = tape_stats()
+    assert stats["misses"] == 5 and stats["hits"] == 2
+
+
 # ----------------------------------------------------------------------
 # Liveness planner
 # ----------------------------------------------------------------------

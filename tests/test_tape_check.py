@@ -9,8 +9,8 @@ Three layers of evidence that a recorded schedule is safe:
   every intermediate gets fresh storage, nothing is remapped);
 * **seeded known-bad tapes** — hand-built or deliberately tampered
   plans (overlapping lifetimes, recycled pinned buffers, severed rng
-  refreshes, illegal fusion groups, out-aliasing matmul) must each be
-  rejected with the offending rule and op index named;
+  refreshes, out-aliasing matmul) must each be rejected with the
+  offending rule and op index named;
 * **runtime sanitizer** — a clean compiled fit replays silently under
   ``REPRO_NN_SANITIZE`` semantics, while an injected write-after-
   release or read-of-poison traps with the tape op index.
@@ -232,38 +232,6 @@ class TestVerifierRejects:
         bad = [f for f in findings if f.rule == "contract-missing"]
         assert bad and bad[0].op_index == 1
         assert "hypot" in bad[0].message
-
-    def test_fusion_group_must_be_consecutive(self):
-        tape, _ = self._tampered_chain()
-        tape.plan.groups = [(0, 2)]
-        findings = verify_plan(tape.plan)
-        assert "fusion-nonadjacent" in _rules(findings)
-
-    def test_fusion_group_must_chain_dataflow(self):
-        x = np.arange(8.0)
-        a, b = np.zeros(8), np.zeros(8)
-        entries = [
-            ("k", np.multiply, (x, 2.0), a, None),
-            ("k", np.multiply, (x, 3.0), b, None),  # independent of a
-        ]
-        configure_verify(False)
-        tape = Tape(entries, {id(a): a, id(b): b}, [a, b], scalar=False)
-        tape.plan.groups = [(0, 1)]
-        findings = verify_plan(tape.plan)
-        bad = [f for f in findings if f.rule == "fusion-unlinked"]
-        assert bad and bad[0].op_index == 1
-
-    def test_fusion_group_needs_contracts_to_compose(self):
-        x = np.arange(8.0)
-        a, b = np.zeros(8), np.zeros(8)
-        entries = [
-            ("k", np.multiply, (x, 2.0), a, None),
-            ("k", np.hypot, (a, a), b, None),
-        ]
-        configure_verify(False)
-        tape = Tape(entries, {id(a): a, id(b): b}, [b], scalar=False)
-        tape.plan.groups = [(0, 1)]
-        assert "fusion-contract" in _rules(verify_plan(tape.plan))
 
     def test_bound_input_written_by_tape(self):
         c = np.zeros(8)
