@@ -18,7 +18,16 @@ Measures, for one ≥4-chunk NetShare configuration:
   per-example loop oracle at the end-to-end benchmark's CAIDA critic
   size: bitwise parity over a ``fit_dp``, and the warm (replayed) step
   time of both, median and IQR over alternating rounds (gate: the
-  median speedup, see ``DP_SPEEDUP_GATE``).
+  median speedup, see ``DP_SPEEDUP_GATE``);
+* **placement** — the process pool's in-process placement rule: one
+  warm two-worker executor maps three generate tasks per ``n_flows``
+  bucket pooled and in-process over alternating rounds, recording the
+  wall and CPU of both, the executor's measured fixed cost, and the
+  crossover and pay-off multiples ``INLINE_MULTIPLE`` is derived from
+  (DESIGN.md §7); only the two placements' bit-identity is gated;
+* **telemetry** — fit + generate with the journal off and on over
+  alternating rounds (gate: median on/off wall ratio, full scale
+  only), output parity, and journal coverage.
 
 Everything lands in ``BENCH_runtime.json`` at the repo root, and the
 tests double as the regression gate: chunk weights and generated
@@ -33,7 +42,9 @@ JSON records ``cpus`` so single-core results are interpretable).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import platform
 import shutil
@@ -45,11 +56,14 @@ import pytest
 
 from repro import NetShare, NetShareConfig, telemetry
 from repro.core.flow_encoder import EncodedFlows
+from repro.core.netshare import GenerateSession
 from repro.datasets import load_dataset
 from repro.gan.doppelganger import DgConfig, DoppelGANger
 from repro.nn import tape as nn_tape
 from repro.privacy import DpSgdConfig
-from repro.runtime import MEASURE_DISPATCH_ENV_VAR
+from repro.runtime import (MEASURE_DISPATCH_ENV_VAR, MultiprocessingExecutor,
+                           generate_chunk)
+from repro.runtime import executor as executor_module
 from repro.telemetry import load_journal
 from repro.telemetry.spans import span
 
@@ -481,6 +495,152 @@ def _dp_section() -> dict:
     }
 
 
+TELEMETRY_ROUNDS = 5
+#: Fit + generate wall with the journal on / off, median over
+#: ``TELEMETRY_ROUNDS`` alternating rounds (a 5% overhead budget).
+TELEMETRY_OVERHEAD_GATE = 1.05
+
+PLACEMENT_JOBS = 2
+PLACEMENT_TASKS = 3
+#: ``n_flows`` buckets; at most ``_MAX_TAPES`` of them, so every chunk
+#: model replays a warm inference tape in every process.
+PLACEMENT_SIZES = (16, 64, 128, 256)
+PLACEMENT_ROUNDS = 9
+
+
+def _pieces_equal(a, b) -> bool:
+    return all(x.n_flows == y.n_flows
+               and (x.trace is None) == (y.trace is None)
+               and (x.trace is None or _trace_equal(x.trace, y.trace))
+               for x, y in zip(a, b))
+
+
+def _cpu_seconds(pids) -> float:
+    """CPU seconds used so far by this process and by the processes
+    ``pids``, every thread (the latter from Linux ``schedstat``)."""
+    nanoseconds = sum(int(stat.read_text().split()[0]) for pid in pids
+                      for stat in Path(f"/proc/{pid}/task").glob(
+                          "*/schedstat"))
+    return time.process_time() + nanoseconds / 1e9
+
+
+def _placement_section(model: NetShare) -> dict:
+    """Measure what the pool's placement rule decides between.
+
+    One warm ``PLACEMENT_JOBS``-worker executor maps ``PLACEMENT_TASKS``
+    generate tasks (one per chunk, fixed seeds) of each ``n_flows``
+    bucket pooled (``INLINE_MULTIPLE`` forced to 0) and in-process
+    (forced to infinity), in ``PLACEMENT_ROUNDS`` rounds that alternate
+    which placement goes first, timing each call's wall and the CPU
+    the coordinator and both workers spent on it; every result must
+    match the bucket's first.  After every pooled call it reads the
+    executor's own fixed-cost estimate, and expresses each bucket's
+    in-process work as a multiple of it.  Two multiples bound the
+    constant (DESIGN.md §7): the crossover, the first bucket whose
+    pooled call wins more than three quarters of the rounds on wall,
+    and the pay-off, where the wall a pooled call saves first equals
+    the CPU it adds (interpolated between buckets).
+    """
+    base = GenerateSession(model, GEN_RECORDS, seed=11).plan_round()[
+        :PLACEMENT_TASKS]
+    tasks = {n: [dataclasses.replace(task, n_flows=n) for task in base]
+             for n in PLACEMENT_SIZES}
+    multiples = {"pooled": 0.0, "inline": math.inf}
+    samples = {kind: {p: {n: [] for n in PLACEMENT_SIZES}
+                      for p in multiples} for kind in ("wall", "cpu")}
+    fixed_ms = []
+    first = {}
+    identical = True
+    saved = executor_module.INLINE_MULTIPLE
+    try:
+        with MultiprocessingExecutor(PLACEMENT_JOBS) as executor:
+            def call(placement, n):
+                nonlocal identical
+                executor_module.INLINE_MULTIPLE = multiples[placement]
+                assert executor._pays_inline(generate_chunk, len(
+                    tasks[n])) == (placement == "inline")
+                cpu = _cpu_seconds(executor.worker_pids)
+                start = time.perf_counter()
+                pieces = executor.map_tasks(generate_chunk, tasks[n])
+                wall = time.perf_counter() - start
+                cpu = _cpu_seconds(executor.worker_pids) - cpu
+                if placement == "pooled":
+                    fixed_ms.append(executor._fixed_seconds * 1e3)
+                identical &= _pieces_equal(first.setdefault(n, pieces),
+                                           pieces)
+                return wall * 1e3, cpu * 1e3
+
+            # Warm-up: every worker and the coordinator record their
+            # tapes (the first call pools: nothing is measured yet).
+            for n in PLACEMENT_SIZES:
+                for placement in multiples:
+                    call(placement, n)
+            for r in range(PLACEMENT_ROUNDS):
+                order = list(multiples)[::1 if r % 2 == 0 else -1]
+                for n in PLACEMENT_SIZES:
+                    for placement in order:
+                        wall, cpu = call(placement, n)
+                        samples["wall"][placement][n].append(wall)
+                        samples["cpu"][placement][n].append(cpu)
+    finally:
+        executor_module.INLINE_MULTIPLE = saved
+
+    fixed = float(np.median(fixed_ms))
+    median = {kind: {p: {n: float(np.median(values))
+                         for n, values in per_size.items()}
+                     for p, per_size in per_placement.items()}
+              for kind, per_placement in samples.items()}
+    wall, cpu = median["wall"], median["cpu"]
+    work = [wall["inline"][n] / fixed for n in PLACEMENT_SIZES]
+    wins = {n: sum(p < i for p, i in zip(samples["wall"]["pooled"][n],
+                                         samples["wall"]["inline"][n]))
+            for n in PLACEMENT_SIZES}
+    crossover = next((i for i, n in enumerate(PLACEMENT_SIZES)
+                      if wins[n] > 0.75 * PLACEMENT_ROUNDS), None)
+    # Wall the pooled call saves minus CPU it adds, per bucket.
+    net = [(wall["inline"][n] - wall["pooled"][n])
+           - (cpu["pooled"][n] - cpu["inline"][n]) for n in PLACEMENT_SIZES]
+    payoff = next((i for i, d in enumerate(net) if d >= 0), None)
+    payoff_multiple = None if payoff is None else work[payoff]
+    if payoff:   # interpolate from the bucket below
+        lo = payoff - 1
+        payoff_multiple = work[lo] + (work[payoff] - work[lo]) * (
+            -net[lo] / (net[payoff] - net[lo]))
+    by_size = {kind: {p: {str(n): _spread(values)
+                          for n, values in per_size.items()}
+                      for p, per_size in per_placement.items()}
+               for kind, per_placement in samples.items()}
+    return {
+        "jobs": PLACEMENT_JOBS,
+        "tasks_per_call": PLACEMENT_TASKS,
+        "rounds": PLACEMENT_ROUNDS,
+        "n_flows": list(PLACEMENT_SIZES),
+        "bit_identical_across_placements": identical,
+        "wall_ms_pooled": by_size["wall"]["pooled"],
+        "wall_ms_inline": by_size["wall"]["inline"],
+        "cpu_ms_pooled": by_size["cpu"]["pooled"],
+        "cpu_ms_inline": by_size["cpu"]["inline"],
+        "pooled_faster_rounds": {str(n): wins[n] for n in PLACEMENT_SIZES},
+        "fixed_cost_ms": _spread(fixed_ms),
+        # Each bucket's in-process work, in fixed costs.
+        "work_multiple": {str(n): round(w, 1)
+                          for n, w in zip(PLACEMENT_SIZES, work)},
+        # The first bucket whose pooled call won on wall in more than
+        # three quarters of the rounds, and its work multiple; None
+        # when the pool never won.
+        "crossover_n_flows": (None if crossover is None
+                              else PLACEMENT_SIZES[crossover]),
+        "crossover_multiple": (None if crossover is None
+                               else round(work[crossover], 1)),
+        # The work multiple at which a pooled call's wall saving first
+        # equals the CPU it adds; None when it never does.
+        "payoff_multiple": (None if payoff_multiple is None
+                            else round(payoff_multiple, 1)),
+        "inline_multiple": saved,
+        "cpus": os.cpu_count() or 1,
+    }
+
+
 @pytest.fixture(scope="module")
 def bench():
     """Run the whole measurement matrix once; tests assert on it."""
@@ -495,6 +655,10 @@ def bench():
                 "epochs_fine_tune": EPOCHS_FINE_TUNE,
                 "generate_records": GEN_RECORDS, "jobs": JOBS,
                 "smoke": SMOKE,
+                # BLAS threads per process, when pinned (None: the
+                # library default of one per core).
+                "openblas_num_threads": os.environ.get(
+                    "OPENBLAS_NUM_THREADS"),
             },
             "cpus": os.cpu_count(),
             "platform": platform.platform(),
@@ -575,6 +739,7 @@ def bench():
         report["tape_check"] = _tape_check_section()
         report["infer"] = _infer_section()
         report["dp"] = _dp_section()
+        report["placement"] = _placement_section(serial)
         # End-to-end oracle: NetShare.generate with tapes forced off
         # must reproduce the (taped) serial trace byte for byte.
         nn_tape.configure(False)
@@ -585,16 +750,29 @@ def bench():
         report["infer"]["netshare_bit_identical_with_eager"] = _trace_equal(
             traces["serial_jobs1"], trace_eager)
         # -- telemetry: overhead, parity, journal coverage -------------
-        # Re-run the multiprocessing fit+generate with a live journal
-        # and compare wall clock against the telemetry-off runs above.
+        # The multiprocessing fit+generate with the journal off and on,
+        # in alternating rounds; the last journal is the one checked.
         noop_ns = _noop_span_ns()
         if JOURNAL_DIR.exists():
             shutil.rmtree(JOURNAL_DIR)
-        with telemetry.session(journal_dir=JOURNAL_DIR,
-                               label="bench-runtime") as journal:
-            model_telem = NetShare(_config(JOBS)).fit(trace)
-            trace_telem = model_telem.generate(GEN_RECORDS, seed=7)
-            journal_path = journal.directory
+
+        def fit_and_generate():
+            model = NetShare(_config(JOBS)).fit(trace)
+            generated = model.generate(GEN_RECORDS, seed=7)
+            return (model, generated,
+                    model.wall_seconds + model.generate_wall_seconds)
+
+        walls = {"off": [], "on": []}
+        for r in range(TELEMETRY_ROUNDS):
+            for mode in ("off", "on")[::1 if r % 2 == 0 else -1]:
+                if mode == "off":
+                    wall = fit_and_generate()[2]
+                else:
+                    with telemetry.session(journal_dir=JOURNAL_DIR,
+                                           label="bench-runtime") as journal:
+                        model_telem, trace_telem, wall = fit_and_generate()
+                        journal_path = journal.directory
+                walls[mode].append(wall)
         telem_identical = all(
             np.array_equal(sa[key], sb[key])
             for a, b in zip(models["multiprocessing"]._chunks,
@@ -613,21 +791,21 @@ def bench():
         expected = sorted({e["chunk"] for e in events
                            if e.get("event") == "chunk_result"})
 
-        off_wall = (report["fit"]["multiprocessing"]["wall_seconds"]
-                    + report["generate"][
-                        f"multiprocessing_jobs{JOBS}"]["wall_seconds"])
-        on_wall = (model_telem.wall_seconds
-                   + model_telem.generate_wall_seconds)
+        ratio = _spread([on / max(off, 1e-9) for on, off
+                         in zip(walls["on"], walls["off"])])
         report["telemetry"] = {
             "journal": str(journal_path.relative_to(REPO_ROOT)),
             "journal_events": len(events),
             "chunks_traced": trained,
             "chunks_expected": expected,
             "bit_identical_with_telemetry": telem_identical,
-            "wall_seconds_off": round(off_wall, 3),
-            "wall_seconds_on": round(on_wall, 3),
-            "overhead_pct": round(
-                (on_wall - off_wall) / max(off_wall, 1e-9) * 100, 2),
+            "rounds": TELEMETRY_ROUNDS,
+            "wall_seconds_off": _spread(walls["off"]),
+            "wall_seconds_on": _spread(walls["on"]),
+            "on_off_ratio": {
+                "value": ratio["median"], "iqr": ratio["iqr"],
+                "gate": TELEMETRY_OVERHEAD_GATE, "cpus": os.cpu_count() or 1,
+            },
             "disabled_span_ns": round(noop_ns, 1),
         }
 
@@ -639,6 +817,7 @@ def bench():
         print(json.dumps(report["tape_check"], indent=2))
         print(json.dumps(report["infer"], indent=2))
         print(json.dumps(report["dp"], indent=2))
+        print(json.dumps(report["placement"], indent=2))
         return {"report": report, "models": models, "traces": traces}
     finally:
         if previous is None:
@@ -688,7 +867,7 @@ class TestRuntimePerf:
         data = json.loads(OUTPUT_PATH.read_text())
         assert set(data) >= {"config", "cpus", "fit", "generate", "summary",
                              "telemetry", "tape", "tape_check",
-                             "infer", "dp"}
+                             "infer", "dp", "placement"}
         assert set(data["fit"]) == {"serial", "multiprocessing"}
         for entry in data["fit"].values():
             assert entry["dispatch_bytes"] > 0
@@ -715,7 +894,11 @@ class TestRuntimePerf:
     @pytest.mark.skipif(SMOKE, reason="overhead gate too noisy at "
                         "smoke scale (sub-second walls)")
     def test_telemetry_overhead_under_5pct(self, bench):
-        assert bench["report"]["telemetry"]["overhead_pct"] < 5.0
+        """The journal costs under 5% of fit + generate wall (median
+        on/off ratio over alternating rounds)."""
+        ratio = bench["report"]["telemetry"]["on_off_ratio"]
+        assert ratio["cpus"] == (os.cpu_count() or 1)
+        assert ratio["value"] < TELEMETRY_OVERHEAD_GATE
 
     def test_tape_is_bit_identical(self, bench):
         """Acceptance: REPRO_NN_TAPE on/off must not change a single
@@ -802,6 +985,15 @@ class TestRuntimePerf:
         """Acceptance: the batched per-example DP critic pass must not
         change a single loss or weight against the loop oracle."""
         assert bench["report"]["dp"]["bit_identical_with_loop"]
+
+    def test_placement_is_bit_identical(self, bench):
+        """Acceptance: a call the pool runs in-process returns the same
+        bits as the same call pooled (timings are recorded only: they
+        depend on the machine)."""
+        placement = bench["report"]["placement"]
+        assert placement["bit_identical_across_placements"]
+        assert placement["inline_multiple"] == \
+            executor_module.INLINE_MULTIPLE
 
     def test_dp_batched_step_speedup(self, bench):
         """CI gate: the warm batched DP critic step must beat the loop

@@ -10,6 +10,9 @@ several client identities and measures, client-side and daemon-side:
   coalescer's whole point; gate: ratio > 1, i.e. batching happened);
 * **registry** — model-registry hit rate under two models well inside
   capacity (gate: >= 0.5 — one cold load each, resident thereafter);
+* **placement** — the share of executor calls the pool ran in-process
+  (``runtime.calls_inline`` / ``runtime.calls_pooled``; recorded, not
+  gated: it depends on measured costs);
 * **parity** — the acceptance oracle: served traces, decoded from the
   wire, are *bit-identical* to offline ``NetShare.generate`` with the
   same :func:`~repro.serve.derive_client_seed` seed.
@@ -147,6 +150,9 @@ def bench(tmp_path_factory):
         finally:
             daemon.shutdown(drain=True)
         journal_path = journal.directory
+        runtime = telemetry.metrics().snapshot()["counters"]
+    calls_inline = runtime.get("runtime.calls_inline", 0.0)
+    calls_pooled = runtime.get("runtime.calls_pooled", 0.0)
 
     assert not failures, failures
     total_requests = WAVES * len(WAVE_JOBS)
@@ -205,6 +211,12 @@ def bench(tmp_path_factory):
             "ratio": round(generate_requests / max(batches, 1), 3),
             "executor_calls": counters["serve.executor.calls"],
             "tasks": counters["serve.tasks"],
+        },
+        "placement": {
+            "calls_inline": calls_inline,
+            "calls_pooled": calls_pooled,
+            "inline_share": round(
+                calls_inline / max(calls_inline + calls_pooled, 1), 3),
         },
         "registry": {
             "hits": registry["hits"],

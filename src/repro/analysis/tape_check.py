@@ -27,7 +27,9 @@ them:
 
 The verifier runs at every tape build (tooling that collects findings
 turns it off with ``configure_verify(False)``) and under
-``python -m repro.analysis --check-tapes``; what it cannot prove
+``python -m repro.analysis --check-tapes``.  It reads the pre-remap
+entries, which a verified tape releases unless it was built under
+``collect_tapes()`` or with verification off.  What it cannot prove
 statically, the runtime sanitizer (``REPRO_NN_SANITIZE=1``, see
 ``repro.nn.tape``) traps dynamically.
 """
@@ -368,6 +370,11 @@ class _Verifier:
 
 def verify_plan(plan: TapePlan) -> List[TapeFinding]:
     """Run every check over one :class:`~repro.nn.tape.TapePlan`."""
+    if plan.pre_entries is None:
+        raise ValueError(
+            f"tape {plan.label!r} released its recorded entries after "
+            f"build-time verification; record it under collect_tapes() "
+            f"to verify it again")
     return _Verifier(plan).run()
 
 

@@ -40,7 +40,9 @@ add a Python call, not remove one, so there is no fusion pass.
 
 Every new tape is statically verified (``repro.analysis.tape_check``)
 before it is cached; only tooling turns that off, through
-:func:`configure_verify`.
+:func:`configure_verify`.  A verified tape then keeps only the storage
+replay touches: the recorded intermediates the coloring folded onto
+shared buffers are freed, as is the recorder's hold on them.
 
 Eager stays the oracle: ``REPRO_NN_TAPE=0`` (or
 :func:`configure`) disables compilation entirely and every
@@ -223,6 +225,13 @@ class Recorder:
         self.active = False
         entries, self.entries = self.entries, []
         return entries
+
+    def release(self) -> Tuple[Dict[int, np.ndarray], List[Optional[str]]]:
+        """Hand over the finished recording's owned buffers and origins,
+        so the recorder holds none of them until the next ``begin``."""
+        owned, origins = self.owned, self.origins
+        self.owned, self.origins = {}, []
+        return owned, origins
 
     def _origin(self) -> Optional[str]:
         return _capture_origin() if self.trace else None
@@ -415,17 +424,21 @@ def _entry_refs(entry: Tuple):
 
 
 class TapePlan:
-    """The planner's full output, retained for verification and the
-    sanitizer: the recorded IR before and after storage remapping, and
-    the ownership/pinning/interval metadata the coloring was derived
-    from.  ``repro.analysis.tape_check`` re-derives
-    the invariants from ``pre_entries`` and checks the coloring and the
+    """The planner's output: the recorded IR before and after storage
+    remapping, and the ownership/pinning/interval metadata the coloring
+    was derived from.  ``repro.analysis.tape_check`` re-derives the
+    invariants from ``pre_entries`` and checks the coloring and the
     ``post_entries`` against them; the sanitized replay builds its
-    poison/def schedule from the intervals.
+    poison/def schedule from the intervals and the planned storage.
 
     ``pre_entries`` and ``post_entries`` are index-aligned (remapping
     rewrites buffers, never reorders), and ``origins`` — when the tape
     was recorded with tracing on — aligns with both.
+
+    Once build-time verification has passed, :meth:`release_recorded`
+    drops what only the verifier reads: ``pre_entries`` becomes
+    ``None`` and ``owned`` keeps only pinned buffers, so the recorded
+    intermediates the coloring folded onto shared storage are freed.
     """
 
     __slots__ = ("pre_entries", "post_entries", "owned", "pinned",
@@ -434,7 +447,7 @@ class TapePlan:
                  "bytes_recorded", "bytes_planned")
 
     def __init__(self):
-        self.pre_entries: List[Tuple] = []
+        self.pre_entries: Optional[List[Tuple]] = []
         self.post_entries: List[Tuple] = []
         self.owned: Dict[int, np.ndarray] = {}
         self.pinned: set = set()
@@ -450,8 +463,18 @@ class TapePlan:
         self.bytes_planned = 0
 
     def physical(self, bid: int) -> np.ndarray:
-        """Post-coloring storage of a logical (recorded) buffer id."""
-        return self.mapping.get(bid, self.owned[bid])
+        """Post-coloring storage of a logical (recorded) buffer id:
+        its planned storage, or for a pinned buffer the buffer itself."""
+        phys = self.mapping.get(bid)
+        return self.owned[bid] if phys is None else phys
+
+    def release_recorded(self) -> None:
+        """Keep only the storage replay and the sanitizer use: every
+        unpinned buffer is in ``mapping``, which holds its planned
+        storage, so only pinned buffers stay in ``owned``."""
+        self.pre_entries = None
+        self.owned = {bid: buf for bid, buf in self.owned.items()
+                      if bid in self.pinned}
 
 
 def _plan_buffers(entries: List[Tuple], owned: Dict[int, np.ndarray],
@@ -604,7 +627,9 @@ def collect_tapes():
     needs the tapes a model family records during ``fit``/``generate``
     — including tapes held by fit-local ``compiled_step`` objects that
     are unreachable once ``fit`` returns (STAN's per-field training
-    steps).  Collection keeps a strong reference, so only use this for
+    steps).  Collected tapes keep their full plan (the pre-remap
+    entries and every recorded buffer) so the verifier can run on them
+    again.  Collection keeps a strong reference, so only use this for
     short verification runs.
     """
     bucket: List[Tape] = []
@@ -622,9 +647,12 @@ class Tape:
     closure per planned entry, then runs the static verifier
     (``repro.analysis.tape_check``), which proves the recorded schedule
     sound before it is ever replayed; a verifier finding raises
-    ``TapeVerificationError`` instead of caching a corrupt tape.  The
-    full :class:`TapePlan` is retained on ``self.plan`` for the
-    verifier, the sanitizer, and tooling.
+    ``TapeVerificationError`` instead of caching a corrupt tape.  A
+    verified tape then releases the recorded buffers replay never
+    touches (:meth:`TapePlan.release_recorded`).  Tooling that reads
+    the full :class:`TapePlan` afterwards builds tapes under
+    :func:`collect_tapes` or ``configure_verify(False)``, which keep
+    it whole.
     """
 
     __slots__ = ("ops", "outs", "scalar", "generation",
@@ -657,6 +685,8 @@ class Tape:
             # needed once per recording, never on the replay path.
             from ..analysis.tape_check import verify_or_raise
             verify_or_raise(self)
+            if not _COLLECTORS:
+                plan.release_recorded()
         for bucket in _COLLECTORS:
             bucket.append(self)
 
@@ -820,8 +850,9 @@ class _Compiled:
             outs, scalar = self._body(bound)
         finally:
             entries = RECORDER.end()
-        tape = Tape(entries, RECORDER.owned, outs, scalar, binds=binds,
-                    origins=RECORDER.origins, label=self.label)
+            owned, origins = RECORDER.release()
+        tape = Tape(entries, owned, outs, scalar, binds=binds,
+                    origins=origins, label=self.label)
         self._tapes.pop(key, None)   # a stale tape under this key
         if len(self._tapes) >= _MAX_TAPES:
             self._tapes.popitem(last=False)

@@ -18,7 +18,9 @@ third, ``remote``, lives in :mod:`repro.runtime.remote`):
   SharedArena` that lives exactly as long as the call, and dispatches
   only tiny manifests through the pipe (the zero-copy data plane).
   Each worker rebuilds plain views before it calls the task function
-  and closes them once its reply is pickled.
+  and closes them once its reply is pickled.  A call whose measured
+  task work is small next to the measured fixed cost of a pooled call
+  runs in-process instead, unstaged (:data:`INLINE_MULTIPLE`).
 
 The pool itself (``_WorkerPool``) is only a mechanism: it spawns
 workers, sends pre-pickled messages, turns ready pipes into replies,
@@ -62,7 +64,9 @@ the number the zero-copy plane exists to shrink.  Independently,
 while :mod:`repro.telemetry` is enabled the ``multiprocessing``
 executor counts the bytes of each task message it sends
 (``runtime.dispatch_bytes``; a resend after a worker death counts in
-``runtime.worker_retries``) and times every task
+``runtime.worker_retries``), counts where each call ran
+(``runtime.calls_inline`` / ``runtime.calls_pooled``, and ``inline``
+on the ``map_tasks`` span) and times every task
 (``runtime.task_seconds``), and each worker ships its span
 buffer and metric deltas back inside the result envelope so the
 orchestrator can splice one trace tree per run.
@@ -100,6 +104,7 @@ __all__ = [
     "HOSTS_ENV_VAR",
     "MEASURE_DISPATCH_ENV_VAR",
     "MAX_TASK_ATTEMPTS",
+    "INLINE_MULTIPLE",
 ]
 
 #: Environment variable consulted when no explicit job count is given.
@@ -114,6 +119,18 @@ MEASURE_DISPATCH_ENV_VAR = "REPRO_MEASURE_DISPATCH"
 #: How many times one task may be dispatched before a dying worker is
 #: treated as the task's fault and the run fails.
 MAX_TASK_ATTEMPTS = 3
+
+#: The process pool runs a multi-task call in-process when the call's
+#: estimated task work is at most this multiple of the measured fixed
+#: cost of a pooled call (derived in DESIGN.md §7 from the
+#: ``placement`` section of ``BENCH_runtime.json``).
+INLINE_MULTIPLE = 10.0
+#: Weight of the newest observation in the placement estimates.
+_EWMA_WEIGHT = 0.5
+
+
+def _ewma(old: Optional[float], new: float) -> float:
+    return new if old is None else old + _EWMA_WEIGHT * (new - old)
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -140,8 +157,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def _run_inline(fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-    """In-process task loop shared by the serial backend and the
-    single-worker fast path; records per-task spans and durations when
+    """In-process task loop shared by the serial backend and every call
+    the pool runs in-process; records per-task spans and durations when
     telemetry is on (as children of the caller's ``map_tasks`` span)."""
     if not STATE.enabled:
         return [fn(task) for task in tasks]
@@ -529,16 +546,25 @@ class MultiprocessingExecutor(Executor):
     """Fan tasks out across a persistent pipe-based worker pool.
 
     The task function must be a module-level callable and every task
-    picklable.  Each call stages its tasks' bulk tensors and frozen
-    states in a :class:`~repro.runtime.shm.SharedArena` of its own, so
-    each dispatched task is a few hundred bytes of manifest instead of
-    megabytes of pickled tensor.  Single-task (or single-worker) calls
-    run in-process, unstaged, to avoid worker startup cost — results
-    are identical either way by the determinism contract.  The pool (and
-    with it the workers' per-process caches) survives across
-    ``map_tasks`` calls until ``close()``; a worker that dies mid-task
-    is respawned and its task retried up to :data:`MAX_TASK_ATTEMPTS`
-    dispatches.
+    picklable.  Each pooled call stages its tasks' bulk tensors and
+    frozen states in a :class:`~repro.runtime.shm.SharedArena` of its
+    own, so each dispatched task is a few hundred bytes of manifest
+    instead of megabytes of pickled tensor.
+
+    Placement: single-task (or single-worker) calls run in-process,
+    unstaged.  So does a multi-task call whose estimated task work is
+    at most :data:`INLINE_MULTIPLE` times the fixed cost of a pooled
+    call.  The executor measures both on the calls it makes: seconds
+    per task of each task function (every call updates it), and each
+    pooled call's wall time minus its busiest worker's task seconds.
+    A function it has not timed yet goes to the pool, so the first
+    call of every function on a fresh executor pools.  Results are the
+    same bits either way, by the determinism contract.
+
+    The pool (and with it the workers' per-process caches) survives
+    across ``map_tasks`` calls until ``close()``; a worker that dies
+    mid-task is respawned and its task retried up to
+    :data:`MAX_TASK_ATTEMPTS` dispatches.
     """
 
     name = "multiprocessing"
@@ -548,6 +574,10 @@ class MultiprocessingExecutor(Executor):
         self.jobs = resolve_jobs(jobs if jobs is not None else 0)
         self._pool: Optional[_WorkerPool] = None
         self._finalizer: Optional[weakref.finalize] = None
+        # The placement rule's running estimates: seconds per task of
+        # each task function, and the fixed cost of one pooled call.
+        self._task_seconds: Dict[Callable[[Any], Any], float] = {}
+        self._fixed_seconds: Optional[float] = None
 
     def _ensure_pool(self) -> _WorkerPool:
         if self._pool is None:
@@ -577,20 +607,47 @@ class MultiprocessingExecutor(Executor):
         if not tasks:
             return []
         workers = min(self.jobs, len(tasks))
+        inline = workers <= 1 or self._pays_inline(fn, len(tasks))
         # Workers buffer their telemetry and ship it back only when the
         # orchestrating process is recording (never nested in a worker).
         telem = STATE.enabled and not STATE.worker_mode
+        if telem:
+            STATE.registry.counter("runtime.calls_inline" if inline
+                                   else "runtime.calls_pooled").inc()
         with span("map_tasks", backend=self.name, tasks=len(tasks),
-                  jobs=workers):
-            if workers <= 1:
-                return _run_inline(fn, tasks)
-            with self._in_flight():
-                return self._run(fn, tasks, workers, telem)
+                  jobs=workers, inline=inline):
+            if inline:
+                start = time.perf_counter()
+                results = _run_inline(fn, tasks)
+                task_seconds = time.perf_counter() - start
+            else:
+                with self._in_flight():
+                    results, task_seconds, fixed_seconds = self._run(
+                        fn, tasks, workers, telem)
+                self._fixed_seconds = _ewma(self._fixed_seconds,
+                                            fixed_seconds)
+        self._task_seconds[fn] = _ewma(self._task_seconds.get(fn),
+                                       task_seconds / len(tasks))
+        return results
+
+    def _pays_inline(self, fn: Callable[[Any], Any], n_tasks: int) -> bool:
+        """The placement rule: run a call in-process when its estimated
+        task work is at most :data:`INLINE_MULTIPLE` times the measured
+        fixed cost of a pooled call.  A task function the executor has
+        not timed yet, or an executor that has not pooled a call yet,
+        goes to the pool.  Placement never touches a seed, so results
+        are the same bits either way."""
+        per_task = self._task_seconds.get(fn)
+        fixed = self._fixed_seconds
+        return (per_task is not None and fixed is not None
+                and n_tasks * per_task <= INLINE_MULTIPLE * fixed)
 
     def _run(self, fn: Callable[[Any], Any], tasks: List[Any],
-             workers: int, telem: bool) -> List[Any]:
+             workers: int, telem: bool
+             ) -> Tuple[List[Any], float, float]:
         """Stage the call's payloads and dispatch every task, in task
-        order, over ``workers`` pipes.
+        order, over ``workers`` pipes; return the results, the summed
+        task seconds, and the call's fixed cost.
 
         Workers are spawned before staging, so a fork never inherits
         this call's mappings.  The call's bulk payloads are staged in
@@ -598,9 +655,16 @@ class MultiprocessingExecutor(Executor):
         are unlinked on return, when a task raises, and after a worker
         dies mid-task.  After the first task error no further task is
         sent; the call waits for those in flight, then raises it.
+
+        A task's seconds run from its submit to its reply, so pipe and
+        unpickle time count as task work.  The fixed cost is the call's
+        wall time after the pool is up minus the busiest worker's task
+        seconds: packing, staging, pickling and unlinking.  Spawning is
+        left out; a pool pays it once, on a call that pools anyway.
         """
         pool = self._ensure_pool()
         pool.start(workers)
+        start = time.perf_counter()
         packed, blobs = pack_tasks(tasks)
         with SharedArena() as arena:
             names = {digest: arena.share_array(array).name
@@ -615,6 +679,8 @@ class MultiprocessingExecutor(Executor):
             pending: Deque[int] = deque(range(len(messages)))
             error: Optional[BaseException] = None
             registry = STATE.registry
+            sent: Dict[int, float] = {}
+            busy: Dict[int, float] = {}   # worker pid -> task seconds
             while (pending and error is None) or pool.busy:
                 while (pending and error is None
                        and pool.busy < workers):
@@ -623,9 +689,12 @@ class MultiprocessingExecutor(Executor):
                         registry.counter("runtime.dispatch_bytes").inc(
                             len(messages[index]))
                         registry.counter("runtime.tasks_dispatched").inc()
+                    sent[index] = time.perf_counter()
                     pool.submit(index, messages[index])
                 replies, _ = pool.collect()
-                for _, (index, status, value, payload) in replies:
+                now = time.perf_counter()
+                for pid, (index, status, value, payload) in replies:
+                    busy[pid] = busy.get(pid, 0.0) + now - sent[index]
                     if telem:
                         telemetry.absorb_worker_payload(payload)
                     if status == "ok":
@@ -634,7 +703,8 @@ class MultiprocessingExecutor(Executor):
                         error = value
         if error is not None:
             raise error
-        return results
+        fixed = time.perf_counter() - start - max(busy.values())
+        return results, sum(busy.values()), max(fixed, 0.0)
 
 
 def _note_retry(index: int, attempt: int, pid: int) -> None:

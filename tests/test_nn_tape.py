@@ -9,6 +9,9 @@ in-place-updated inputs, once eager and once taped, and every per-step
 array must match bit for bit.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from repro.nn.functional import gumbel_softmax
 from repro.nn.tape import (
     RECORDER,
     Tape,
+    collect_tapes,
     compiled_step,
     configure,
     fresh_full,
@@ -264,6 +268,43 @@ def test_liveness_pins_outputs_and_rng_buffers():
     # The rng entry refreshed `noise` from the live generator and the
     # downstream kernels consumed the fresh draw.
     assert _bitwise_equal(out, noise * 2.0 + 1.0)
+
+
+def test_verified_tape_frees_the_buffers_the_coloring_folded():
+    """Once a compiled call has recorded and verified its tape, the
+    recorded intermediates the liveness pass colored onto an earlier
+    buffer are freed, and the recorder holds none of the recording's
+    buffers; a tape built under ``collect_tapes`` keeps them all."""
+    x = np.arange(8.0)
+    recorded = []
+
+    def core():
+        t = x
+        for _ in range(6):   # a chain: each link dies at the next
+            t = ka(np.multiply, t, 2.0)
+        recorded.extend((id(buf), weakref.ref(buf))
+                        for buf in RECORDER.owned.values())
+        return Tensor(t).sum()
+
+    def record():
+        recorded.clear()
+        step = compiled_step(core, "test.release")
+        step.run(("k",))
+        gc.collect()
+        (tape,) = step._tapes.values()
+        storage = ({id(buf) for buf in tape.plan.mapping.values()}
+                   | tape.plan.pinned)
+        return step, [ref for bid, ref in recorded if bid not in storage]
+
+    step, folded = record()
+    assert folded    # the coloring did fold storage
+    assert [ref for ref in folded if ref() is not None] == []
+    assert RECORDER.owned == {}
+    assert step.run(("k",)) == float((x * 64.0).sum())   # still replays
+
+    with collect_tapes():
+        step, folded = record()
+    assert folded and all(ref() is not None for ref in folded)
 
 
 # ----------------------------------------------------------------------

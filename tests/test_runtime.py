@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import FlowTrace, NetShare, NetShareConfig, load_dataset
+from repro import FlowTrace, NetShare, NetShareConfig, load_dataset, telemetry
 from repro.baselines import EWganGp
 from repro.core.flow_encoder import EncodedFlows
 from repro.gan.doppelganger import DgConfig, DoppelGANger
@@ -42,6 +42,22 @@ def _square(x):
 def _pid_after(delay):
     time.sleep(delay)
     return os.getpid()
+
+
+def _pid_square(x):
+    """Where the task ran, and its result."""
+    return os.getpid(), x * x
+
+
+def _pid_head(array):
+    """Where the task ran, and a cheap result from a staged array."""
+    return os.getpid(), float(array[:4].sum())
+
+
+def _first_nonnegative(array):
+    if array[0] < 0:
+        raise ValueError(f"first value {array[0]} is negative")
+    return float(array[0])
 
 
 class TestResolveJobs:
@@ -134,6 +150,64 @@ class TestExecutors:
                 # Task 0 finishes last, so completion order is reversed.
                 pids = executor.map_tasks(_pid_after, [0.3, 0.0])
                 assert pids == executor.worker_pids
+
+
+class TestPlacement:
+    """The pool runs a call in-process when its estimated task work is
+    at most INLINE_MULTIPLE times the measured fixed cost of a pooled
+    call; nothing else decides, and placement never changes a result."""
+
+    def test_first_call_of_a_function_goes_to_the_pool(self):
+        with MultiprocessingExecutor(2) as executor:
+            executor.map_tasks(_square, [1, 2])
+            pids = [pid for pid, _ in executor.map_tasks(_pid_square,
+                                                         [1, 2, 3])]
+            assert set(pids) <= set(executor.worker_pids)
+            assert os.getpid() not in pids
+
+    # Staging a shared 1 MB payload makes the fixed cost of a pooled
+    # call large next to tasks that read a few of its values.
+    payload = np.arange(1.0, 1.0 + (1 << 17))
+
+    def test_cheap_tasks_run_in_process_next_time(self, tmp_path):
+        tasks = [self.payload, self.payload]
+        with telemetry.session(journal_dir=tmp_path / "runs"):
+            with MultiprocessingExecutor(2) as executor:
+                pooled = executor.map_tasks(_pid_head, tasks)
+                inline = executor.map_tasks(_pid_head, tasks)
+            counters = telemetry.metrics().snapshot()["counters"]
+        assert os.getpid() not in [pid for pid, _ in pooled]
+        assert inline == SerialExecutor().map_tasks(_pid_head, tasks)
+        assert inline == [(os.getpid(), 10.0)] * 2
+        assert counters["runtime.calls_pooled"] == 1
+        assert counters["runtime.calls_inline"] == 1
+
+    def test_work_well_past_the_multiple_stays_pooled(self):
+        with MultiprocessingExecutor(2) as executor:
+            for _ in range(3):
+                pids = executor.map_tasks(_pid_after, [0.1, 0.1])
+                assert pids == executor.worker_pids
+
+    def test_inline_error_matches_pooled_error(self, tmp_path):
+        tasks = [self.payload, self.payload]
+
+        def failure(executor):
+            with pytest.raises(ValueError) as excinfo:
+                executor.map_tasks(_first_nonnegative,
+                                   [self.payload, -self.payload])
+            return type(excinfo.value), str(excinfo.value)
+
+        with MultiprocessingExecutor(2) as executor:
+            pooled = failure(executor)
+        with telemetry.session(journal_dir=tmp_path / "runs"):
+            with MultiprocessingExecutor(2) as executor:
+                assert executor.map_tasks(_first_nonnegative,
+                                          tasks) == [1.0, 1.0]
+                inline = failure(executor)
+            counters = telemetry.metrics().snapshot()["counters"]
+        assert counters["runtime.calls_inline"] == 1
+        assert inline == pooled == (ValueError,
+                                    "first value -1.0 is negative")
 
 
 class TestStateNpz:
@@ -579,13 +653,16 @@ class TestPoolLifecycle:
                     assert _shm_mappings(pid) == set()
 
     @pytest.mark.parametrize("where", ["pool", "remote_host"])
-    def test_no_worker_maps_a_finished_call(self, where):
+    def test_no_worker_maps_a_finished_call(self, where, monkeypatch):
         """Six sequential calls, each staging two EncodedFlows: every
         task maps its blocks while it runs, and once a call returns no
         worker (a pool worker, or a --jobs 2 host's pool worker) still
         maps any block."""
         from repro.runtime.remote import RemoteExecutor, spawn_worker_host
 
+        # Pin pooled placement: the probe tasks are cheap enough that
+        # the pool would run the later calls in-process.
+        monkeypatch.setattr("repro.runtime.executor.INLINE_MULTIPLE", 0.0)
         host = None
         if where == "pool":
             executor = MultiprocessingExecutor(2)

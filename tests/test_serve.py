@@ -1,8 +1,9 @@
 """Tests for repro.serve: protocol, registry, coalescer, daemon.
 
 The expensive fixture (one trained + saved model) is module-scoped;
-every daemon in these tests runs on an ephemeral port with the serial
-executor so the whole file stays in tier-1 time budget.
+every daemon in these tests runs on an ephemeral port, all but one
+with the serial executor, so the whole file stays in tier-1 time
+budget.
 """
 
 import io
@@ -224,6 +225,39 @@ class TestCoalescedStaging:
                 n, seed=derive_client_seed(client_id, seed))
             for name, column in offline._columns().items():
                 assert np.array_equal(trace._columns()[name], column), name
+
+
+class TestPooledDaemon:
+    def test_placement_switches_and_output_matches_offline(
+            self, model_path, offline_model, tmp_path):
+        """A jobs=2 daemon pools its first rounds; once it has measured
+        them it runs small rounds in-process.  Placement never touches
+        a seed, so every response stays bit-identical to an offline
+        jobs=1 generate with the derived seed."""
+        requests = [("dana", n, seed)
+                    for seed, n in enumerate([10, 20, 10, 30] * 3)]
+        config = ServeConfig(coalesce_window=0.01, jobs=2)
+        with telemetry.session(journal_dir=tmp_path / "runs"):
+            instance = ServeDaemon(models={"ugr16": model_path},
+                                   config=config)
+            instance.start()
+            try:
+                with ServeClient(*instance.address,
+                                 client_id="dana") as client:
+                    served = [client.generate(n, "ugr16", seed=seed)
+                              for _, n, seed in requests]
+            finally:
+                instance.shutdown()
+            counters = telemetry.metrics().snapshot()["counters"]
+        assert counters["runtime.calls_pooled"] > 0
+        assert counters["runtime.calls_inline"] > 0
+        for trace, (client_id, n, seed) in zip(served, requests):
+            offline = offline_model.generate(
+                n, seed=derive_client_seed(client_id, seed), jobs=1)
+            assert len(trace) == len(offline) == n
+            for name, column in offline._columns().items():
+                assert np.array_equal(trace._columns()[name], column), \
+                    (seed, name)
 
 
 # ----------------------------------------------------------------------

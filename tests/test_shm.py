@@ -291,9 +291,13 @@ class TestCallScopedArena:
         assert staged_names == []
 
     @pytest.mark.parametrize("shared", ["state", "encoded"])
-    def test_shared_payload_staged_once_per_call(self, shared, tmp_path):
+    def test_shared_payload_staged_once_per_call(self, shared, tmp_path,
+                                                 monkeypatch):
         """A FrozenState or EncodedFlows shared by N tasks is staged
         once per call; per-task rows and payloads once per task."""
+        # Pin pooled placement: the second call's tasks are cheap
+        # enough that the pool would run it in-process, unstaged.
+        monkeypatch.setattr("repro.runtime.executor.INLINE_MULTIPLE", 0.0)
         n = 5
         tasks = _tasks(n, shared=(shared,))
         per_call = n + (3 if shared == "encoded" else 3 * n) + \

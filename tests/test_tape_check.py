@@ -85,6 +85,14 @@ def _rules(findings):
     return {f.rule for f in findings}
 
 
+def _whole_tape(*args, **kwargs):
+    """Build a Tape whose plan stays whole, the way tooling does: a
+    verified tape otherwise releases the recorded entries and buffers
+    the verifier reads."""
+    with collect_tapes():
+        return Tape(*args, **kwargs)
+
+
 # ----------------------------------------------------------------------
 # Verifier: clean tapes
 # ----------------------------------------------------------------------
@@ -92,7 +100,7 @@ def _rules(findings):
 class TestVerifierClean:
     def test_recorded_chain_verifies_clean(self):
         entries, (_, _, _, out) = _record_chain(np.arange(8.0))
-        tape = Tape(entries, RECORDER.owned, [out], scalar=False)
+        tape = _whole_tape(entries, RECORDER.owned, [out], scalar=False)
         assert verify_tape(tape) == []
         assert tape.plan.mapping  # the planner did reuse storage
 
@@ -105,7 +113,7 @@ class TestVerifierClean:
             ("k", np.multiply, (x, 2.0), m, None),
             ("k", np.multiply, (m, 0.9), m, None),
         ]
-        tape = Tape(entries, {id(m): m}, [m], scalar=False)
+        tape = _whole_tape(entries, {id(m): m}, [m], scalar=False)
         assert verify_tape(tape) == []
 
     def test_verification_runs_at_build_by_default(self):
@@ -128,7 +136,7 @@ class TestVerifierClean:
 class TestVerifierRejects:
     def _tampered_chain(self):
         entries, bufs = _record_chain(np.arange(8.0))
-        tape = Tape(entries, RECORDER.owned, [bufs[3]], scalar=False)
+        tape = _whole_tape(entries, RECORDER.owned, [bufs[3]], scalar=False)
         return tape, bufs
 
     def test_overlapping_lifetimes_on_one_storage(self):
@@ -343,8 +351,8 @@ class TestOriginsAndCollection:
         trace_origins(True)
         entries, (_, _, _, out) = _record_chain(np.arange(8.0))
         origins = RECORDER.origins
-        tape = Tape(entries, RECORDER.owned, [out], scalar=False,
-                    origins=origins)
+        tape = _whole_tape(entries, RECORDER.owned, [out], scalar=False,
+                           origins=origins)
         assert len(tape.plan.origins) == len(tape.plan.pre_entries)
         assert all(o and "test_tape_check.py" in o
                    for o in tape.plan.origins)

@@ -463,7 +463,10 @@ def _always_explode(_):
 
 
 class TestPersistentPool:
-    def test_workers_survive_across_map_tasks_calls(self):
+    def test_workers_survive_across_map_tasks_calls(self, monkeypatch):
+        # Pin pooled placement: the second call's tasks are cheap
+        # enough that the pool would run it in-process.
+        monkeypatch.setattr("repro.runtime.executor.INLINE_MULTIPLE", 0.0)
         with MultiprocessingExecutor(2) as executor:
             first = set(executor.map_tasks(_pid_task, [0, 1, 2, 3]))
             pool_pids = set(executor.worker_pids)
