@@ -16,8 +16,12 @@ DESIGN.md §5 and EXPERIMENTS.md).
 from __future__ import annotations
 
 import os
+import pickle
 import time
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional, Tuple
+
+import pytest
 
 from repro import NetShare, NetShareConfig
 from repro.baselines import (
@@ -27,6 +31,7 @@ from repro.baselines import (
     make_baseline,
 )
 from repro.datasets import FlowTrace, load_dataset
+from repro.runtime import SerialExecutor
 
 BENCH_RECORDS = int(os.environ.get("REPRO_BENCH_RECORDS", 1200))
 BENCH_EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", 30))
@@ -41,6 +46,31 @@ _real_cache: Dict[str, object] = {}
 _model_cache: Dict[Tuple, object] = {}
 _synth_cache: Dict[Tuple, object] = {}
 _train_seconds: Dict[Tuple, float] = {}
+
+
+@contextmanager
+def serial_dispatch_meter() -> Iterator[None]:
+    """Meter the inline reference the staged backends are judged by.
+
+    The serial backend sends nothing, so it tallies nothing.  While
+    this context is open, each ``SerialExecutor.map_tasks`` call adds
+    its tasks' pickled sizes to the executor's ``dispatch_bytes`` /
+    ``dispatch_tasks``: what the tasks would cost with their tensors
+    and states carried inline.
+    """
+    map_tasks = SerialExecutor.map_tasks
+
+    def metered(self, fn, tasks):
+        tasks = list(tasks)
+        self.dispatch_bytes += sum(
+            len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
+            for task in tasks)
+        self.dispatch_tasks += len(tasks)
+        return map_tasks(self, fn, tasks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SerialExecutor, "map_tasks", metered)
+        yield
 
 
 def real_trace(dataset: str, n_records: Optional[int] = None):

@@ -44,12 +44,13 @@ import pytest
 
 from repro import NetShare, NetShareConfig, telemetry
 from repro.datasets import load_dataset
-from repro.runtime import MEASURE_DISPATCH_ENV_VAR
 from repro.runtime.chunk_tasks import freeze_state
 from repro.runtime.remote import RemoteExecutor, spawn_worker_host
 from repro.serve import ServeClient, ServeConfig, ServeDaemon, \
     derive_client_seed
 from repro.telemetry import load_journal, load_journals
+
+from harness import serial_dispatch_meter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_remote.json"
@@ -118,8 +119,6 @@ def _remote_maps(journal_dir):
 def bench():
     if JOURNAL_DIR.exists():
         shutil.rmtree(JOURNAL_DIR)
-    prior = os.environ.get(MEASURE_DISPATCH_ENV_VAR)
-    os.environ[MEASURE_DISPATCH_ENV_VAR] = "1"
     hosts = []
     try:
         trace = load_dataset("ugr16", n_records=RECORDS, seed=0)
@@ -137,7 +136,10 @@ def bench():
         }
 
         # -- local oracles -------------------------------------------
-        serial = NetShare(_config(1)).fit(trace)
+        # The serial backend sends nothing; its inline task bytes are
+        # metered here.
+        with serial_dispatch_meter():
+            serial = NetShare(_config(1)).fit(trace)
         pooled = NetShare(_config(JOBS)).fit(trace)
         for label, model in (("serial", serial),
                              ("multiprocessing", pooled)):
@@ -341,10 +343,6 @@ def bench():
     finally:
         for host in hosts:
             host.stop()
-        if prior is None:
-            os.environ.pop(MEASURE_DISPATCH_ENV_VAR, None)
-        else:
-            os.environ[MEASURE_DISPATCH_ENV_VAR] = prior
 
 
 class TestRemotePerf:

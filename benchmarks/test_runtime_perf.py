@@ -61,11 +61,12 @@ from repro.datasets import load_dataset
 from repro.gan.doppelganger import DgConfig, DoppelGANger
 from repro.nn import tape as nn_tape
 from repro.privacy import DpSgdConfig
-from repro.runtime import (MEASURE_DISPATCH_ENV_VAR, MultiprocessingExecutor,
-                           generate_chunk)
+from repro.runtime import MultiprocessingExecutor, generate_chunk
 from repro.runtime import executor as executor_module
 from repro.telemetry import load_journal
 from repro.telemetry.spans import span
+
+from harness import serial_dispatch_meter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_runtime.json"
@@ -643,10 +644,12 @@ def _placement_section(model: NetShare) -> dict:
 
 @pytest.fixture(scope="module")
 def bench():
-    """Run the whole measurement matrix once; tests assert on it."""
-    previous = os.environ.get(MEASURE_DISPATCH_ENV_VAR)
-    os.environ[MEASURE_DISPATCH_ENV_VAR] = "1"
-    try:
+    """Run the whole measurement matrix once; tests assert on it.
+
+    The serial reference's dispatch bytes are metered here
+    (:func:`harness.serial_dispatch_meter`); the pool tallies its own.
+    """
+    with serial_dispatch_meter():
         trace = load_dataset("ugr16", n_records=RECORDS, seed=0)
         report = {
             "config": {
@@ -819,11 +822,6 @@ def bench():
         print(json.dumps(report["dp"], indent=2))
         print(json.dumps(report["placement"], indent=2))
         return {"report": report, "models": models, "traces": traces}
-    finally:
-        if previous is None:
-            os.environ.pop(MEASURE_DISPATCH_ENV_VAR, None)
-        else:
-            os.environ[MEASURE_DISPATCH_ENV_VAR] = previous
 
 
 class TestRuntimePerf:
@@ -887,9 +885,12 @@ class TestRuntimePerf:
         assert telem["journal_events"] > 0
 
     def test_disabled_telemetry_is_cheap(self, bench):
-        """A disabled span() must stay in the sub-microsecond range —
-        effectively unmeasurable against a training step."""
-        assert bench["report"]["telemetry"]["disabled_span_ns"] < 5_000
+        """A disabled span() must stay sub-microsecond: it returns one
+        shared no-op context.  Measured with this bench's 50k-iteration
+        loop on a 2-vCPU VM (Python 3.11.7): 269-287 ns median of 9
+        rounds, against 1283-1618 ns for the generator-based span it
+        replaced."""
+        assert bench["report"]["telemetry"]["disabled_span_ns"] < 1_000
 
     @pytest.mark.skipif(SMOKE, reason="overhead gate too noisy at "
                         "smoke scale (sub-second walls)")

@@ -7,7 +7,9 @@ several client identities and measures, client-side and daemon-side:
 * **throughput** — sustained requests/second over the whole workload,
   with client-observed latency percentiles (p50/p99);
 * **coalescing** — generate requests per executor batch (the request
-  coalescer's whole point; gate: ratio > 1, i.e. batching happened);
+  coalescer's whole point; gate: ratio > 1, i.e. batching happened),
+  read from the daemon's metrics after the last wave (gate: they count
+  every request sent);
 * **registry** — model-registry hit rate under two models well inside
   capacity (gate: >= 0.5 — one cold load each, resident thereafter);
 * **placement** — the share of executor calls the pool ran in-process
@@ -253,6 +255,12 @@ class TestServePerf:
     def test_coalescing_ratio_above_one(self, bench):
         """Acceptance: concurrent requests actually share batches."""
         assert bench["coalescing"]["ratio"] > 1.0
+
+    def test_metrics_count_every_request(self, bench):
+        """The daemon counts a request before answering it, so the
+        metrics read after the last wave include every request."""
+        assert bench["coalescing"]["generate_requests"] == bench[
+            "throughput"]["requests"]
 
     def test_registry_hit_rate_gate(self, bench):
         """Acceptance: two models inside capacity -> one cold load

@@ -121,11 +121,11 @@ class NetShare:
         self.wall_seconds: float = 0.0      # measured training wall-clock
         self.backend: Optional[str] = None  # executor backend used by fit
         self.spent_epsilon: Optional[float] = None
-        # Dispatch payload stats (populated only while the
-        # REPRO_MEASURE_DISPATCH env var is set — see the perf bench).
-        self.dispatch_bytes: Optional[int] = None
+        # Task-message bytes and count the executor sent to workers or
+        # hosts (0 when every call ran in-process).
+        self.dispatch_bytes: int = 0
         self.dispatch_tasks: int = 0
-        self.generate_dispatch_bytes: Optional[int] = None
+        self.generate_dispatch_bytes: int = 0
         self.generate_wall_seconds: float = 0.0
 
     @property

@@ -9,12 +9,10 @@ optimizers consume.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry.state import STATE as _TELEMETRY
 from .autograd import Tensor, concatenate, no_grad
 from .tape import (fresh_zeros as _fresh_zeros,
                    invalidate_tapes as _invalidate_tapes)
@@ -89,18 +87,7 @@ class Module:
         pass
 
     def __call__(self, *args, **kwargs):
-        # nn_timing sits behind its own flag (REPRO_TELEMETRY_NN /
-        # telemetry.configure(nn_timing=True)) because this is the
-        # hottest call site in the codebase: the disabled path must
-        # cost exactly one attribute test.
-        if not _TELEMETRY.nn_timing:
-            return self.forward(*args, **kwargs)
-        start = time.perf_counter()
-        out = self.forward(*args, **kwargs)
-        _TELEMETRY.registry.histogram(
-            f"nn.forward_seconds.{type(self).__name__}").observe(
-            time.perf_counter() - start)
-        return out
+        return self.forward(*args, **kwargs)
 
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
         raise NotImplementedError

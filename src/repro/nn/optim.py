@@ -1,19 +1,19 @@
 """Optimizers operating on lists of parameters with externally computed
 gradients (the functional :func:`repro.nn.autograd.grad` API).
 
-``step(grads)`` takes gradients aligned with the parameter list.  This
-layout makes DP-SGD (which post-processes per-example gradients before
-the update) a thin wrapper rather than a separate optimizer.
+``step(grads)`` takes gradients aligned with the parameter list and
+updates every parameter in place, recording each kernel on an active
+tape.  This layout makes DP-SGD (which post-processes per-example
+gradients before the update) a thin wrapper rather than a separate
+optimizer.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..telemetry.state import STATE as _TELEMETRY
 from .autograd import Tensor
 from .layers import Parameter
 from .tape import RECORDER as _REC, scratch as _scratch
@@ -22,13 +22,8 @@ __all__ = ["Optimizer", "SGD", "Adam", "clip_global_norm"]
 
 
 class Optimizer:
-    """Base optimizer over a fixed parameter list.
-
-    Subclasses implement :meth:`_apply_step`; the public :meth:`step`
-    wraps it with optional telemetry timing (``nn.optimizer_step_seconds``
-    histogram, behind the same opt-in flag as per-layer forward timing)
-    so enabling metrics never changes update arithmetic.
-    """
+    """Base optimizer over a fixed parameter list; subclasses implement
+    :meth:`step`."""
 
     def __init__(self, params: Sequence[Parameter], lr: float):
         if lr <= 0:
@@ -37,16 +32,6 @@ class Optimizer:
         self.lr = lr
 
     def step(self, grads: Sequence[Tensor]) -> None:
-        if not _TELEMETRY.nn_timing:
-            self._apply_step(grads)
-            return
-        start = time.perf_counter()
-        self._apply_step(grads)
-        _TELEMETRY.registry.histogram(
-            f"nn.optimizer_step_seconds.{type(self).__name__}").observe(
-            time.perf_counter() - start)
-
-    def _apply_step(self, grads: Sequence[Tensor]) -> None:
         raise NotImplementedError
 
     def _check(self, grads: Sequence[Tensor]) -> List[np.ndarray]:
@@ -66,7 +51,7 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def _apply_step(self, grads: Sequence[Tensor]) -> None:
+    def step(self, grads: Sequence[Tensor]) -> None:
         # In-place update, the only form a tape can record (reassigning
         # p.data would orphan every tape holding the old storage).
         # ``v * lr`` commutes bitwise with ``lr * v``, so this equals
@@ -108,7 +93,7 @@ class Adam(Optimizer):
         self._b1[()] = 1.0 - self.beta1**self.t
         self._b2[()] = 1.0 - self.beta2**self.t
 
-    def _apply_step(self, grads: Sequence[Tensor]) -> None:
+    def step(self, grads: Sequence[Tensor]) -> None:
         # In-place update (see SGD).  It equals the textbook formula
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         #   p = p - lr * (m / bias1) / (sqrt(v / bias2) + eps)

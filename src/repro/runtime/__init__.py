@@ -29,7 +29,6 @@ the socket layer.
 from .executor import (
     HOSTS_ENV_VAR,
     JOBS_ENV_VAR,
-    MEASURE_DISPATCH_ENV_VAR,
     Executor,
     MultiprocessingExecutor,
     SerialExecutor,
@@ -71,7 +70,6 @@ from .shm import (
 __all__ = [
     "JOBS_ENV_VAR",
     "HOSTS_ENV_VAR",
-    "MEASURE_DISPATCH_ENV_VAR",
     "Executor",
     "SerialExecutor",
     "MultiprocessingExecutor",

@@ -55,21 +55,19 @@ anything else ``serial``.  A ``jobs`` of ``None`` falls back to the
 ``REPRO_JOBS`` environment variable, then to 1, and ``jobs=0`` means
 "one worker per CPU".
 
-Dispatch instrumentation: when ``REPRO_MEASURE_DISPATCH`` is set (the
-perf benchmark harness does this), every ``map_tasks`` call records
-what it dispatches on ``dispatch_bytes`` / ``dispatch_tasks``: the
-pickled size of each inline task for the serial backend, the bytes of
-each packed task message actually sent for the pool and ``remote`` —
-the number the zero-copy plane exists to shrink.  Independently,
-while :mod:`repro.telemetry` is enabled the ``multiprocessing``
-executor counts the bytes of each task message it sends
-(``runtime.dispatch_bytes``; a resend after a worker death counts in
-``runtime.worker_retries``), counts where each call ran
-(``runtime.calls_inline`` / ``runtime.calls_pooled``, and ``inline``
-on the ``map_tasks`` span) and times every task
-(``runtime.task_seconds``), and each worker ships its span
-buffer and metric deltas back inside the result envelope so the
-orchestrator can splice one trace tree per run.
+Dispatch accounting: every task message the pool or ``remote`` sends
+adds its bytes to ``dispatch_bytes`` / ``dispatch_tasks`` at one site
+(:meth:`Executor._count_sent`) — the number the zero-copy plane exists
+to shrink.  The serial backend and the pool's in-process calls send
+nothing and count nothing.  While :mod:`repro.telemetry` is enabled
+the same site feeds ``runtime.dispatch_bytes`` /
+``runtime.tasks_dispatched`` (a resend after a worker death counts in
+``runtime.worker_retries`` instead), the pool counts where each call
+ran (``runtime.calls_inline`` / ``runtime.calls_pooled``, and
+``inline`` on the ``map_tasks`` span), every task is timed
+(``runtime.task_seconds``), and each worker ships its span buffer and
+metric deltas back inside the result envelope so the orchestrator can
+splice one trace tree per run.
 """
 
 from __future__ import annotations
@@ -85,8 +83,8 @@ from collections import deque
 from contextlib import contextmanager
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _conn_wait
-from typing import (Any, Callable, Deque, Dict, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence, Tuple)
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from .. import telemetry
 from ..telemetry.spans import set_task, span
@@ -102,7 +100,6 @@ __all__ = [
     "get_executor",
     "JOBS_ENV_VAR",
     "HOSTS_ENV_VAR",
-    "MEASURE_DISPATCH_ENV_VAR",
     "MAX_TASK_ATTEMPTS",
     "INLINE_MULTIPLE",
 ]
@@ -112,9 +109,6 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 #: Worker host list (``host:port,host:port``) consulted when no
 #: explicit ``hosts`` is given; set, it selects the ``remote`` executor.
 HOSTS_ENV_VAR = "REPRO_HOSTS"
-#: When set (to anything non-empty), executors record dispatch payload
-#: sizes — used by the perf benchmark harness.
-MEASURE_DISPATCH_ENV_VAR = "REPRO_MEASURE_DISPATCH"
 
 #: How many times one task may be dispatched before a dying worker is
 #: treated as the task's fault and the run fails.
@@ -156,34 +150,41 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
+def _traced_task(fn: Callable[[Any], Any], task: Any, index: int) -> Any:
+    """Run one task while telemetry is on: under a ``task`` span whose
+    id every span it opens carries, recording its seconds in
+    ``runtime.task_seconds`` and its completion in
+    ``runtime.tasks_completed``.  In-process loops and pool workers
+    both go through here."""
+    set_task(index)
+    start = time.perf_counter()
+    try:
+        with span("task", index=index, fn=getattr(fn, "__name__", str(fn))):
+            value = fn(task)
+    finally:
+        set_task(None)
+    registry = STATE.registry
+    registry.histogram("runtime.task_seconds").observe(
+        time.perf_counter() - start)
+    registry.counter("runtime.tasks_completed").inc()
+    return value
+
+
 def _run_inline(fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
     """In-process task loop shared by the serial backend and every call
-    the pool runs in-process; records per-task spans and durations when
-    telemetry is on (as children of the caller's ``map_tasks`` span)."""
+    the pool runs in-process (task spans nest under the caller's
+    ``map_tasks`` span)."""
     if not STATE.enabled:
         return [fn(task) for task in tasks]
-    registry = STATE.registry
-    fn_name = getattr(fn, "__name__", str(fn))
-    results: List[Any] = []
-    for index, task in enumerate(tasks):
-        set_task(index)
-        start = time.perf_counter()
-        try:
-            with span("task", index=index, fn=fn_name):
-                results.append(fn(task))
-        finally:
-            set_task(None)
-        registry.histogram("runtime.task_seconds").observe(
-            time.perf_counter() - start)
-        registry.counter("runtime.tasks_completed").inc()
-    return results
+    return [_traced_task(fn, task, index)
+            for index, task in enumerate(tasks)]
 
 
 # ----------------------------------------------------------------------
 # Worker side of the pipe protocol.
 #
-# Dispatch message (pre-pickled by the parent, so the byte count that
-# telemetry records is exactly what crossed the pipe):
+# Dispatch message (pre-pickled by the parent, so the byte count it
+# tallies is exactly what crossed the pipe):
 #     (index, fn, packed_task, blocks, telem)
 # where ``blocks`` maps each content hash the packed task references
 # to the shared-memory block that holds it.
@@ -215,30 +216,19 @@ def _execute_task(index: int, fn: Callable[[Any], Any], task: Any,
     telemetry payload)`` envelope.  A failure becomes an ``"error"``
     envelope carrying a picklable exception without its traceback (the
     traceback's frames would keep the task's views alive)."""
-    payload = None
     if telem:
         telemetry.begin_worker_task(index)
     try:
-        if telem:
-            start = time.perf_counter()
-            with span("task", index=index,
-                      fn=getattr(fn, "__name__", str(fn))):
-                value = fn(task)
-            STATE.registry.histogram("runtime.task_seconds").observe(
-                time.perf_counter() - start)
-            STATE.registry.counter("runtime.tasks_completed").inc()
-            payload = telemetry.export_worker_payload()
-        else:
-            value = fn(task)
-        return "ok", value, payload
+        value = _traced_task(fn, task, index) if telem else fn(task)
+        status = "ok"
     except BaseException as exc:  # noqa: BLE001 - shipped to parent
-        if telem:
-            payload = telemetry.export_worker_payload()
         try:
             pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        return "error", exc.with_traceback(None), payload
+        status, value = "error", exc.with_traceback(None)
+    return status, value, (telemetry.export_worker_payload() if telem
+                           else None)
 
 
 def _pickled(reply: Tuple[Any, ...]) -> bytes:
@@ -476,9 +466,9 @@ class Executor(ABC):
     DRAIN_TIMEOUT = 60.0
 
     def __init__(self):
-        #: Cumulative dispatched task bytes (only populated while
-        #: REPRO_MEASURE_DISPATCH is set; None otherwise).
-        self.dispatch_bytes: Optional[int] = None
+        #: Bytes and count of the task messages this executor has sent
+        #: to workers or hosts (see :meth:`_count_sent`).
+        self.dispatch_bytes: int = 0
         self.dispatch_tasks: int = 0
         # Set while no pooled map_tasks call is in flight.  close() waits
         # on it, so a shutdown requested from another thread (the
@@ -517,14 +507,18 @@ class Executor(ABC):
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _record_dispatch(self, sizes: Iterable[int]) -> None:
-        """Count one dispatched task per size (bytes); ``sizes`` is
-        only consumed while REPRO_MEASURE_DISPATCH is set."""
-        if not os.environ.get(MEASURE_DISPATCH_ENV_VAR, "").strip():
-            return
-        sizes = list(sizes)
-        self.dispatch_bytes = (self.dispatch_bytes or 0) + sum(sizes)
-        self.dispatch_tasks += len(sizes)
+    def _count_sent(self, nbytes: int, telem: bool) -> None:
+        """Tally one task message of ``nbytes`` as it is sent: the one
+        dispatch count, mirrored into ``runtime.dispatch_bytes`` /
+        ``runtime.tasks_dispatched`` while ``telem`` (telemetry on,
+        outside a worker).  It runs inside the fixed cost a pooled
+        call measures, so with telemetry off it is two integer adds."""
+        self.dispatch_bytes += nbytes
+        self.dispatch_tasks += 1
+        if telem:
+            registry = STATE.registry
+            registry.counter("runtime.dispatch_bytes").inc(nbytes)
+            registry.counter("runtime.tasks_dispatched").inc()
 
 
 class SerialExecutor(Executor):
@@ -535,9 +529,6 @@ class SerialExecutor(Executor):
 
     def map_tasks(self, fn, tasks):
         tasks = list(tasks)
-        self._record_dispatch(
-            len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
-            for task in tasks)
         with span("map_tasks", backend=self.name, tasks=len(tasks), jobs=1):
             return _run_inline(fn, tasks)
 
@@ -674,21 +665,16 @@ class MultiprocessingExecutor(Executor):
                  {h: names[h] for h in manifest_hashes(task)}, telem),
                 protocol=pickle.HIGHEST_PROTOCOL)
                 for index, task in enumerate(packed)]
-            self._record_dispatch(map(len, messages))
             results: List[Any] = [None] * len(messages)
             pending: Deque[int] = deque(range(len(messages)))
             error: Optional[BaseException] = None
-            registry = STATE.registry
             sent: Dict[int, float] = {}
             busy: Dict[int, float] = {}   # worker pid -> task seconds
             while (pending and error is None) or pool.busy:
                 while (pending and error is None
                        and pool.busy < workers):
                     index = pending.popleft()
-                    if telem:
-                        registry.counter("runtime.dispatch_bytes").inc(
-                            len(messages[index]))
-                        registry.counter("runtime.tasks_dispatched").inc()
+                    self._count_sent(len(messages[index]), telem)
                     sent[index] = time.perf_counter()
                     pool.submit(index, messages[index])
                 replies, _ = pool.collect()

@@ -167,11 +167,11 @@ class RemoteExecutor(Executor):
         self._closed = False
         raw_timeout = os.environ.get(REMOTE_TIMEOUT_ENV_VAR, "").strip()
         self._task_timeout = float(raw_timeout) if raw_timeout else None
-        #: Wire accounting, exposed for the dedup/dispatch-byte gates:
-        #: blob ship counts per (host label, content hash) plus totals.
+        #: Blob-plane accounting, exposed for the dedup gates: ship
+        #: counts per (host label, content hash) plus totals.  Task
+        #: frames are tallied in ``dispatch_bytes`` / ``dispatch_tasks``.
         self.ship_counts: Dict[Tuple[str, str], int] = {}
         self.stats: Dict[str, int] = {
-            "tasks_sent": 0, "task_bytes_sent": 0,
             "blobs_sent": 0, "blob_bytes_sent": 0, "blob_dedup_hits": 0,
             "retries": 0, "reconnects": 0, "host_failures": 0,
         }
@@ -296,13 +296,7 @@ class RemoteExecutor(Executor):
                 STATE.registry.counter(
                     "runtime.remote.blob_bytes").inc(int(blob.nbytes))
         nbytes = send_frame(sock, ("task", index, fn, packed, telem))
-        self._record_dispatch([nbytes])
-        self.stats["tasks_sent"] += 1
-        self.stats["task_bytes_sent"] += nbytes
-        if telem and STATE.enabled:
-            STATE.registry.counter("runtime.remote.dispatch_bytes").inc(
-                nbytes)
-            STATE.registry.counter("runtime.tasks_dispatched").inc()
+        self._count_sent(nbytes, telem)
         deadline = (time.monotonic() + self._task_timeout
                     if self._task_timeout else None)
         link.in_flight[index] = deadline
@@ -340,6 +334,7 @@ class RemoteExecutor(Executor):
         resends: Dict[int, int] = {}
         error: Optional[BaseException] = None
         map_start_stats = dict(self.stats)
+        map_start_bytes = self.dispatch_bytes
 
         while ((pending and error is None)
                or any(link.in_flight for link in self._links)):
@@ -411,8 +406,7 @@ class RemoteExecutor(Executor):
         emit_event(
             "remote_map", tasks=len(tasks),
             hosts=len(self.connected_hosts),
-            task_bytes=self.stats["task_bytes_sent"]
-            - map_start_stats["task_bytes_sent"],
+            task_bytes=self.dispatch_bytes - map_start_bytes,
             blobs_sent=self.stats["blobs_sent"]
             - map_start_stats["blobs_sent"],
             blob_bytes=self.stats["blob_bytes_sent"]

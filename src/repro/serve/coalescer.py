@@ -37,7 +37,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.netshare import GenerateSession
 from ..nn import bucket_size
@@ -65,6 +65,9 @@ class PendingRequest:
 
     request: Dict[str, Any]
     received: float = field(default_factory=time.monotonic)
+    #: Called with this request once its response and latency are set,
+    #: before its waiter wakes (the daemon records its metrics here).
+    on_complete: Optional[Callable[["PendingRequest"], None]] = None
     _done: threading.Event = field(default_factory=threading.Event)
     response: Optional[Dict[str, Any]] = None
     #: Filled by the scheduler: seconds from enqueue to response ready.
@@ -73,7 +76,11 @@ class PendingRequest:
     def complete(self, response: Dict[str, Any]) -> None:
         self.latency = time.monotonic() - self.received
         self.response = response
-        self._done.set()
+        try:
+            if self.on_complete is not None:
+                self.on_complete(self)
+        finally:
+            self._done.set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self._done.wait(timeout)
@@ -177,7 +184,9 @@ def _open_session(pending: PendingRequest, registry: ModelRegistry
 
 def run_generation_batch(batch: List[PendingRequest],
                          registry: ModelRegistry,
-                         executor, cache=None) -> Dict[str, Any]:
+                         executor, cache=None,
+                         on_call: Optional[Callable[[List[Any]], None]]
+                         = None) -> Dict[str, Any]:
     """Drive every request's session to completion on one executor.
 
     Rounds run in lockstep across sessions: the union of all live
@@ -185,7 +194,9 @@ def run_generation_batch(batch: List[PendingRequest],
     and the ordered results are sliced back to their sessions.  Every
     request is answered — validation failures and degenerate-generator
     exhaustion become ``error`` responses, one bad request never takes
-    the batch down.  Returns batch stats for the daemon's counters.
+    the batch down.  ``on_call`` hears of each call's tasks before the
+    call runs, so a caller's counters lead every response; the batch
+    stats are returned (and journaled as ``serve_batch``).
 
     With a :class:`~repro.serve.cache.ResultCache`, a request whose
     ``(model, model generation, derived seed, n_records)`` key has a
@@ -196,7 +207,6 @@ def run_generation_batch(batch: List[PendingRequest],
     """
     sessions: List[Tuple[PendingRequest, GenerateSession, Dict[str, Any]]] = []
     cache_hits = 0
-    cached_records = 0
     for pending in batch:
         try:
             session, info = _open_session(pending, registry)
@@ -209,7 +219,6 @@ def run_generation_batch(batch: List[PendingRequest],
             cached = cache.get(cache.key_for(info))
             if cached is not None:
                 cache_hits += 1
-                cached_records += int(cached.get("records", 0))
                 pending.complete(cached)
                 continue
         sessions.append((pending, session, info))
@@ -220,7 +229,6 @@ def run_generation_batch(batch: List[PendingRequest],
         "cache_hits": cache_hits,
         "executor_calls": 0,
         "tasks": 0,
-        "planned_flows": 0,
     }
     # Sessions on one model share the registry's frozen states, so the
     # executor stages each state once per call, whatever the batch.
@@ -235,9 +243,8 @@ def run_generation_batch(batch: List[PendingRequest],
         if tasks:
             stats["executor_calls"] += 1
             stats["tasks"] += len(tasks)
-            # Planned sizes are already bucket_size fixed points;
-            # the tally feeds the coalescing/padding metrics.
-            stats["planned_flows"] += sum(t.n_flows for t in tasks)
+            if on_call is not None:
+                on_call(tasks)
             results = executor.map_tasks(generate_chunk, tasks)
         else:
             results = []
@@ -263,7 +270,6 @@ def run_generation_batch(batch: List[PendingRequest],
         if cache is not None:
             cache.put(cache.key_for(info), response)
         pending.complete(response)
-    stats["records"] = produced + cached_records
     emit_event("serve_batch", requests=stats["requests"],
                generate_requests=stats["generate_requests"],
                cache_hits=cache_hits,

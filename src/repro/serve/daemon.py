@@ -323,7 +323,7 @@ class ServeDaemon:
             self._count("serve.generate.rejected")
             return overloaded_response(self.config.retry_after,
                                        reason="shutting down")
-        pending = PendingRequest(message)
+        pending = PendingRequest(message, on_complete=self._count_response)
         if not self.queue.submit(pending):
             self._count("serve.generate.rejected")
             return overloaded_response(self.config.retry_after,
@@ -388,42 +388,46 @@ class ServeDaemon:
             pending.complete(error_response(
                 "daemon shut down before the request ran"))
 
+    # Every counter that describes a request is recorded before that
+    # request's waiter wakes: a batch when it starts, each executor call
+    # before it runs, each response as it completes.  A metrics read
+    # after a response therefore always includes its batch.
     def _run_batch(self, batch) -> None:
+        with self._stats_lock:
+            self._stats.counter("serve.batches").inc()
+            self._stats.counter("serve.generate.requests").inc(len(batch))
+            self._stats.histogram("serve.batch.requests",
+                                  _BATCH_BUCKETS).observe(len(batch))
         try:
-            stats = run_generation_batch(batch, self.registry,
-                                         self._executor, self.cache)
+            run_generation_batch(batch, self.registry, self._executor,
+                                 self.cache, on_call=self._count_call)
         except Exception as exc:
             # A failed batch answers every request; the daemon lives on.
             for pending in batch:
                 if pending.response is None:
                     pending.complete(error_response(
                         f"batch failed: {type(exc).__name__}: {exc}"))
-            self._count("serve.generate.errors", len(batch))
-            return
         with self._stats_lock:
-            self._stats.counter("serve.batches").inc()
-            self._stats.counter("serve.generate.requests").inc(
-                stats["requests"])
-            self._stats.counter("serve.generate.records").inc(
-                stats.get("records", 0))
-            self._stats.counter("serve.executor.calls").inc(
-                stats["executor_calls"])
-            self._stats.counter("serve.tasks").inc(stats["tasks"])
-            self._stats.counter("serve.planned_flows").inc(
-                stats["planned_flows"])
-            self._stats.histogram("serve.batch.requests",
-                                  _BATCH_BUCKETS).observe(len(batch))
-            errors = 0
-            for pending in batch:
-                if pending.latency is not None:
-                    self._stats.histogram(
-                        "serve.request.latency_seconds",
-                        _LATENCY_BUCKETS).observe(pending.latency)
-                if (pending.response or {}).get("status") == "error":
-                    errors += 1
-            if errors:
-                self._stats.counter("serve.generate.errors").inc(errors)
             self._stats.gauge("serve.queue.depth").set(self.queue.depth)
+
+    def _count_call(self, tasks) -> None:
+        with self._stats_lock:
+            self._stats.counter("serve.executor.calls").inc()
+            self._stats.counter("serve.tasks").inc(len(tasks))
+            # Planned sizes are already bucket_size fixed points; the
+            # tally feeds the coalescing/padding metrics.
+            self._stats.counter("serve.planned_flows").inc(
+                sum(task.n_flows for task in tasks))
+
+    def _count_response(self, pending: PendingRequest) -> None:
+        response = pending.response or {}
+        with self._stats_lock:
+            self._stats.histogram("serve.request.latency_seconds",
+                                  _LATENCY_BUCKETS).observe(pending.latency)
+            self._stats.counter("serve.generate.records").inc(
+                response.get("records", 0))
+            if response.get("status") == "error":
+                self._stats.counter("serve.generate.errors").inc()
 
 
 def install_signal_handlers(daemon: ServeDaemon) -> threading.Event:

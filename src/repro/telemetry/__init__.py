@@ -24,10 +24,13 @@ Usage::
         model.fit(trace)            # events + spans stream to runs/<id>/
         model.generate(10_000)
 
-Everything is off by default: the disabled fast path is a single
-attribute test (``STATE.enabled``), and enabling telemetry never
-touches an RNG, so model outputs are bit-identical with telemetry on
-or off — the backend-parity tests are the oracle for that claim.
+Telemetry is one switch: :func:`configure` (or :func:`session`) turns
+all of it on, and :func:`shutdown` turns it off; no environment
+variable changes what it records.  Everything is off by default: the
+disabled fast path is a single attribute test (``STATE.enabled``), and
+enabling telemetry never touches an RNG, so model outputs are
+bit-identical with telemetry on or off — the backend-parity tests are
+the oracle for that claim.
 """
 
 from __future__ import annotations
@@ -77,48 +80,19 @@ __all__ = [
     "begin_worker_task",
     "export_worker_payload",
     "absorb_worker_payload",
-    "NN_TIMING_ENV_VAR",
-    "SAMPLE_ENV_VAR",
 ]
-
-#: Set (non-empty) to enable per-layer forward / optimizer step timing
-#: whenever telemetry itself is enabled.  Off by default: layer-level
-#: timing multiplies instrument calls by the step count.
-NN_TIMING_ENV_VAR = "REPRO_TELEMETRY_NN"
-
-#: ``REPRO_TELEMETRY_SAMPLE=<n>`` keeps every n-th per-epoch span and
-#: ``epoch`` journal event (per span name / per model), bounding long
-#: runs' journal size.  Root spans and structural events (fit/chunk/
-#: generate start and end) are always kept.
-SAMPLE_ENV_VAR = "REPRO_TELEMETRY_SAMPLE"
-
-#: Event types eligible for sampling; everything else always lands.
-_SAMPLED_EVENTS = frozenset({"epoch"})
-#: Per-``(event_type, model)`` occurrence counters.
-_EVENT_COUNTS: Dict[str, int] = {}
 
 
 def configure(journal_dir=None, run_id: Optional[str] = None,
-              label: Optional[str] = None,
-              nn_timing: Optional[bool] = None,
-              sample: Optional[int] = None) -> Optional[RunJournal]:
+              label: Optional[str] = None) -> Optional[RunJournal]:
     """Enable telemetry for this process (idempotent; reconfigures).
 
     With ``journal_dir``, events stream to ``<journal_dir>/<run_id>/``
-    and the journal is returned.  ``nn_timing`` defaults to the
-    ``REPRO_TELEMETRY_NN`` environment variable; ``sample`` (keep every
-    n-th per-epoch span/event) to ``REPRO_TELEMETRY_SAMPLE``.
+    and the journal is returned.
     """
     shutdown()
     STATE.enabled = True
     STATE.registry = MetricsRegistry()
-    if nn_timing is None:
-        nn_timing = bool(os.environ.get(NN_TIMING_ENV_VAR, "").strip())
-    STATE.nn_timing = bool(nn_timing)
-    if sample is None:
-        raw = os.environ.get(SAMPLE_ENV_VAR, "").strip()
-        sample = int(raw) if raw else 1
-    STATE.sample_n = max(1, int(sample))
     if journal_dir is not None:
         STATE.journal = RunJournal(journal_dir, run_id=run_id, label=label)
         STATE.run_id = STATE.journal.run_id
@@ -139,18 +113,16 @@ def shutdown() -> None:
         journal.event("run_end", events=journal.events_written + 1)
         journal.close()
     _spans.reset()
-    _EVENT_COUNTS.clear()
     STATE.reset()
 
 
 @_contextmanager
 def session(journal_dir=None, run_id: Optional[str] = None,
-            label: Optional[str] = None, nn_timing: Optional[bool] = None,
-            sample: Optional[int] = None):
+            label: Optional[str] = None):
     """``with telemetry.session(journal_dir=...):`` — configure on
     entry, flush and disable on exit (even on error)."""
     journal = configure(journal_dir=journal_dir, run_id=run_id,
-                        label=label, nn_timing=nn_timing, sample=sample)
+                        label=label)
     try:
         yield journal
     finally:
@@ -172,20 +144,11 @@ def emit_event(event_type: str, **fields: Any) -> None:
 
     Workers have no journal (they buffer spans/metrics instead), so
     task-side calls are free no-ops — orchestrator-side calls are the
-    ones that land in ``events.jsonl``.  High-frequency ``epoch``
-    events honour ``STATE.sample_n`` (every n-th per model kept);
-    structural events always land.
+    ones that land in ``events.jsonl``.
     """
     journal = STATE.journal
-    if journal is None:
-        return
-    if STATE.sample_n > 1 and event_type in _SAMPLED_EVENTS:
-        key = f"{event_type}:{fields.get('model', '')}"
-        count = _EVENT_COUNTS.get(key, 0)
-        _EVENT_COUNTS[key] = count + 1
-        if count % STATE.sample_n:
-            return
-    journal.event(event_type, **fields)
+    if journal is not None:
+        journal.event(event_type, **fields)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Nesting trace spans that survive process boundaries.
 
-A :func:`span` is a context manager timing one unit of work.  Spans
-nest through a process-local stack; each span snapshots the ambient
+A :func:`span` is a context manager timing one unit of work: a live
+:class:`Span` while telemetry is on, and one shared no-op context
+while it is off (no generator or span object per call).  Spans nest through a
+process-local stack; each span snapshots the ambient
 ``(run_id, task_id, worker_pid)`` context so a span recorded inside a
 pool worker is attributable after it has been shipped back to the
 orchestrator.
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 from .state import STATE
@@ -40,7 +41,6 @@ __all__ = [
     "export_pending",
     "attach_children",
     "reset",
-    "SAMPLED_SPANS",
 ]
 
 #: Open spans, innermost last (the runtime is single-threaded per
@@ -52,18 +52,11 @@ _PENDING_LIMIT = 256
 #: Ambient task id (set by the executor around each task execution).
 _TASK_ID: Optional[int] = None
 
-#: High-frequency per-epoch spans eligible for ``STATE.sample_n``
-#: sampling.  Root spans (fit/chunk/generate and the worker task roots)
-#: are deliberately absent: sampling must never drop the tree's anchor
-#: points, only thin the repetitive per-epoch interior.
-SAMPLED_SPANS = frozenset({"dg.epoch", "rowgan.epoch", "stan.field"})
-#: Per-name occurrence counters driving every-n-th selection.
-_SAMPLE_COUNTS: Dict[str, int] = {}
-
 
 class Span:
-    """One timed unit of work; children are sub-spans (live ``Span``
-    objects in-process, plain dicts when spliced from a worker)."""
+    """One timed unit of work, and the context manager that times it;
+    children are sub-spans (live ``Span`` objects in-process, plain
+    dicts when spliced from a worker)."""
 
     __slots__ = ("name", "attrs", "duration", "task_id", "worker_pid",
                  "children", "_start")
@@ -75,7 +68,20 @@ class Span:
         self.task_id = _TASK_ID
         self.worker_pid = os.getpid()
         self.children: List[Any] = []
+        self._start = 0.0
+
+    def __enter__(self) -> "Span":
+        _STACK.append(self)
         self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.duration = time.perf_counter() - self._start
+        _STACK.pop()
+        if _STACK:
+            _STACK[-1].children.append(self)
+        else:
+            _complete_root(self)
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -111,30 +117,28 @@ def current_task() -> Optional[int]:
     return _TASK_ID
 
 
-@contextmanager
+class _NoSpan:
+    """The disabled span: enters as None and records nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
+
+
+_NO_SPAN = _NoSpan()
+
+
 def span(name: str, **attrs: Any):
-    """Time a block as a span.  Yields the live :class:`Span` (or None
-    on the disabled fast path, which allocates nothing)."""
+    """Time a block as a span: ``with span(name, **attrs) as live:``
+    binds the live :class:`Span`, or None while telemetry is off (the
+    fast path returns one shared no-op context)."""
     if not STATE.enabled:
-        yield None
-        return
-    if STATE.sample_n > 1 and name in SAMPLED_SPANS:
-        count = _SAMPLE_COUNTS.get(name, 0)
-        _SAMPLE_COUNTS[name] = count + 1
-        if count % STATE.sample_n:
-            yield None
-            return
-    record = Span(name, attrs)
-    _STACK.append(record)
-    try:
-        yield record
-    finally:
-        _STACK.pop()
-        record.duration = time.perf_counter() - record._start
-        if _STACK:
-            _STACK[-1].children.append(record)
-        else:
-            _complete_root(record)
+        return _NO_SPAN
+    return Span(name, attrs)
 
 
 def _complete_root(record: Span) -> None:
@@ -173,5 +177,4 @@ def reset() -> None:
     """Drop all span state (session teardown / worker-task setup)."""
     _STACK.clear()
     _PENDING.clear()
-    _SAMPLE_COUNTS.clear()
     set_task(None)

@@ -1,10 +1,12 @@
 """The one mutable cell every instrumented hot path reads.
 
-Hot paths (``repro.nn`` forward/optimizer steps, the executor dispatch
-loop) guard their instrumentation with a single attribute test on
-:data:`STATE` — ``if STATE.enabled:`` / ``if STATE.nn_timing:`` — so
-the disabled path costs one load and one branch, which is the
-"zero overhead when off" contract the runtime-perf bench measures.
+Hot paths (the executor dispatch loop, trace spans, GAN epoch loops)
+guard their instrumentation with a single attribute test on
+:data:`STATE` — ``if STATE.enabled:`` — so the disabled path costs one
+load and one branch, which is the "zero overhead when off" contract
+the runtime-perf bench measures.  That flag is the only switch:
+nothing else, and no environment variable, changes what telemetry
+records.
 
 ``STATE`` is process-local.  Forked workers inherit the parent's state
 object but are switched into *worker mode* by the executor
@@ -25,28 +27,21 @@ __all__ = ["TelemetryState", "STATE"]
 class TelemetryState:
     """Process-local telemetry switchboard (see module docstring)."""
 
-    __slots__ = ("enabled", "nn_timing", "registry", "journal", "run_id",
-                 "worker_mode", "sample_n")
+    __slots__ = ("enabled", "registry", "journal", "run_id", "worker_mode")
 
     def __init__(self):
         self.enabled: bool = False
-        self.nn_timing: bool = False
         self.registry: MetricsRegistry = NULL_REGISTRY
         self.journal = None          # Optional[RunJournal]
         self.run_id: Optional[str] = None
         self.worker_mode: bool = False
-        # Keep every n-th high-frequency span/epoch event (1 = keep all;
-        # fit/chunk/generate roots are never sampled away).
-        self.sample_n: int = 1
 
     def reset(self) -> None:
         self.enabled = False
-        self.nn_timing = False
         self.registry = NULL_REGISTRY
         self.journal = None
         self.run_id = None
         self.worker_mode = False
-        self.sample_n = 1
 
 
 #: The process-wide telemetry state.

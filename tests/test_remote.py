@@ -46,7 +46,8 @@ from repro.runtime.shm import Attachments, SharedArena
 from repro.runtime.wire import FrameError, recv_frame, send_frame
 from repro.serve import ServeClient, ServeConfig, ServeDaemon, \
     derive_client_seed
-from repro.telemetry import load_journals, session as telemetry_session
+from repro.telemetry import load_journal, load_journals, \
+    metrics as telemetry_metrics, session as telemetry_session
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Environment for spawned worker hosts: they must import both
@@ -351,6 +352,26 @@ class TestLoopbackMap:
         assert again == [float(payload.sum()) * 2]
         assert executor.stats["blobs_sent"] == len(hosts)
         assert set(executor.ship_counts.values()) == {1}
+
+    def test_remote_map_tallies_what_dispatch_counts(self, executor,
+                                                     tmp_path):
+        """One map's ``remote_map`` event reads the executor's dispatch
+        tallies, and telemetry's ``runtime.dispatch_bytes`` counts the
+        same task frames."""
+        bytes_before = executor.dispatch_bytes
+        tasks_before = executor.dispatch_tasks
+        with telemetry_session(journal_dir=str(tmp_path)) as journal:
+            assert executor.map_tasks(_square, list(range(5))) == \
+                [x * x for x in range(5)]
+            counted = telemetry_metrics().snapshot()["counters"][
+                "runtime.dispatch_bytes"]
+            run_dir = journal.directory
+        _, events = load_journal(run_dir)
+        (event,) = [e for e in events if e["event"] == "remote_map"]
+        assert event["tasks"] == executor.dispatch_tasks - tasks_before
+        assert event["task_bytes"] == \
+            executor.dispatch_bytes - bytes_before > 0
+        assert counted == event["task_bytes"]
 
     def test_frozen_state_tasks(self, executor):
         frozen = freeze_state(

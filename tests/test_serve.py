@@ -360,6 +360,26 @@ class TestDaemon:
                                        registry["misses"])
         assert hit_rate >= 0.5  # one cold load, then resident
 
+    def test_batch_is_counted_before_its_request_wakes(self, daemon,
+                                                       monkeypatch):
+        """A metrics read taken as a response completes already counts
+        that response's request, its batch and its executor call."""
+        snapshots = []
+        complete = coalescer.PendingRequest.complete
+
+        def snapshot_then_complete(pending, response):
+            snapshots.append(daemon.metrics_payload()["serve"]["counters"])
+            complete(pending, response)
+
+        monkeypatch.setattr(coalescer.PendingRequest, "complete",
+                            snapshot_then_complete)
+        with ServeClient(*daemon.address, client_id="early") as client:
+            client.generate(20, "ugr16", seed=1)
+        (counters,) = snapshots
+        assert counters["serve.generate.requests"] == 1.0
+        assert counters["serve.batches"] == 1.0
+        assert counters["serve.executor.calls"] >= 1.0
+
 
 class TestAdmissionControl:
     def _wait_depth(self, daemon, depth, timeout=5.0):
