@@ -8,7 +8,9 @@ Measures, for one ≥4-chunk NetShare configuration:
   ``multiprocessing`` pool's carry shared-memory manifests (the number
   the zero-copy plane exists to shrink);
 * **generate** — wall seconds for sequential (jobs=1) vs parallel
-  (jobs=4) per-chunk sampling;
+  (jobs=4) per-chunk sampling, median and IQR over
+  ``GENERATE_ROUNDS`` alternating rounds (the speedup is the ratio of
+  the medians);
 * **infer** — forward-only tape compilation on the sampling path:
   eager-vs-compiled bitwise parity (model-level and end-to-end through
   ``NetShare.generate``), warm ``generate()`` replay speedup (gate:
@@ -79,6 +81,10 @@ EPOCHS_SEED = 2 if SMOKE else 6
 EPOCHS_FINE_TUNE = 1 if SMOKE else 3
 GEN_RECORDS = 120 if SMOKE else 400
 JOBS = 4
+#: Alternating rounds of the jobs=1 and jobs=JOBS generates.  Only a
+#: model's first generate freezes its states, so a single run per side
+#: would charge that cost to whichever side ran first.
+GENERATE_ROUNDS = 5
 
 TRACE_COLUMNS = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol",
                  "start_time", "duration", "packets", "bytes")
@@ -691,19 +697,28 @@ def bench():
             for key in sa
         )
 
-        traces = {}
-        for label, jobs in (("serial_jobs1", 1),
-                            (f"multiprocessing_jobs{JOBS}", JOBS)):
-            traces[label] = serial.generate(GEN_RECORDS, seed=7, jobs=jobs)
+        sides = (("serial_jobs1", 1), (f"multiprocessing_jobs{JOBS}", JOBS))
+        generated = {label: [] for label, _ in sides}
+        gen_walls = {label: [] for label, _ in sides}
+        gen_bytes = {label: [] for label, _ in sides}
+        for r in range(GENERATE_ROUNDS):
+            for label, jobs in sides[::1 if r % 2 == 0 else -1]:
+                generated[label].append(
+                    serial.generate(GEN_RECORDS, seed=7, jobs=jobs))
+                gen_walls[label].append(serial.generate_wall_seconds)
+                gen_bytes[label].append(serial.generate_dispatch_bytes)
+        traces = {label: runs[0] for label, runs in generated.items()}
+        for label, _ in sides:
             report["generate"][label] = {
-                "wall_seconds": round(serial.generate_wall_seconds, 3),
-                "dispatch_bytes": serial.generate_dispatch_bytes,
+                "wall_seconds": _spread(gen_walls[label]),
+                # The most one generate sent (placement may run a later
+                # round of a pooled generate in-process).
+                "dispatch_bytes": max(gen_bytes[label]),
                 "records": len(traces[label]),
             }
         gen_identical = all(
-            _trace_equal(traces["serial_jobs1"], traces[label])
-            for label in traces if label != "serial_jobs1"
-        )
+            _trace_equal(traces["serial_jobs1"], trace)
+            for runs in generated.values() for trace in runs)
 
         # Serial tasks carry their payloads inline; the pool's carry
         # manifests of the same payloads staged in shared memory.
@@ -718,9 +733,10 @@ def bench():
         cpus = os.cpu_count() or 1
         speedup = {
             "value": round(
-                report["generate"]["serial_jobs1"]["wall_seconds"]
-                / max(report["generate"][
-                    f"multiprocessing_jobs{JOBS}"]["wall_seconds"], 1e-9), 2),
+                np.median(gen_walls["serial_jobs1"])
+                / max(np.median(gen_walls[f"multiprocessing_jobs{JOBS}"]),
+                      1e-9), 2),
+            "rounds": GENERATE_ROUNDS,
             "cpus": cpus,
         }
         if cpus == 1:
@@ -845,10 +861,12 @@ class TestRuntimePerf:
                         reason="speedup gate needs >= 4 CPUs (the JSON "
                         "records skipped_reason on single-CPU hosts)")
     def test_parallel_generate_beats_sequential(self, bench):
-        """Acceptance: jobs=4 generation <= 0.7x sequential wall."""
+        """Acceptance: jobs=4 generation <= 0.7x sequential wall
+        (medians over the alternating rounds)."""
         gen = bench["report"]["generate"]
-        sequential = gen["serial_jobs1"]["wall_seconds"]
-        parallel = gen[f"multiprocessing_jobs{JOBS}"]["wall_seconds"]
+        sequential = gen["serial_jobs1"]["wall_seconds"]["median"]
+        parallel = gen[f"multiprocessing_jobs{JOBS}"]["wall_seconds"][
+            "median"]
         assert parallel <= 0.7 * sequential
 
     def test_speedup_gate_skip_is_recorded(self, bench):

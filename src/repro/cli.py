@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel sampling workers (default: the saved "
-                        "model's setting, then REPRO_JOBS)")
+                   help="parallel sampling workers (default: REPRO_JOBS, "
+                        "then 1; archives store no worker count)")
     p.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                    help="remote worker hosts (default: REPRO_HOSTS env "
                         "var); output is bit-identical to --jobs 1")

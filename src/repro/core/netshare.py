@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from ..runtime import get_executor
 from ..runtime.chunk_tasks import (
     ChunkResult,
     ChunkTask,
+    FrozenState,
     GenerateTask,
     freeze_state,
     generate_chunk,
@@ -53,7 +54,7 @@ from .ip2vec import IP2Vec, five_tuple_sentences
 from .preprocess import chunk_flows, split_into_flows, time_range
 from .postprocess import finalize_flow_trace, finalize_packet_trace
 
-__all__ = ["NetShareConfig", "NetShare", "GenerateSession"]
+__all__ = ["NetShareConfig", "NetShare", "GenerateSession", "run_sessions"]
 
 
 @dataclass
@@ -116,6 +117,9 @@ class NetShare:
         self.config = config or NetShareConfig()
         self._encoder: Optional[FlowTensorEncoder] = None
         self._chunks: List[_TrainedChunk] = []
+        # Dispatch handles of the encoder and chunk states.
+        self._frozen: Optional[Tuple[FrozenState,
+                                     Dict[int, FrozenState]]] = None
         self._kind: Optional[str] = None
         self.cpu_seconds: float = 0.0       # summed per-task training time
         self.wall_seconds: float = 0.0      # measured training wall-clock
@@ -194,6 +198,7 @@ class NetShare:
             raise ValueError("cannot fit on an empty trace")
         cfg = self.config
         self._kind = "netflow" if isinstance(trace, FlowTrace) else "pcap"
+        self._frozen = None
         self._encoder = self._make_encoder(trace)
         windows = self._chunk_windows(trace)
         chunk_lists = chunk_flows(trace, cfg.n_chunks)
@@ -348,10 +353,10 @@ class NetShare:
     def save(self, path) -> None:
         """Persist the trained model to a single ``.npz`` archive.
 
-        The archive holds the full config, the fitted encoder state
-        (field scalers + IP2Vec dictionary), and every chunk's
-        ``state_dict`` — enough to :meth:`load` and generate without
-        retraining.
+        The archive holds the config (less ``jobs`` and ``hosts``),
+        the fitted encoder state (field scalers + IP2Vec dictionary),
+        and every chunk's ``state_dict`` — enough to :meth:`load` and
+        generate without retraining.
         """
         if self._encoder is None or not self._chunks:
             raise RuntimeError("NetShare is not fitted; call fit() first")
@@ -370,11 +375,15 @@ class NetShare:
                 },
                 "model": chunk.model.state_dict(),
             }
+        # Where to run is the loading machine's choice: an archive
+        # names no worker count and no hosts.
+        config = asdict(self.config)
+        del config["jobs"], config["hosts"]
         save_state_npz(path, {
             "format": self._SAVE_FORMAT,
             "version": self._SAVE_VERSION,
             "kind": self._kind,
-            "config": asdict(self.config),
+            "config": config,
             "cpu_seconds": self.cpu_seconds,
             "wall_seconds": self.wall_seconds,
             "backend": self.backend,
@@ -394,9 +403,10 @@ class NetShare:
         if state.get("format") != cls._SAVE_FORMAT:
             raise ValueError(f"{path} is not a NetShare model archive")
         cfg_data = dict(state["config"])
-        # Older archives name an executor backend; jobs and hosts now
-        # select it.
-        cfg_data.pop("backend", None)
+        # Older archives name an executor backend, a worker count and
+        # hosts; the loading process chooses those.
+        for name in ("backend", "jobs", "hosts"):
+            cfg_data.pop(name, None)
         dp_data = cfg_data.pop("dp", None)
         config = NetShareConfig(
             dp=DpSgdConfig(**dp_data) if dp_data is not None else None,
@@ -460,10 +470,10 @@ class NetShare:
         are bit-identical across backends because every task's seeds
         derive from ``(seed, retry round, chunk index)``.
 
-        The round loop itself lives in :class:`GenerateSession`; this
-        method drives one session to completion on its own executor.
-        Callers that pool many requests onto one executor (the
-        ``repro.serve`` daemon) drive sessions directly and get
+        The round state lives in :class:`GenerateSession`; this method
+        drives one session through :func:`run_sessions` on its own
+        executor.  The ``repro.serve`` daemon drives many sessions
+        through the same function on one shared executor and gets
         bit-identical output, because a session's tasks and seeds never
         depend on what else shares the batch.
         """
@@ -478,10 +488,7 @@ class NetShare:
             emit_event("generate_start", model="netshare",
                        backend=executor.name, jobs=executor.jobs,
                        target=n_records, chunks=len(self._chunks))
-            while not session.done:
-                tasks = session.plan_round()
-                session.consume_round(
-                    executor.map_tasks(generate_chunk, tasks))
+            run_sessions([session], executor)
             self.generate_wall_seconds = time.perf_counter() - wall_start
             self.generate_dispatch_bytes = executor.dispatch_bytes
         emit_event("generate_end", model="netshare",
@@ -490,23 +497,34 @@ class NetShare:
                    rounds=len(session.rounds_log))
         return session.finish()
 
+    def _frozen_states(self) -> Tuple[FrozenState, Dict[int, FrozenState]]:
+        """The encoder's and each chunk's state as dispatch handles,
+        frozen on first use and kept until ``fit`` replaces them."""
+        if self._frozen is None:
+            self._frozen = (
+                freeze_state(self._encoder.state_dict()),
+                {c.index: freeze_state(c.model.state_dict())
+                 for c in self._chunks})
+        return self._frozen
+
 
 class GenerateSession:
     """Resumable plan/consume state machine for one ``generate`` call.
 
-    One session owns everything :meth:`NetShare.generate` used to keep
-    as loop-local state: the frozen encoder/model blobs, the
-    records-per-flow estimates, the produced pieces, and the per-round
-    accept/reject log.  Each round, :meth:`plan_round` emits the
+    One session owns a call's round state: the records-per-flow
+    estimates, the produced pieces, and the per-round accept/reject
+    log; its tasks carry the model's frozen encoder and chunk states,
+    which the model freezes when its first session opens.  Each round,
+    :meth:`plan_round` emits the
     :class:`~repro.runtime.chunk_tasks.GenerateTask` list for the
     current shortfall and :meth:`consume_round` folds the results back
-    in — *who* executes the tasks (a private executor, a shared daemon
-    pool, interleaved with other sessions' tasks) is invisible to the
-    session, because every task's seeds derive from
-    ``(seed, round, chunk index)`` and every size is pre-bucketed by
-    :func:`repro.nn.bucket_size`.  That is the serving-layer contract:
-    a coalesced request is bit-identical to an offline
-    ``NetShare.generate`` with the same seed.
+    in.  :func:`run_sessions` drives both offline ``NetShare.generate``
+    (one session) and the serve daemon's coalesced batch (many), and
+    *who* executes the tasks is invisible to the session, because every
+    task's seeds derive from ``(seed, round, chunk index)`` and every
+    size is pre-bucketed by :func:`repro.nn.bucket_size`.  That is the
+    serving-layer contract: a coalesced request is bit-identical to an
+    offline ``NetShare.generate`` with the same seed.
     """
 
     #: Top-up rounds before a session gives up (matches the historical
@@ -514,8 +532,7 @@ class GenerateSession:
     MAX_ROUNDS = 8
 
     def __init__(self, model: NetShare, n_records: int,
-                 seed: Optional[int] = None, *,
-                 encoder_state=None, model_states=None):
+                 seed: Optional[int] = None):
         if model._encoder is None or not model._chunks:
             raise RuntimeError("NetShare is not fitted; call fit() first")
         if n_records < 1:
@@ -527,16 +544,7 @@ class GenerateSession:
         self._rng = np.random.default_rng(self.base_seed)
         self._gan_config = model._gan_config(model._encoder)
         self._total_records = sum(c.n_records for c in model._chunks)
-        # Frozen once per session: every task (across chunks and retry
-        # rounds) shares the same pre-pickled encoder/model blobs.
-        # Callers with a hot registry (repro.serve) pass pre-frozen
-        # handles in, skipping even the once-per-call pickling.
-        self.encoder_state = (freeze_state(model._encoder.state_dict())
-                              if encoder_state is None else encoder_state)
-        self.model_states = (dict(model_states)
-                             if model_states is not None else
-                             {c.index: freeze_state(c.model.state_dict())
-                              for c in model._chunks})
+        self.encoder_state, self.model_states = model._frozen_states()
         # Flows emit a variable number of records (generation flags),
         # so sessions top up over a few rounds until the target count
         # is reached.  The records-per-flow estimate starts from the
@@ -649,3 +657,32 @@ class GenerateSession:
                 len(trace), size=self.n_records, replace=False))
             trace = trace.subset(keep)
         return trace
+
+
+def run_sessions(sessions: Sequence[GenerateSession], executor,
+                 on_call: Optional[Callable[[List[GenerateTask]], None]]
+                 = None) -> None:
+    """Drive generate sessions to completion on one executor.
+
+    Rounds run in lockstep: each round concatenates every live
+    session's planned tasks into a single ``map_tasks`` call and hands
+    each session its slice of the ordered results.  ``on_call`` hears
+    of each call's tasks before the call runs.  A session's tasks and
+    seeds never depend on what else shares a call, so one session
+    (``NetShare.generate``) and a coalesced batch (the serve daemon)
+    yield the same bits per session.
+    """
+    live = list(sessions)
+    while live:
+        planned = [session.plan_round() for session in live]
+        tasks = [task for round_tasks in planned for task in round_tasks]
+        if on_call is not None:
+            on_call(tasks)
+        # ``generate_chunk`` is read from this module at call time, so
+        # a wrapper bound over the module attribute takes effect.
+        results = executor.map_tasks(generate_chunk, tasks)
+        offset = 0
+        for session, round_tasks in zip(live, planned):
+            session.consume_round(results[offset:offset + len(round_tasks)])
+            offset += len(round_tasks)
+        live = [session for session in live if not session.done]

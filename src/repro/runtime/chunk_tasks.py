@@ -12,10 +12,13 @@ dicts — and never name a transport.  Two things keep dispatch cheap:
 
 * **Frozen states** — a ``state_dict`` re-pickled into every task
   would dominate fine-tune dispatch.  :func:`freeze_state` serialises
-  it once per ``fit``/``generate`` call into a :class:`FrozenState`
-  (content-hash keyed, instance-cached), so every task shares the one
-  pre-pickled blob; workers :meth:`~FrozenState.thaw` through a
-  per-process cache so N tasks in one worker deserialize once.
+  it into a content-hash keyed :class:`FrozenState` that every task
+  shares: ``fit`` freezes its warm-start state once per call, and a
+  ``NetShare`` freezes its encoder and chunk states once, when its
+  first generate session opens.  Each process decodes a frozen state
+  once per content hash, through one decoder: fine-tune tasks
+  :func:`thaw_state` the dict through a per-process cache, and
+  generate tasks keep only the model or encoder they build from it.
 * **Executor staging** — the executor alone decides what crosses a
   process boundary: :func:`~repro.runtime.serialization.pack_tasks`
   names the encoded tensors, frozen payloads and top-level arrays, the
@@ -39,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.flow_encoder import EncodedFlows
+from ..core.flow_encoder import EncodedFlows, FlowTensorEncoder
 from ..gan.doppelganger import DgConfig, DoppelGANger, TrainingLog
 from ..privacy.dpsgd import DpSgdConfig
 from ..telemetry.spans import span
@@ -70,7 +73,7 @@ _CHUNK_MODES = ("fit", "fine_tune", "fit_dp")
 
 
 # ----------------------------------------------------------------------
-# Frozen state: serialize once per call, thaw once per worker process.
+# Frozen state: serialize once per state, decode once per process.
 
 @dataclass(frozen=True)
 class FrozenState:
@@ -78,9 +81,9 @@ class FrozenState:
 
     ``payload`` holds the pickled bytes (inside a pool or host worker,
     a byte view of the staged block that carries them).
-    ``content_hash`` keys the per-process thaw cache and the freeze
-    cache, so identical states — however many tasks, rounds, or calls
-    reference them — are serialized and deserialized once per process.
+    ``content_hash`` keys the per-process caches, so identical states —
+    however many tasks, rounds, or calls reference them — are
+    deserialized once per process.
     """
 
     content_hash: str
@@ -90,9 +93,6 @@ class FrozenState:
         return thaw_state(self)
 
 
-# freeze: content-hash -> FrozenState (bytes payload), so repeated
-# fit/generate calls over the same model reuse one blob instance.
-_FREEZE_CACHE: Dict[str, FrozenState] = {}
 # thaw: content-hash -> deserialized state, per process (pool workers
 # persist across map_tasks calls, so a state is deserialized once per
 # worker, however many tasks and calls reference it).
@@ -106,37 +106,49 @@ def _trim(cache: Dict[str, Any]) -> None:
 
 
 def freeze_state(state: Optional[Dict[str, Any]]) -> Optional[FrozenState]:
-    """Serialize a nested state dict once; return the shared handle.
+    """Serialize a nested state dict into the handle its tasks share.
 
-    A ``FrozenState`` and ``None`` pass through unchanged.
+    Freeze a state once and hand that one handle to every task.  A
+    ``FrozenState`` and ``None`` pass through unchanged.
     """
     if state is None or isinstance(state, FrozenState):
         return state
     payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).hexdigest()
-    frozen = _FREEZE_CACHE.get(digest)
-    if frozen is None:
-        frozen = FrozenState(content_hash=digest, payload=payload)
-        _FREEZE_CACHE[digest] = frozen
-        _trim(_FREEZE_CACHE)
-    return frozen
+    return FrozenState(content_hash=hashlib.sha256(payload).hexdigest(),
+                       payload=payload)
+
+
+def _cached(cache: Dict[str, Any], counter: str, state, build):
+    """``build`` applied to the plain value behind ``state``.
+
+    A plain value (or ``None``) is built directly.  A frozen state is
+    decoded and built once per process: ``cache`` keeps only what
+    ``build`` made of it, under its content hash, and ``counter``
+    (``.hits``/``.misses``) counts the lookups.  This is the one place
+    a frozen payload is decoded.
+    """
+    if not isinstance(state, FrozenState):
+        return build(state)
+    built = cache.get(state.content_hash)
+    if built is None:
+        if STATE.enabled:
+            STATE.registry.counter(f"{counter}.misses").inc()
+        built = build(pickle.loads(state.payload))
+        cache[state.content_hash] = built
+        _trim(cache)
+    elif STATE.enabled:
+        STATE.registry.counter(f"{counter}.hits").inc()
+    return built
+
+
+def _plain(state):
+    return state
 
 
 def thaw_state(state: Union[None, Dict[str, Any], FrozenState]
                ) -> Optional[Dict[str, Any]]:
     """Return the plain nested dict behind any state representation."""
-    if state is None or isinstance(state, dict):
-        return state
-    cached = _THAW_CACHE.get(state.content_hash)
-    if cached is None:
-        if STATE.enabled:
-            STATE.registry.counter("runtime.thaw_cache.misses").inc()
-        cached = pickle.loads(state.payload)
-        _THAW_CACHE[state.content_hash] = cached
-        _trim(_THAW_CACHE)
-    elif STATE.enabled:
-        STATE.registry.counter("runtime.thaw_cache.hits").inc()
-    return cached
+    return _cached(_THAW_CACHE, "runtime.thaw_cache", state, _plain)
 
 
 # ----------------------------------------------------------------------
@@ -220,8 +232,8 @@ class GenerateTask:
     non-repeating output.
 
     ``n_flows`` arrives pre-bucketed (:func:`repro.nn.tape.
-    bucket_size` in ``NetShare.generate``): together with the
-    content-hash model cache below — which keeps thawed models, and
+    bucket_size` in ``GenerateSession.plan_round``): together with the
+    content-hash model cache below — which keeps built models, and
     therefore their recorded inference tapes, alive across tasks in a
     worker — every task of a similar size replays the same warm
     forward-only tape instead of recording per request.
@@ -251,43 +263,10 @@ class GeneratePiece:
 
 
 # Per-process caches keyed by frozen-state content hash: workers (and
-# the serial backend) rebuild the decoder/model once, not per task.
-_ENCODER_CACHE: Dict[str, Any] = {}
+# the serial backend) build the decoder/model once, not per task, and
+# keep only what they built.
+_ENCODER_CACHE: Dict[str, FlowTensorEncoder] = {}
 _MODEL_CACHE: Dict[str, DoppelGANger] = {}
-
-
-def _resolve_encoder(encoder_state):
-    from ..core.flow_encoder import FlowTensorEncoder
-
-    if isinstance(encoder_state, FrozenState):
-        cached = _ENCODER_CACHE.get(encoder_state.content_hash)
-        if cached is None:
-            if STATE.enabled:
-                STATE.registry.counter("runtime.encoder_cache.misses").inc()
-            cached = FlowTensorEncoder.from_state(encoder_state.thaw())
-            _ENCODER_CACHE[encoder_state.content_hash] = cached
-            _trim(_ENCODER_CACHE)
-        elif STATE.enabled:
-            STATE.registry.counter("runtime.encoder_cache.hits").inc()
-        return cached
-    return FlowTensorEncoder.from_state(encoder_state)
-
-
-def _resolve_model(gan_config: DgConfig, model_state, seed: int
-                   ) -> DoppelGANger:
-    if isinstance(model_state, FrozenState):
-        cached = _MODEL_CACHE.get(model_state.content_hash)
-        if cached is None:
-            if STATE.enabled:
-                STATE.registry.counter("runtime.model_cache.misses").inc()
-            cached = DoppelGANger.from_state(
-                gan_config, model_state.thaw(), seed=seed)
-            _MODEL_CACHE[model_state.content_hash] = cached
-            _trim(_MODEL_CACHE)
-        elif STATE.enabled:
-            STATE.registry.counter("runtime.model_cache.hits").inc()
-        return cached
-    return DoppelGANger.from_state(gan_config, model_state, seed=seed)
 
 
 def generate_chunk(task: GenerateTask) -> GeneratePiece:
@@ -300,12 +279,15 @@ def generate_chunk(task: GenerateTask) -> GeneratePiece:
     start = time.perf_counter()
     with span("generate_chunk", chunk=task.chunk_index,
               n_flows=task.n_flows):
-        model = _resolve_model(task.gan_config, task.model_state,
-                               seed=task.sample_seed)
+        model = _cached(
+            _MODEL_CACHE, "runtime.model_cache", task.model_state,
+            lambda state: DoppelGANger.from_state(
+                task.gan_config, state, seed=task.sample_seed))
         encoded = model.generate(task.n_flows, seed=task.sample_seed)
         trace = None
         if np.any(encoded.gen_flags > 0.5):
-            encoder = _resolve_encoder(task.encoder_state)
+            encoder = _cached(_ENCODER_CACHE, "runtime.encoder_cache",
+                              task.encoder_state, FlowTensorEncoder.from_state)
             piece = encoder.decode(
                 encoded, task.window,
                 rng=np.random.default_rng(task.decode_seed))

@@ -74,7 +74,7 @@ WIRE_VERSION = 2
 
 #: Field count of each host reply kind; a malformed reply is a dead
 #: host.
-_REPLY_ARITY = {"result": 5, "need": 3, "pong": 1}
+_REPLY_ARITY = {"result": 5, "need": 3}
 
 #: Reconnect backoff: ``BASE * 2**(failures-1)`` capped at ``CAP``.
 RECONNECT_BASE = 0.05
@@ -443,22 +443,20 @@ class RemoteExecutor(Executor):
             return value if isinstance(value, BaseException) else \
                 RuntimeError(f"task {index} failed on {link.label}: "
                              f"{value!r}")
-        if kind == "need":
-            # The host evicted blobs this task references (bounded
-            # store); clear them from the dedup ledger and resend.
-            _, index, missing = message
-            link.in_flight.pop(index, None)
-            link.shipped.difference_update(missing)
-            resends[index] = resends.get(index, 0) + 1
-            if resends[index] > MAX_TASK_ATTEMPTS:
-                return RuntimeError(
-                    f"task {index} bounced off {link.label} "
-                    f"{resends[index]} times (blob store thrashing); "
-                    "raise the host's --blob-capacity")
-            attempts[index] = max(attempts.get(index, 1) - 1, 0)
-            pending.appendleft(index)
-            return 0
-        return 0  # pong
+        # need: the host evicted blobs this task references (bounded
+        # store); clear them from the dedup ledger and resend.
+        _, index, missing = message
+        link.in_flight.pop(index, None)
+        link.shipped.difference_update(missing)
+        resends[index] = resends.get(index, 0) + 1
+        if resends[index] > MAX_TASK_ATTEMPTS:
+            return RuntimeError(
+                f"task {index} bounced off {link.label} "
+                f"{resends[index]} times (blob store thrashing); "
+                "raise the host's --blob-capacity")
+        attempts[index] = max(attempts.get(index, 1) - 1, 0)
+        pending.appendleft(index)
+        return 0
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:

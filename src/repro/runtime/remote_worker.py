@@ -36,8 +36,8 @@ to ``accept`` when a session ends, keeping the blob store and worker
 caches warm across sessions.  A frame that does not decode, or does
 not match its kind's shape (field count, a blob's byte count against
 its shape and dtype), ends only that session: the host journals
-``host_bad_frame`` and accepts the next coordinator.  ``SIGTERM``
-stops it gracefully.
+``host_bad_frame`` and accepts the next coordinator.  No frame stops
+the host; ``SIGTERM`` does, gracefully.
 
 Trust model: identical to :mod:`repro.runtime.wire` — frames are
 pickles, so bind to loopback or a private network only.
@@ -74,7 +74,7 @@ DEFAULT_BLOB_CAPACITY = 256
 
 
 #: Field count of each coordinator frame kind.
-_FRAME_ARITY = {"blob": 5, "task": 5, "ping": 1, "bye": 1, "shutdown": 1}
+_FRAME_ARITY = {"blob": 5, "task": 5, "bye": 1}
 
 
 class BlobStore:
@@ -212,19 +212,18 @@ class WorkerHost:
         self.tasks_run += 1
         self._event("host_task", task=index, status=status)
 
-    def _serve_connection(self, sock, peer) -> bool:
-        """Serve one coordinator session.  Returns False when the
-        session asked the whole host to shut down."""
+    def _serve_connection(self, sock, peer) -> None:
+        """Serve one coordinator session."""
         hello = check_frame(recv_frame(sock), {"hello": 2})
         if hello is None:
-            return True  # the peer closed before saying hello
+            return  # the peer closed before saying hello
         if not isinstance(hello[1], dict):
             raise FrameError("coordinator sent a bad hello")
         info = hello[1]
         if info.get("version") != WIRE_VERSION:
             send_frame(sock, ("hello", {"version": WIRE_VERSION,
                                         "error": "version mismatch"}))
-            return True
+            return
         send_frame(sock, ("hello", {"version": WIRE_VERSION,
                                     "slots": self.jobs,
                                     "pid": os.getpid(),
@@ -233,7 +232,6 @@ class WorkerHost:
         self._event("host_connect", peer=f"{peer[0]}:{peer[1]}",
                     coordinator=run_id)
         tasks_before = self.tasks_run
-        keep_serving = True
         try:
             while True:
                 # With pool tasks in flight, multiplex the socket
@@ -260,12 +258,7 @@ class WorkerHost:
                                 stored=len(self.store) > before)
                 elif kind == "task":
                     self._handle_task_frame(sock, message)
-                elif kind == "ping":
-                    send_frame(sock, ("pong",))
-                elif kind == "bye":
-                    break
-                else:  # shutdown
-                    keep_serving = False
+                else:  # bye
                     break
         finally:
             # The coordinator left with tasks still running: let them
@@ -275,7 +268,6 @@ class WorkerHost:
                 self._pool.collect()
             self._event("host_disconnect", coordinator=run_id,
                         tasks=self.tasks_run - tasks_before)
-        return keep_serving
 
     # -- lifecycle ------------------------------------------------------
     def serve_forever(self) -> None:
@@ -300,8 +292,7 @@ class WorkerHost:
                 sock.settimeout(None)  # sessions idle between maps
                 self._in_session = True
                 try:
-                    if not self._serve_connection(sock, peer):
-                        self._stop = True
+                    self._serve_connection(sock, peer)
                 except FrameError as exc:
                     # A malformed frame ends only this session.
                     self._event("host_bad_frame",

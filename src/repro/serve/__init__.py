@@ -10,9 +10,9 @@ generation runtime in a long-running daemon:
   bounded admission queue, request coalescing onto the
   :func:`~repro.nn.bucket_size` batch grid, and graceful SIGTERM
   drain (:mod:`repro.serve.daemon`);
-* :class:`ModelRegistry` — LRU cache of thawed models with pre-frozen
-  dispatch blobs and hot reload on archive mtime change
-  (:mod:`repro.serve.registry`);
+* :class:`ModelRegistry` — LRU cache of loaded models (each keeps the
+  dispatch blobs its first session froze) and hot reload on archive
+  mtime change (:mod:`repro.serve.registry`);
 * :class:`ServeClient` — persistent-connection client that honours
   ``retry_after`` backpressure (:mod:`repro.serve.client`);
 * :func:`derive_client_seed` — per-client seed namespacing; a served

@@ -14,21 +14,24 @@ shape:
   blocks for the first request, then keeps the window open a few tens
   of milliseconds so requests arriving together ride one batch;
 * :func:`run_generation_batch` opens one
-  :class:`~repro.core.netshare.GenerateSession` per request and drives
-  them **in lockstep**: each round it concatenates every live
-  session's :meth:`plan_round` tasks into a single ``map_tasks`` call,
-  then slices the results back per session.  Task sizes are already on
+  :class:`~repro.core.netshare.GenerateSession` per request and hands
+  them all to :func:`~repro.core.netshare.run_sessions`, the driver
+  offline ``NetShare.generate`` runs with one session: it drives them
+  **in lockstep**, each round concatenating every live session's
+  :meth:`plan_round` tasks into a single ``map_tasks`` call, then
+  slicing the results back per session.  Task sizes are already on
   the :func:`repro.nn.bucket_size` grid (the session plans them that
   way), so two callers asking for similar amounts replay the *same*
   warm tape in the worker pool — the coalescing win compounds with the
   tape cache.
 
 Determinism: a session's tasks and seeds depend only on
-``(model, n_records, derived seed)``, never on batch composition, so a
-coalesced response is bit-identical to an offline
-``NetShare.generate`` with the same derived seed.  The fixed-point
-property of :func:`~repro.nn.bucket_size` (asserted in the tests) is
-what lets both layers pad without double-padding.
+``(model, n_records, derived seed)``, never on batch composition, and
+served and offline generation run the same driver, so a coalesced
+response is bit-identical to an offline ``NetShare.generate`` with the
+same derived seed.  The fixed-point property of
+:func:`~repro.nn.bucket_size` (asserted in the tests) is what lets
+both layers pad without double-padding.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.netshare import GenerateSession
+from ..core.netshare import GenerateSession, run_sessions
 from ..nn import bucket_size
-from ..runtime.chunk_tasks import generate_chunk
 from ..telemetry import emit_event
 from .protocol import (
     derive_client_seed,
@@ -168,11 +170,7 @@ def _open_session(pending: PendingRequest, registry: ModelRegistry
         return None, {"message": str(exc)}
     except OSError as exc:
         return None, {"message": f"cannot load model {name!r}: {exc}"}
-    session = GenerateSession(
-        entry.model, n_records, seed=derived,
-        encoder_state=entry.encoder_state,
-        model_states=entry.model_states,
-    )
+    session = GenerateSession(entry.model, n_records, seed=derived)
     info = {
         "model": name,
         "model_generation": entry.generation,
@@ -189,9 +187,8 @@ def run_generation_batch(batch: List[PendingRequest],
                          = None) -> Dict[str, Any]:
     """Drive every request's session to completion on one executor.
 
-    Rounds run in lockstep across sessions: the union of all live
-    sessions' planned tasks goes through a single ``map_tasks`` call,
-    and the ordered results are sliced back to their sessions.  Every
+    :func:`~repro.core.netshare.run_sessions` runs the sessions'
+    rounds in lockstep, one ``map_tasks`` call per round.  Every
     request is answered — validation failures and degenerate-generator
     exhaustion become ``error`` responses, one bad request never takes
     the batch down.  ``on_call`` hears of each call's tasks before the
@@ -230,28 +227,17 @@ def run_generation_batch(batch: List[PendingRequest],
         "executor_calls": 0,
         "tasks": 0,
     }
-    # Sessions on one model share the registry's frozen states, so the
+
+    def count_call(tasks: List[Any]) -> None:
+        stats["executor_calls"] += 1
+        stats["tasks"] += len(tasks)
+        if on_call is not None:
+            on_call(tasks)
+
+    # Sessions on one model share that model's frozen states, so the
     # executor stages each state once per call, whatever the batch.
-    live = list(sessions)
-    while live:
-        tasks = []
-        slices: List[Tuple[Any, int, int]] = []
-        for item in live:
-            planned = item[1].plan_round()
-            slices.append((item, len(tasks), len(planned)))
-            tasks.extend(planned)
-        if tasks:
-            stats["executor_calls"] += 1
-            stats["tasks"] += len(tasks)
-            if on_call is not None:
-                on_call(tasks)
-            results = executor.map_tasks(generate_chunk, tasks)
-        else:
-            results = []
-        for item, offset, count in slices:
-            if count:
-                item[1].consume_round(results[offset:offset + count])
-        live = [item for item in live if not item[1].done]
+    run_sessions([session for _, session, _ in sessions], executor,
+                 count_call)
 
     produced = 0
     for pending, session, info in sessions:

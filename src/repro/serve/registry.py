@@ -1,11 +1,11 @@
-"""LRU registry of hot (thawed) NetShare models for the serve daemon.
+"""LRU registry of loaded NetShare models for the serve daemon.
 
-Offline, every ``NetShare.load`` pays the full archive parse and every
-``generate`` call re-freezes the encoder/model ``state_dict``s into
-:class:`~repro.runtime.chunk_tasks.FrozenState` blobs.  A daemon
-answering a stream of requests must pay that once per model, not once
-per request: the registry keeps each loaded model *and* its pre-frozen
-dispatch blobs resident, so a registry hit starts planning tasks with
+``NetShare.load`` pays the full archive parse, and a model's first
+generate session pays the freezing of its encoder and chunk states
+into :class:`~repro.runtime.chunk_tasks.FrozenState` blobs, which the
+model then keeps.  A daemon answering a stream of requests must pay
+both once per model, not once per request: the registry keeps each
+loaded model resident, so a registry hit starts planning tasks with
 zero pickling — and because the frozen blobs are content-hash keyed,
 every worker's per-process model/encoder caches stay warm across
 requests too (the same hashes keep arriving).
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..core.netshare import NetShare
-from ..runtime.chunk_tasks import FrozenState, freeze_state
 from ..telemetry.state import STATE
 
 __all__ = ["LoadedModel", "ModelRegistry"]
@@ -34,13 +33,11 @@ __all__ = ["LoadedModel", "ModelRegistry"]
 
 @dataclass
 class LoadedModel:
-    """One resident model plus its pre-frozen dispatch blobs."""
+    """One resident model and the archive it was loaded from."""
 
     name: str
     path: str
     model: NetShare
-    encoder_state: FrozenState
-    model_states: Dict[int, FrozenState]
     generation: int
     mtime_ns: int
 
@@ -96,17 +93,11 @@ class ModelRegistry:
             return name in self._paths
 
     # ------------------------------------------------------------------
-    def _freeze(self, name: str, path: str, mtime_ns: int) -> LoadedModel:
+    def _load(self, name: str, path: str, mtime_ns: int) -> LoadedModel:
         model = NetShare.load(path)
         self._generation += 1
-        return LoadedModel(
-            name=name, path=path, model=model,
-            encoder_state=freeze_state(model._encoder.state_dict()),
-            model_states={c.index: freeze_state(c.model.state_dict())
-                          for c in model._chunks},
-            generation=self._generation,
-            mtime_ns=mtime_ns,
-        )
+        return LoadedModel(name=name, path=path, model=model,
+                           generation=self._generation, mtime_ns=mtime_ns)
 
     def get(self, name: str) -> LoadedModel:
         """The resident entry for ``name`` (loading/reloading as needed).
@@ -135,7 +126,7 @@ class ModelRegistry:
             self._count(self._miss_counter, "serve.registry.misses")
             if entry is not None:
                 self._resident.pop(name)
-            entry = self._freeze(name, path, mtime_ns)
+            entry = self._load(name, path, mtime_ns)
             self.loads += 1
             self._resident[name] = entry
             while len(self._resident) > self.capacity:

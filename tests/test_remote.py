@@ -154,6 +154,9 @@ class TestMalformedFrames:
         "blob_size": pickle.dumps(("blob", "h" * 64, "<f8", (4,),
                                    b"\x00" * 8)),
         "task_arity": pickle.dumps(("task", 0, _square)),
+        # No frame stops a host or asks it for a liveness reply.
+        "shutdown": pickle.dumps(("shutdown",)),
+        "ping": pickle.dumps(("ping",)),
     }
 
     def test_host_survives_bad_frames(self, tmp_path):

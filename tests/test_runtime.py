@@ -418,6 +418,86 @@ class TestNetShareSaveLoad:
             loaded.generate(60, seed=2, jobs=1).src_ip,
             fitted_serial.generate(60, seed=2).src_ip)
 
+    def test_archives_name_no_jobs_or_hosts(self, fitted_serial, tmp_path,
+                                            monkeypatch):
+        """Where to run is the loading machine's choice: ``save`` writes
+        neither ``jobs`` nor ``hosts``, and ``load`` drops both from
+        older archives, so one saved with unreachable hosts generates
+        at ``jobs=1`` without dialing them."""
+        monkeypatch.delenv(HOSTS_ENV_VAR, raising=False)
+        path = tmp_path / "model.npz"
+        model = NetShare.load(_saved(fitted_serial, tmp_path / "src.npz"))
+        model.config.jobs, model.config.hosts = 4, "127.0.0.1:1"
+        model.save(path)
+        state = load_state_npz(path)
+        assert not {"jobs", "hosts"} & set(state["config"])
+        state["config"].update(jobs=4, hosts="127.0.0.1:1")
+        save_state_npz(path, state)
+        loaded = NetShare.load(path)
+        assert (loaded.config.jobs, loaded.config.hosts) == (None, None)
+        np.testing.assert_array_equal(
+            loaded.generate(50, seed=2, jobs=1).src_ip,
+            fitted_serial.generate(50, seed=2).src_ip)
+
+
+def _saved(model, path):
+    model.save(path)
+    return path
+
+
+class TestFrozenStatesOnce:
+    """A NetShare freezes its encoder and chunk states when its first
+    generate session opens and keeps them until ``fit`` replaces them."""
+
+    def test_second_generate_freezes_nothing(self, fitted_serial, tmp_path,
+                                             monkeypatch):
+        from repro.core import netshare
+
+        model = NetShare.load(_saved(fitted_serial, tmp_path / "m.npz"))
+        frozen = []
+
+        def counting_freeze(state):
+            frozen.append(state)
+            return freeze_state(state)
+
+        monkeypatch.setattr(netshare, "freeze_state", counting_freeze)
+        first = model.generate(40, seed=1, jobs=1)
+        assert len(frozen) == 1 + len(model._chunks)
+        second = model.generate(40, seed=1, jobs=1)
+        assert len(frozen) == 1 + len(model._chunks)
+        np.testing.assert_array_equal(first.src_ip, second.src_ip)
+
+    def test_refit_drops_kept_states(self, netflow):
+        config = fast_config(n_chunks=2)
+        other = load_dataset("ugr16", n_records=200, seed=5)
+        model = NetShare(config).fit(netflow)
+        model.generate(40, seed=1)
+        model.fit(other)
+        fresh = NetShare(config).fit(other)
+        a, b = model.generate(60, seed=3), fresh.generate(60, seed=3)
+        for column in ("src_ip", "dst_ip", "src_port", "dst_port",
+                       "protocol", "start_time", "packets", "bytes"):
+            np.testing.assert_array_equal(getattr(a, column),
+                                          getattr(b, column))
+
+    def test_serial_generate_keeps_only_built_models(self, fitted_serial,
+                                                     monkeypatch):
+        """Generate tasks decode a frozen state straight into the model
+        or encoder they cache; the thawed dict is not kept as well."""
+        from repro.core.netshare import GenerateSession
+        from repro.runtime import chunk_tasks
+
+        for cache in ("_THAW_CACHE", "_MODEL_CACHE", "_ENCODER_CACHE"):
+            monkeypatch.setattr(chunk_tasks, cache, {})
+        fitted_serial.generate(60, seed=4, jobs=1)
+        session = GenerateSession(fitted_serial, 1)
+        assert chunk_tasks._THAW_CACHE == {}
+        assert set(chunk_tasks._MODEL_CACHE) == {
+            state.content_hash for state in session.model_states.values()}
+        assert len(chunk_tasks._MODEL_CACHE) == len(fitted_serial._chunks)
+        assert set(chunk_tasks._ENCODER_CACHE) == {
+            session.encoder_state.content_hash}
+
 
 class TestGenerateTopUpGuard:
     def test_all_empty_pieces_raise_cleanly(self, fitted_serial, monkeypatch):

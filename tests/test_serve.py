@@ -188,11 +188,17 @@ class TestRegistry:
         assert registry.get("m") is reloaded
 
     def test_frozen_blobs_preloaded(self, model_path):
+        """The registry keeps the loaded model, and the model keeps the
+        states its first session froze: every later session on a
+        registry hit dispatches the same handles."""
         registry = ModelRegistry(capacity=2)
         registry.register("m", model_path)
         entry = registry.get("m")
-        assert entry.encoder_state is not None
-        assert set(entry.model_states) == {
+        first = GenerateSession(entry.model, 10, seed=1)
+        later = GenerateSession(registry.get("m").model, 20, seed=2)
+        assert later.encoder_state is first.encoder_state
+        assert later.model_states is first.model_states
+        assert set(first.model_states) == {
             c.index for c in entry.model._chunks}
         assert entry.kind == "netflow"
 
@@ -200,13 +206,13 @@ class TestRegistry:
 class TestCoalescedStaging:
     def test_two_sessions_on_one_model_stage_each_state_once(
             self, model_path, offline_model, tmp_path):
-        """Sessions on one model share the registry's frozen states, so
+        """Sessions on one model share that model's frozen states, so
         the pool stages each state once per coalesced call, not once
         per session — and both responses still match offline
         generation bit for bit."""
         registry = ModelRegistry(capacity=2)
         registry.register("m", model_path)
-        states = 1 + len(registry.get("m").model_states)
+        states = 1 + len(registry.get("m").model._chunks)
         requests = [("alice", 40, 3), ("bob", 40, 5)]
         batch = [coalescer.PendingRequest({
             "op": "generate", "model": "m", "n_records": n, "seed": seed,

@@ -180,7 +180,6 @@ class TestFrozenState:
         state = {"w": np.ones(5)}
         a = freeze_state({"w": np.ones(5)})
         b = freeze_state({"w": np.ones(5)})
-        assert a is b                      # content-hash cache hit
         assert a.content_hash == b.content_hash
         assert freeze_state(state).content_hash == a.content_hash
 
