@@ -250,23 +250,15 @@ class IP2Vec:
             int(w.split(":", 1)[1]) for w in self.vocab if w.startswith(kind + ":")
         )
 
-    def anchor_vectors(self, kind: str, max_anchors: int = 48,
-                       seed: int = 0) -> np.ndarray:
-        """Representative dictionary vectors for one namespace.
-
-        Returns up to ``max_anchors`` vectors: the most frequent tokens
-        (covering the heavy service-port modes) plus a random sample of
-        the remainder (covering the ephemeral cloud).  These serve as
-        the fixed anchor set for the GAN's structured metadata head.
-        """
-        vectors, _ = self.anchor_set(kind, max_anchors=max_anchors, seed=seed)
-        return vectors
-
     def anchor_set(self, kind: str, max_anchors: int = 48,
                    seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
         """Anchor vectors plus their public-data frequencies.
 
-        The frequencies serve as a categorical prior for the GAN's
+        Returns up to ``max_anchors`` dictionary vectors of one
+        namespace: the most frequent tokens (the heavy service-port
+        modes) plus a random sample of the rest (the ephemeral cloud).
+        They are the fixed anchor set of the GAN's metadata head.  The
+        frequencies serve as a categorical prior for the GAN's
         anchor head: the generator starts from the public token
         distribution (an Insight-4-style use of public data) and the
         adversarial training shifts it toward the private one.

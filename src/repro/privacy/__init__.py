@@ -7,7 +7,6 @@ from .accountant import (
     noise_multiplier_for_epsilon,
 )
 from .dpsgd import (
-    DpGradientComputer,
     DpSgdConfig,
     privatize_gradients,
     stack_examples,
@@ -17,7 +16,7 @@ from .membership import MembershipAttackResult, membership_inference_attack
 
 __all__ = [
     "RdpAccountant", "compute_epsilon", "noise_multiplier_for_epsilon",
-    "DpSgdConfig", "DpGradientComputer", "privatize_gradients",
+    "DpSgdConfig", "privatize_gradients",
     "stack_examples",
     "transform_ips", "retrain_attribute",
     "MembershipAttackResult", "membership_inference_attack",

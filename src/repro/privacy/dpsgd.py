@@ -9,20 +9,14 @@ gradient to L2 norm C, sum, add N(0, (C*sigma)^2) noise, and average.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..nn.autograd import Tensor, grad
-from ..nn.layers import Parameter
 from ..nn.optim import clip_global_norm
 from ..nn.tape import RECORDER as _REC, fresh_zeros, ka as _ka, taped_draw
-from ..telemetry import emit_event
-from ..telemetry.state import STATE as _TELEMETRY
-from .accountant import RdpAccountant
 
-__all__ = ["DpSgdConfig", "privatize_gradients", "stack_examples",
-           "DpGradientComputer"]
+__all__ = ["DpSgdConfig", "privatize_gradients", "stack_examples"]
 
 
 @dataclass
@@ -134,61 +128,3 @@ def _privatize_gradients_loop(
         for total in totals
     ]
     return noisy
-
-
-class DpGradientComputer:
-    """Computes privatized gradients for a per-example loss function.
-
-    ``loss_fn(index)`` must return the scalar loss Tensor of training
-    example ``index``.  Microbatching (looping over examples) is the
-    per-example-gradient strategy — slow but exact, and fine at the
-    scale this repo trains at.  The accountant tracks cumulative
-    (epsilon, delta) as steps are taken.
-    """
-
-    def __init__(self, params: Sequence[Parameter], config: DpSgdConfig,
-                 dataset_size: int, seed: int = 0):
-        if dataset_size < 1:
-            raise ValueError("dataset size must be positive")
-        self.params = list(params)
-        self.config = config
-        self.dataset_size = dataset_size
-        self.rng = np.random.default_rng(seed)
-        self.accountant = RdpAccountant()
-        self.steps_taken = 0
-
-    def step_gradients(
-        self, loss_fn: Callable[[int], Tensor], batch_indices: Sequence[int]
-    ) -> List[np.ndarray]:
-        """Return noisy averaged gradients for one DP-SGD step."""
-        batch_indices = list(batch_indices)
-        if not batch_indices:
-            raise ValueError("batch must be non-empty")
-        per_example = []
-        for index in batch_indices:
-            loss = loss_fn(index)
-            grads = grad(loss, self.params)
-            per_example.append([g.data for g in grads])
-        noisy = privatize_gradients(stack_examples(per_example),
-                                    self.config, self.rng)
-        if self.config.noise_multiplier > 0:
-            self.accountant.step(
-                self.config.noise_multiplier,
-                sampling_rate=len(batch_indices) / self.dataset_size,
-            )
-        self.steps_taken += 1
-        if _TELEMETRY.enabled:
-            # Per-step ε ledger: cumulative privacy spend after this
-            # step (get_epsilon over the running RDP curve is cheap
-            # relative to the per-example gradient loop above).
-            _TELEMETRY.registry.counter("dp.steps").inc()
-            emit_event("dp_step", step=self.steps_taken,
-                       batch=len(batch_indices),
-                       epsilon=self.spent_epsilon())
-        return noisy
-
-    def spent_epsilon(self) -> float:
-        """(epsilon, delta)-DP spent so far."""
-        if self.steps_taken == 0 or self.config.noise_multiplier == 0:
-            return float("inf") if self.config.noise_multiplier == 0 else 0.0
-        return self.accountant.get_epsilon(self.config.delta)

@@ -18,8 +18,8 @@ over length-prefixed socket frames.  See
 :mod:`repro.runtime.executor` for the determinism contract and
 :mod:`repro.runtime.chunk_tasks` for the task functions.
 
-The ``multiprocessing`` executor and a ``--jobs N`` worker host
-drive the same pipe-worker pool.  The remote coordinator/host classes
+The ``multiprocessing`` executor and every worker host drive the
+same pipe-worker pool; a host runs all its tasks on it.  The remote coordinator/host classes
 are not imported here (``from repro.runtime import remote``), and
 :func:`~repro.runtime.executor.get_executor` imports them only to
 build a ``remote`` executor, so the single-machine path never loads

@@ -15,10 +15,10 @@ dicts — and never name a transport.  Two things keep dispatch cheap:
   it into a content-hash keyed :class:`FrozenState` that every task
   shares: ``fit`` freezes its warm-start state once per call, and a
   ``NetShare`` freezes its encoder and chunk states once, when its
-  first generate session opens.  Each process decodes a frozen state
-  once per content hash, through one decoder: fine-tune tasks
-  :func:`thaw_state` the dict through a per-process cache, and
-  generate tasks keep only the model or encoder they build from it.
+  first generate session opens.  :func:`thaw_state` is the one
+  decoder and keeps nothing: a fine-tune task decodes its warm-start
+  dict each time it runs, and a generate task decodes a state once per
+  process into the model or encoder it caches, and keeps only that.
 * **Executor staging** — the executor alone decides what crosses a
   process boundary: :func:`~repro.runtime.serialization.pack_tasks`
   names the encoded tensors, frozen payloads and top-level arrays, the
@@ -73,7 +73,7 @@ _CHUNK_MODES = ("fit", "fine_tune", "fit_dp")
 
 
 # ----------------------------------------------------------------------
-# Frozen state: serialize once per state, decode once per process.
+# Frozen state: serialize once per state, decode in one place.
 
 @dataclass(frozen=True)
 class FrozenState:
@@ -81,9 +81,9 @@ class FrozenState:
 
     ``payload`` holds the pickled bytes (inside a pool or host worker,
     a byte view of the staged block that carries them).
-    ``content_hash`` keys the per-process caches, so identical states —
-    however many tasks, rounds, or calls reference them — are
-    deserialized once per process.
+    ``content_hash`` keys the per-process model and encoder caches, so
+    identical states — however many tasks, rounds, or calls reference
+    them — are built into a model or encoder once per process.
     """
 
     content_hash: str
@@ -93,10 +93,6 @@ class FrozenState:
         return thaw_state(self)
 
 
-# thaw: content-hash -> deserialized state, per process (pool workers
-# persist across map_tasks calls, so a state is deserialized once per
-# worker, however many tasks and calls reference it).
-_THAW_CACHE: Dict[str, Dict[str, Any]] = {}
 _CACHE_LIMIT = 32
 
 
@@ -118,14 +114,25 @@ def freeze_state(state: Optional[Dict[str, Any]]) -> Optional[FrozenState]:
                        payload=payload)
 
 
+def thaw_state(state: Union[None, Dict[str, Any], FrozenState]
+               ) -> Optional[Dict[str, Any]]:
+    """Return the plain nested dict behind any state representation.
+
+    This is the one place a frozen payload is decoded: every call on a
+    :class:`FrozenState` decodes a fresh dict, and nothing is kept.
+    """
+    if isinstance(state, FrozenState):
+        return pickle.loads(state.payload)
+    return state
+
+
 def _cached(cache: Dict[str, Any], counter: str, state, build):
     """``build`` applied to the plain value behind ``state``.
 
     A plain value (or ``None``) is built directly.  A frozen state is
-    decoded and built once per process: ``cache`` keeps only what
-    ``build`` made of it, under its content hash, and ``counter``
-    (``.hits``/``.misses``) counts the lookups.  This is the one place
-    a frozen payload is decoded.
+    decoded (:func:`thaw_state`) and built once per process: ``cache``
+    keeps only what ``build`` made of it, under its content hash, and
+    ``counter`` (``.hits``/``.misses``) counts the lookups.
     """
     if not isinstance(state, FrozenState):
         return build(state)
@@ -133,22 +140,12 @@ def _cached(cache: Dict[str, Any], counter: str, state, build):
     if built is None:
         if STATE.enabled:
             STATE.registry.counter(f"{counter}.misses").inc()
-        built = build(pickle.loads(state.payload))
+        built = build(thaw_state(state))
         cache[state.content_hash] = built
         _trim(cache)
     elif STATE.enabled:
         STATE.registry.counter(f"{counter}.hits").inc()
     return built
-
-
-def _plain(state):
-    return state
-
-
-def thaw_state(state: Union[None, Dict[str, Any], FrozenState]
-               ) -> Optional[Dict[str, Any]]:
-    """Return the plain nested dict behind any state representation."""
-    return _cached(_THAW_CACHE, "runtime.thaw_cache", state, _plain)
 
 
 # ----------------------------------------------------------------------

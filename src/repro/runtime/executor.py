@@ -26,17 +26,17 @@ The pool itself (``_WorkerPool``) is only a mechanism: it spawns
 workers, sends pre-pickled messages, turns ready pipes into replies,
 and replaces dead workers, resending their messages within
 :data:`MAX_TASK_ATTEMPTS`.  Two callers run it: this module's
-executor, and a ``--jobs N`` worker host
-(:mod:`repro.runtime.remote_worker`).
+executor, and every worker host (:mod:`repro.runtime.remote_worker`),
+which runs all its tasks on one.
 
 The pool persists for the lifetime of the executor — per-process
-caches in :mod:`repro.runtime.chunk_tasks` (frozen-state thaw cache,
-generate-side model/encoder caches) survive from one ``map_tasks``
-call to the next, which is what makes ``generate``'s top-up rounds
-cheap.  Executors are context managers; ``close()`` (or ``with``)
-waits for a ``map_tasks`` call in flight on another thread, then
-shuts the pool down, and a ``weakref.finalize`` backstop reaps workers
-if an executor is dropped without closing.  Workers also exit on
+caches in :mod:`repro.runtime.chunk_tasks` (generate-side
+model/encoder caches) survive from one ``map_tasks`` call to the next,
+which is what makes ``generate``'s top-up rounds cheap.  Executors
+are context managers; ``close()`` (or ``with``) waits for a
+``map_tasks`` call in flight on another thread, then shuts the pool
+down, and a ``weakref.finalize`` backstop reaps workers if an
+executor is dropped without closing.  Workers also exit on
 their own once the coordinator process dies (SIGKILL, OOM kill), and
 they share the coordinator's resource tracker, so shared-memory
 blocks staged by a killed coordinator are still reclaimed.
@@ -231,21 +231,17 @@ def _execute_task(index: int, fn: Callable[[Any], Any], task: Any,
                            else None)
 
 
-def _pickled(reply: Tuple[Any, ...]) -> bytes:
-    return pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 def run_packed(index: int, fn: Callable[[Any], Any], packed: Any,
-               blocks: Mapping[str, str], telem: bool,
-               emit: Callable[[Tuple[Any, ...]], Any] = _pickled) -> Any:
+               blocks: Mapping[str, str], telem: bool) -> bytes:
     """Worker side of one staged task: rebuild plain views of its
-    blocks, run it, and return what ``emit`` makes of its ``(index,
-    status, value, telemetry)`` reply (by default, its pickle).  The
-    mappings it opened are closed once ``emit`` returns, so a
-    long-lived worker holds no block of a finished call."""
+    blocks, run it, and return its pickled ``(index, status, value,
+    telemetry)`` reply.  The mappings it opened are closed once the
+    reply is pickled, so a long-lived worker holds no block of a
+    finished call."""
     with Attachments() as attachments:
-        return emit((index,) + _execute_task(
-            index, fn, unpack_task(packed, blocks, attachments), telem))
+        return pickle.dumps((index,) + _execute_task(
+            index, fn, unpack_task(packed, blocks, attachments), telem),
+            protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _worker_main(conn, coordinator: int) -> None:
@@ -325,8 +321,8 @@ class _WorkerPool:
     replaces it and resends its message, up to :data:`MAX_TASK_ATTEMPTS`
     dispatches per message.  ``on_retry(key, attempt, pid)`` hears of
     every resend.  The ``multiprocessing`` backend drives one pool per
-    executor; a ``--jobs N`` worker host drives one for its lifetime,
-    naming itself in its errors through ``where``.
+    executor; a worker host drives one for its lifetime, whatever its
+    ``--jobs``, naming itself in its errors through ``where``.
     """
 
     def __init__(self, max_workers: int,
@@ -378,7 +374,7 @@ class _WorkerPool:
         spawn order (only while nothing is busy).
 
         A call then hands its first tasks to the workers in spawn order.
-        Each worker's caches (thaw, model, encoder, inference tapes)
+        Each worker's caches (model, encoder, inference tapes)
         fill with whatever tasks land on it, so a fixed order keeps the
         same work on the same worker from one call to the next.
         """
@@ -717,7 +713,7 @@ def get_executor(jobs: Optional[int] = None,
         # Imported here so the single-machine path never loads the
         # socket layer.
         from .remote import RemoteExecutor
-        return RemoteExecutor(resolved, hosts=hosts)
+        return RemoteExecutor(hosts=hosts)
     if resolved > 1:
         return MultiprocessingExecutor(resolved)
     return SerialExecutor()

@@ -157,13 +157,11 @@ class RemoteExecutor(Executor):
 
     name = "remote"
 
-    def __init__(self, jobs: Optional[int] = None,
-                 hosts: Optional[Any] = None):
+    def __init__(self, hosts: Optional[Any] = None):
         super().__init__()
         self._links = [_HostLink(addr) for addr in parse_hosts(hosts)]
-        # Until the hello exchange reports real slot counts, assume
-        # one slot per host (jobs is advisory for this backend).
-        self.jobs = max(len(self._links), int(jobs or 0) or 1)
+        # One slot per host until the hello exchange reports real ones.
+        self.jobs = len(self._links)
         self._closed = False
         raw_timeout = os.environ.get(REMOTE_TIMEOUT_ENV_VAR, "").strip()
         self._task_timeout = float(raw_timeout) if raw_timeout else None
@@ -175,6 +173,14 @@ class RemoteExecutor(Executor):
             "blobs_sent": 0, "blob_bytes_sent": 0, "blob_dedup_hits": 0,
             "retries": 0, "reconnects": 0, "host_failures": 0,
         }
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to ``stats[name]`` and, while telemetry is on
+        outside a worker, to the ``runtime.remote.<name>`` counter: the
+        one site every remote stat is counted at."""
+        self.stats[name] += amount
+        if STATE.enabled and not STATE.worker_mode:
+            STATE.registry.counter(f"runtime.remote.{name}").inc(amount)
 
     # -- connection management -----------------------------------------
     @property
@@ -211,9 +217,7 @@ class RemoteExecutor(Executor):
         link.shipped.clear()
         link.in_flight.clear()
         if link.failures:
-            self.stats["reconnects"] += 1
-            if STATE.enabled:
-                STATE.registry.counter("runtime.remote.reconnects").inc()
+            self._count("reconnects")
         link.failures = 0
         emit_event("remote_host_connect", host=link.label,
                    slots=link.slots, pid=link.pid)
@@ -235,8 +239,7 @@ class RemoteExecutor(Executor):
             self.jobs = sum(link.slots for link in live)
 
     def _host_down(self, link: _HostLink, pending: Deque[int],
-                   attempts: Dict[int, int], telem: bool
-                   ) -> Optional[BaseException]:
+                   attempts: Dict[int, int]) -> Optional[BaseException]:
         """Tear one link down; re-queue its in-flight tasks.  Returns
         an error when a task has exhausted its dispatch budget."""
         error: Optional[BaseException] = None
@@ -251,20 +254,16 @@ class RemoteExecutor(Executor):
         link.shipped.clear()
         link.failures += 1
         link.next_retry = time.monotonic() + link.backoff()
-        self.stats["host_failures"] += 1
+        self._count("host_failures")
         emit_event("remote_host_down", host=link.label,
                    in_flight=len(requeued), failures=link.failures)
-        if telem and STATE.enabled:
-            STATE.registry.counter("runtime.remote.host_failures").inc()
         for index in requeued:
             if attempts.get(index, 0) >= MAX_TASK_ATTEMPTS:
                 error = RuntimeError(
                     f"task {index} failed {MAX_TASK_ATTEMPTS} times: "
                     f"remote hosts keep dying (last {link.label})")
                 continue
-            self.stats["retries"] += 1
-            if telem and STATE.enabled:
-                STATE.registry.counter("runtime.remote.retries").inc()
+            self._count("retries")
             emit_event("remote_retry", task=index,
                        attempt=attempts.get(index, 0), host=link.label)
             pending.append(index)
@@ -278,10 +277,7 @@ class RemoteExecutor(Executor):
         sock = link.sock
         for content_hash in needed:
             if content_hash in link.shipped:
-                self.stats["blob_dedup_hits"] += 1
-                if telem and STATE.enabled:
-                    STATE.registry.counter(
-                        "runtime.remote.blob_dedup_hits").inc()
+                self._count("blob_dedup_hits")
                 continue
             blob = blobs[content_hash]
             send_frame(sock, ("blob", content_hash, blob.dtype.str,
@@ -289,12 +285,8 @@ class RemoteExecutor(Executor):
             link.shipped.add(content_hash)
             key = (link.label, content_hash)
             self.ship_counts[key] = self.ship_counts.get(key, 0) + 1
-            self.stats["blobs_sent"] += 1
-            self.stats["blob_bytes_sent"] += int(blob.nbytes)
-            if telem and STATE.enabled:
-                STATE.registry.counter("runtime.remote.blobs_sent").inc()
-                STATE.registry.counter(
-                    "runtime.remote.blob_bytes").inc(int(blob.nbytes))
+            self._count("blobs_sent")
+            self._count("blob_bytes_sent", int(blob.nbytes))
         nbytes = send_frame(sock, ("task", index, fn, packed, telem))
         self._count_sent(nbytes, telem)
         deadline = (time.monotonic() + self._task_timeout
@@ -328,7 +320,6 @@ class RemoteExecutor(Executor):
         needs = [sorted(manifest_hashes(item)) for item in packed]
         results: List[Any] = [None] * len(tasks)
         completed = [False] * len(tasks)
-        n_done = 0
         pending: Deque[int] = deque(range(len(tasks)))
         attempts: Dict[int, int] = {}
         resends: Dict[int, int] = {}
@@ -359,7 +350,7 @@ class RemoteExecutor(Executor):
                             # an in-flight loss so the attempt counts.
                             link.in_flight[index] = None
                             error = self._host_down(
-                                link, pending, attempts, telem) or error
+                                link, pending, attempts) or error
                             break
             waiting = [link for link in self._links
                        if link.connected and link.in_flight]
@@ -387,10 +378,7 @@ class RemoteExecutor(Executor):
                     continue  # torn down earlier in this sweep
                 outcome = self._receive(link, results, completed, pending,
                                         attempts, resends, telem)
-                if isinstance(outcome, BaseException):
-                    error = error or outcome
-                else:
-                    n_done += outcome
+                error = error or outcome
             if self._task_timeout:
                 now = time.monotonic()
                 for link in list(waiting):
@@ -399,7 +387,7 @@ class RemoteExecutor(Executor):
                             for deadline in link.in_flight.values()):
                         emit_event("remote_host_timeout", host=link.label)
                         error = self._host_down(
-                            link, pending, attempts, telem) or error
+                            link, pending, attempts) or error
 
         if error is not None:
             raise error
@@ -418,15 +406,16 @@ class RemoteExecutor(Executor):
         return results
 
     def _receive(self, link: _HostLink, results, completed, pending,
-                 attempts, resends, telem: bool):
-        """Handle one frame from a host.  Returns the number of newly
-        completed tasks, or an exception to surface."""
+                 attempts, resends, telem: bool
+                 ) -> Optional[BaseException]:
+        """Handle one frame from a host; return an exception to surface,
+        if any."""
         try:
             message = check_frame(recv_frame(link.sock), _REPLY_ARITY)
         except (OSError, FrameError, ConnectionError):
             message = None
         if message is None:
-            return self._host_down(link, pending, attempts, telem) or 0
+            return self._host_down(link, pending, attempts)
         kind = message[0]
         if kind == "result":
             _, index, status, value, payload = message
@@ -435,11 +424,10 @@ class RemoteExecutor(Executor):
                 self._annotate_payload(payload, link.label)
                 telemetry.absorb_worker_payload(payload)
             if status == "ok":
-                if completed[index]:
-                    return 0  # stale duplicate after a timeout re-queue
-                results[index] = value
-                completed[index] = True
-                return 1
+                if not completed[index]:  # else a re-queued duplicate
+                    results[index] = value
+                    completed[index] = True
+                return None
             return value if isinstance(value, BaseException) else \
                 RuntimeError(f"task {index} failed on {link.label}: "
                              f"{value!r}")
@@ -456,7 +444,7 @@ class RemoteExecutor(Executor):
                 "raise the host's --blob-capacity")
         attempts[index] = max(attempts.get(index, 1) - 1, 0)
         pending.appendleft(index)
-        return 0
+        return None
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:

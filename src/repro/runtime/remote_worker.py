@@ -7,24 +7,24 @@ Run one per machine::
 The host is a mini-coordinator that replays the ``multiprocessing``
 backend locally: blobs pushed by the coordinator are staged once into
 a host-owned :class:`~repro.runtime.shm.SharedArena` (the
-:class:`BlobStore`, a bounded LRU keyed by content hash), and each
-task frame runs through the same worker-side
-:func:`~repro.runtime.executor.run_packed` path as a local pool
-worker: :func:`~repro.runtime.serialization.unpack_task` rebuilds the
-task's plain views from host-local blocks, the task function runs,
-and the mappings it opened close once its reply is pickled.  The task
-functions and their per-process caches (frozen-state thaw,
-generate-side model/encoder) therefore run unchanged, which is what
-keeps remote output bit-identical to the serial oracle.
-
-With ``--jobs > 1`` the host submits each task frame to the
+:class:`BlobStore`, a bounded LRU keyed by content hash), and the
+host submits every task frame, at any ``--jobs``, to the
 ``multiprocessing`` backend's own pipe-worker pool
-(``repro.runtime.executor._WorkerPool``), kept for the host's
-lifetime, and forwards each reply the moment the pool collects it.
-The pool replaces a worker that dies mid-task and resends its task
-within its per-task dispatch budget (the host journals each resend as
-``host_worker_death``) before an error naming the host reaches the
-coordinator.
+(``repro.runtime.executor._WorkerPool``, ``--jobs`` workers, kept for
+the host's lifetime).  The host process itself runs no task: it routes
+frames and forwards each reply the moment the pool collects it.  A
+pool worker runs a task exactly as a local pool worker does:
+:func:`~repro.runtime.serialization.unpack_task` rebuilds the task's
+plain views from host-local blocks, the task function runs, and the
+mappings it opened close once its reply is pickled.  The task
+functions and their per-process caches (generate-side model/encoder)
+therefore run unchanged, which is what keeps remote output
+bit-identical to the serial oracle.
+
+The pool replaces a worker that dies mid-task (a crash, the OOM
+killer) and resends its task within its per-task dispatch budget (the
+host journals each resend as ``host_worker_death``) before an error
+naming the host reaches the coordinator; the host itself stays up.
 
 If the coordinator references a blob the store has evicted, the host
 replies ``("need", index, missing_hashes)`` instead of running the
@@ -33,11 +33,12 @@ task; the coordinator re-ships and re-sends.
 The host serves one coordinator connection at a time (matching how
 ``fit`` and ``generate`` each open their own executor) and loops back
 to ``accept`` when a session ends, keeping the blob store and worker
-caches warm across sessions.  A frame that does not decode, or does
-not match its kind's shape (field count, a blob's byte count against
-its shape and dtype), ends only that session: the host journals
-``host_bad_frame`` and accepts the next coordinator.  No frame stops
-the host; ``SIGTERM`` does, gracefully.
+caches warm across sessions.  A frame that does not decode, does not
+match its kind's shape (field count, a blob's byte count against its
+shape and dtype), or brings a task while every slot is busy ends only
+that session: the host journals ``host_bad_frame`` and accepts the
+next coordinator.  No frame stops the host; ``SIGTERM`` does,
+gracefully.
 
 Trust model: identical to :mod:`repro.runtime.wire` — frames are
 pickles, so bind to loopback or a private network only.
@@ -57,7 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..telemetry.journal import RunJournal
-from .executor import _WorkerPool, resolve_jobs, run_packed
+from .executor import _WorkerPool, resolve_jobs
 from .remote import WIRE_VERSION
 from .serialization import manifest_hashes
 from .shm import ArrayRef, SharedArena
@@ -92,7 +93,6 @@ class BlobStore:
         self.capacity = max(int(capacity), 1)
         self.arena = SharedArena(prefix="reprohost")
         self._refs: "OrderedDict[str, ArrayRef]" = OrderedDict()
-        self.stats = {"stored": 0, "dedup_hits": 0, "evicted": 0}
 
     def __len__(self) -> int:
         return len(self._refs)
@@ -104,7 +104,6 @@ class BlobStore:
         ref = self._refs.get(content_hash)
         if ref is not None:
             self._refs.move_to_end(content_hash)
-            self.stats["dedup_hits"] += 1
             return ref
         try:
             array = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape)
@@ -113,11 +112,9 @@ class BlobStore:
                              f"shape and dtype: {exc}") from None
         ref = self.arena.share_array(array)
         self._refs[content_hash] = ref
-        self.stats["stored"] += 1
         while len(self._refs) > self.capacity:
             _, evicted = self._refs.popitem(last=False)
             self.arena.drop(evicted)
-            self.stats["evicted"] += 1
         return ref
 
     def block_names(self, hashes) -> Dict[str, str]:
@@ -139,7 +136,7 @@ class _HostStop(Exception):
 
 
 class WorkerHost:
-    """One worker-host process: accept loop + local task execution."""
+    """One worker-host process: accept loop + a local worker pool."""
 
     def __init__(self, listen: Tuple[str, int] = ("127.0.0.1", 0),
                  jobs: int = 1,
@@ -158,12 +155,12 @@ class WorkerHost:
         # (see :meth:`request_stop`).
         self._in_session = False
         self._listener: Optional[socket.socket] = None
-        # Used only with --jobs > 1; spawns its workers on first use.
+        # Runs every task frame; spawns its workers on first use.
         self._pool = _WorkerPool(self.jobs, on_retry=self._worker_died,
                                  where=f" on host {self.host_id}")
-        # The host writes its own journal shard directly (never through
-        # STATE: task execution switches STATE into worker mode, which
-        # nulls STATE.journal by design).
+        # The host writes its own journal shard directly, never through
+        # STATE: its forked pool workers use STATE to buffer each task's
+        # telemetry for the coordinator.
         self.journal: Optional[RunJournal] = None
         if journal_dir is not None:
             self.journal = RunJournal(journal_dir,
@@ -175,7 +172,7 @@ class WorkerHost:
             self.journal.event(event_type, host=self.host_id,
                                worker_pid=os.getpid(), **fields)
 
-    # -- local execution ------------------------------------------------
+    # -- the pool -------------------------------------------------------
     def _worker_died(self, index: int, attempt: int, pid: int) -> None:
         self._event("host_worker_death", task=index, pid=pid,
                     attempt=attempt)
@@ -191,26 +188,19 @@ class WorkerHost:
     # -- protocol -------------------------------------------------------
     def _handle_task_frame(self, sock, message) -> None:
         _, index, fn, packed, telem = message
+        if self._pool.busy >= self.jobs:
+            # A coordinator keeps at most ``slots`` tasks in flight.
+            raise FrameError(f"task {index} arrived with all {self.jobs} "
+                             "slots busy")
         needed = manifest_hashes(packed)
         missing = self.store.missing(needed)
         if missing:
             send_frame(sock, ("need", index, missing))
             self._event("host_need", task=index, missing=len(missing))
             return
-        blocks = self.store.block_names(needed)
-        if self.jobs > 1:
-            self._pool.submit(index, pickle.dumps(
-                (index, fn, packed, blocks, telem),
-                protocol=pickle.HIGHEST_PROTOCOL))
-            return
-
-        def reply(envelope: Tuple[Any, ...]) -> str:
-            send_frame(sock, ("result",) + envelope)
-            return envelope[1]
-
-        status = run_packed(index, fn, packed, blocks, telem, reply)
-        self.tasks_run += 1
-        self._event("host_task", task=index, status=status)
+        self._pool.submit(index, pickle.dumps(
+            (index, fn, packed, self.store.block_names(needed), telem),
+            protocol=pickle.HIGHEST_PROTOCOL))
 
     def _serve_connection(self, sock, peer) -> None:
         """Serve one coordinator session."""
@@ -234,9 +224,9 @@ class WorkerHost:
         tasks_before = self.tasks_run
         try:
             while True:
-                # With pool tasks in flight, multiplex the socket
-                # against the worker pipes so results stream back the
-                # moment they finish.
+                # With tasks in flight, multiplex the socket against
+                # the worker pipes so results stream back the moment
+                # they finish.
                 if self._pool.busy:
                     replies, ready = self._pool.collect(sock)
                     self._forward(sock, replies)
@@ -300,6 +290,13 @@ class WorkerHost:
                 except (OSError, ConnectionError, EOFError):
                     pass  # coordinator died; back to accept
                 finally:
+                    # Shut the connection down, not only this fd: a pool
+                    # worker forked during the session holds a copy, so
+                    # close() alone would leave the coordinator waiting.
+                    try:
+                        sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass  # the coordinator hung up first
                     try:
                         sock.close()
                     except OSError:
@@ -356,8 +353,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="bind address (port 0 = ephemeral; the "
                              "bound port is printed on stdout)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="local worker processes (0 = one per CPU; "
-                             "1 = run tasks inline)")
+                        help="local worker processes, one task slot "
+                             "each (0 = one per CPU)")
     parser.add_argument("--journal", default=None, metavar="DIR",
                         help="write this host's journal shard under DIR "
                              "(merge shards with: python -m "

@@ -86,14 +86,9 @@ def summarize(meta: Dict[str, Any], events: List[Dict[str, Any]],
         }
 
     # -- differential privacy ------------------------------------------
-    dp_steps = [e for e in events if e.get("event") == "dp_step"]
     dp_chunks = [e for e in events if e.get("event") == "dp_epsilon"]
-    if dp_steps or dp_chunks:
+    if dp_chunks:
         summary["dp"] = {
-            "steps": [
-                {"step": e.get("step"), "epsilon": e.get("epsilon")}
-                for e in dp_steps
-            ],
             "per_chunk": [
                 {"chunk": e.get("chunk"), "steps": e.get("steps"),
                  "epsilon": e.get("epsilon")}
@@ -206,16 +201,6 @@ def render_text(summary: Dict[str, Any]) -> str:
         for entry in dp["per_chunk"]:
             lines.append(f"  chunk {entry['chunk']}: steps={entry['steps']} "
                          f"epsilon={entry['epsilon']:.3f}")
-        steps = dp["steps"]
-        if steps:
-            head = steps[: 3]
-            tail = steps[-1]
-            for entry in head:
-                lines.append(f"  step {entry['step']}: "
-                             f"epsilon={entry['epsilon']:.4f}")
-            if len(steps) > 3:
-                lines.append(f"  ... step {tail['step']}: "
-                             f"epsilon={tail['epsilon']:.4f}")
 
     retries = summary.get("worker_retries")
     if retries:
@@ -359,9 +344,8 @@ def _final_epsilon(summary: Dict[str, Any]) -> Optional[float]:
     dp = summary.get("dp")
     if not dp:
         return None
-    eps = [e.get("epsilon") for e in dp.get("per_chunk", ())]
-    eps += [e.get("epsilon") for e in dp.get("steps", ())]
-    eps = [e for e in eps if isinstance(e, (int, float))]
+    eps = [e.get("epsilon") for e in dp.get("per_chunk", ())
+           if isinstance(e.get("epsilon"), (int, float))]
     return max(eps) if eps else None
 
 

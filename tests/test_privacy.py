@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import ip_to_int, load_dataset
-from repro.nn import Parameter, cross_entropy, tensor
 from repro.privacy import (
-    DpGradientComputer,
     DpSgdConfig,
     RdpAccountant,
     compute_epsilon,
@@ -158,46 +156,6 @@ class TestPrivatizeGradients:
             DpSgdConfig(clip_norm=0.0)
         with pytest.raises(ValueError):
             DpSgdConfig(noise_multiplier=-1.0)
-
-
-class TestDpGradientComputer:
-    def _setup(self, noise=1.0):
-        rng = np.random.default_rng(0)
-        w = Parameter(rng.normal(size=(3, 2)))
-        x = rng.normal(size=(20, 3))
-        y = rng.integers(0, 2, size=20)
-
-        def loss_fn(i):
-            logits = tensor(x[i:i + 1]) @ w
-            return cross_entropy(logits, y[i:i + 1])
-
-        computer = DpGradientComputer(
-            [w], DpSgdConfig(clip_norm=1.0, noise_multiplier=noise),
-            dataset_size=20, seed=0,
-        )
-        return computer, loss_fn
-
-    def test_gradients_shape(self):
-        computer, loss_fn = self._setup()
-        grads = computer.step_gradients(loss_fn, [0, 1, 2, 3])
-        assert grads[0].shape == (3, 2)
-
-    def test_epsilon_accumulates(self):
-        computer, loss_fn = self._setup()
-        computer.step_gradients(loss_fn, [0, 1, 2, 3])
-        e1 = computer.spent_epsilon()
-        computer.step_gradients(loss_fn, [4, 5, 6, 7])
-        assert computer.spent_epsilon() > e1
-
-    def test_zero_noise_is_infinite_epsilon(self):
-        computer, loss_fn = self._setup(noise=0.0)
-        computer.step_gradients(loss_fn, [0, 1])
-        assert computer.spent_epsilon() == float("inf")
-
-    def test_empty_batch_raises(self):
-        computer, loss_fn = self._setup()
-        with pytest.raises(ValueError):
-            computer.step_gradients(loss_fn, [])
 
 
 class TestIpTransformation:

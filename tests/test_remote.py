@@ -84,8 +84,8 @@ def _hosts_string(hosts):
 
 @pytest.fixture(scope="module")
 def hosts():
-    """Two loopback worker hosts: one inline (jobs=1), one pooled
-    (jobs=2) — the pooled host exercises the host-local fan-out."""
+    """Two loopback worker hosts, with one and two pool workers — the
+    two-worker host exercises the host-local fan-out."""
     spawned = [spawn_worker_host(jobs=1, env=HOST_ENV),
                spawn_worker_host(jobs=2, env=HOST_ENV)]
     yield spawned
@@ -186,6 +186,37 @@ class TestMalformedFrames:
         _, events = load_journals([str(journal)])
         bad = [e for e in events if e["event"] == "host_bad_frame"]
         assert len(bad) == len(self.FRAMES)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tasks_beyond_the_slots_end_only_the_session(self, tmp_path,
+                                                         jobs):
+        """A coordinator keeps at most a host's slot count of tasks in
+        flight; a peer that sends more ends only its own session.  The
+        session also ends at the peer although the pool worker that ran
+        its first task, forked during it, holds a copy of its socket."""
+        journal = tmp_path / "host"
+        host = spawn_worker_host(jobs=jobs, env=HOST_ENV,
+                                 journal_dir=str(journal))
+        try:
+            sock = socket.create_connection(host.address, timeout=10)
+            try:
+                send_frame(sock, ("hello", {"version": WIRE_VERSION}))
+                assert recv_frame(sock)[0] == "hello"
+                packed, _ = pack_tasks(list(range(jobs + 2)))
+                send_frame(sock, ("task", 0, _square, packed[0], False))
+                assert recv_frame(sock)[:4] == ("result", 0, "ok", 0)
+                for index in range(1, jobs + 2):
+                    send_frame(sock, ("task", index, _slow_square,
+                                      packed[index], False))
+                assert recv_frame(sock) is None  # session ended
+            finally:
+                sock.close()
+            assert host.process.poll() is None
+        finally:
+            host.stop()
+        assert host.process.returncode == 0
+        _, events = load_journals([str(journal)])
+        assert [e["event"] for e in events].count("host_bad_frame") == 1
 
     def test_undecodable_reply_takes_host_down_path(self):
         """A reply that does not unpickle is a dead host: the task is
@@ -438,14 +469,15 @@ def _always_explode(_):
 
 
 class TestHostPool:
-    """A ``--jobs 2`` host runs tasks in its own pipe-worker pool: a
-    worker that dies mid-task is replaced and its task resent on the
-    host, within MAX_TASK_ATTEMPTS dispatches, and the coordinator sees
-    no host failure."""
+    """A host runs every task in its own pipe-worker pool, at any
+    ``--jobs``: a worker that dies mid-task is replaced and its task
+    resent on the host, within MAX_TASK_ATTEMPTS dispatches, and the
+    coordinator sees no host failure."""
 
-    def test_worker_death_is_retried_on_the_host(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_death_is_retried_on_the_host(self, tmp_path, jobs):
         journal = tmp_path / "host"
-        host = spawn_worker_host(jobs=2, env=HOST_ENV,
+        host = spawn_worker_host(jobs=jobs, env=HOST_ENV,
                                  journal_dir=str(journal))
         marker = str(tmp_path / "exploded")
         ex = RemoteExecutor(hosts=[host.address])
@@ -464,8 +496,9 @@ class TestHostPool:
         assert deaths[0]["task"] == 2
         assert deaths[0]["attempt"] == 1
 
-    def test_spent_attempts_fail_the_task_and_the_host_recovers(self):
-        host = spawn_worker_host(jobs=2, env=HOST_ENV)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_spent_attempts_fail_the_task_and_the_host_recovers(self, jobs):
+        host = spawn_worker_host(jobs=jobs, env=HOST_ENV)
         ex = RemoteExecutor(hosts=[host.address])
         try:
             with pytest.raises(RuntimeError,

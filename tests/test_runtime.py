@@ -487,11 +487,10 @@ class TestFrozenStatesOnce:
         from repro.core.netshare import GenerateSession
         from repro.runtime import chunk_tasks
 
-        for cache in ("_THAW_CACHE", "_MODEL_CACHE", "_ENCODER_CACHE"):
+        for cache in ("_MODEL_CACHE", "_ENCODER_CACHE"):
             monkeypatch.setattr(chunk_tasks, cache, {})
         fitted_serial.generate(60, seed=4, jobs=1)
         session = GenerateSession(fitted_serial, 1)
-        assert chunk_tasks._THAW_CACHE == {}
         assert set(chunk_tasks._MODEL_CACHE) == {
             state.content_hash for state in session.model_states.values()}
         assert len(chunk_tasks._MODEL_CACHE) == len(fitted_serial._chunks)

@@ -175,6 +175,12 @@ class TestFrozenState:
         thawed = thaw_state(frozen)
         np.testing.assert_array_equal(thawed["w"], state["w"])
         assert thawed["nested"] == {"b": 3}
+        # Each thaw decodes afresh and keeps nothing: equal arrays in a
+        # distinct dict.
+        again = thaw_state(frozen)
+        assert again is not thawed
+        np.testing.assert_array_equal(again["w"], thawed["w"])
+        assert again["w"] is not thawed["w"]
 
     def test_identical_states_freeze_once(self):
         state = {"w": np.ones(5)}

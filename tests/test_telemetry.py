@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from repro import NetShare, NetShareConfig, load_dataset, telemetry
-from repro.nn import Dense, Parameter, cross_entropy, tensor
+from repro.nn import Dense, Parameter, tensor
 from repro.nn.autograd import Tensor
 from repro.nn.optim import SGD
-from repro.privacy import DpGradientComputer, DpSgdConfig
 from repro.runtime import (
     MultiprocessingExecutor,
     SerialExecutor,
@@ -527,7 +526,7 @@ class TestPersistentPool:
 
 
 # ----------------------------------------------------------------------
-# nn / DP instrumentation
+# nn instrumentation
 
 
 class TestInstrumentation:
@@ -538,29 +537,6 @@ class TestInstrumentation:
             Dense(3, 2)(tensor(np.ones((4, 3))))
             SGD([Parameter(np.ones(2))], lr=0.1).step([Tensor(np.ones(2))])
             assert telemetry.metrics().snapshot()["histograms"] == {}
-
-    def test_dp_step_ledger(self, tmp_path):
-        rng = np.random.default_rng(0)
-        w = Parameter(rng.normal(size=(3, 2)))
-        x = rng.normal(size=(8, 3))
-        y = rng.integers(0, 2, size=8)
-
-        def loss_fn(i):
-            return cross_entropy(tensor(x[i:i + 1]) @ w, y[i:i + 1])
-
-        computer = DpGradientComputer(
-            [w], DpSgdConfig(clip_norm=1.0, noise_multiplier=1.0),
-            dataset_size=8, seed=0)
-        with telemetry.session(journal_dir=tmp_path) as journal:
-            computer.step_gradients(loss_fn, [0, 1])
-            computer.step_gradients(loss_fn, [2, 3])
-            run_dir = journal.directory
-            assert telemetry.metrics().snapshot()["counters"][
-                "dp.steps"] == 2.0
-        _, events = load_journal(run_dir)
-        steps = [e for e in events if e["event"] == "dp_step"]
-        assert [e["step"] for e in steps] == [1, 2]
-        assert steps[1]["epsilon"] > steps[0]["epsilon"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -629,11 +605,8 @@ class TestNetShareJournal:
             if node.get("name") == "train_chunk"
         }
         assert any(pid != os.getpid() for pid in worker_pids)
-        # Persistent-pool cache proof: fine-tune tasks re-used the
-        # thawed seed state / rebuilt models across tasks.
         final = next(e for e in events if e["event"] == "metrics")
         assert final["counters"]["runtime.tasks_dispatched"] >= 2
-        assert final["counters"].get("runtime.thaw_cache.hits", 0) >= 1
         rounds = [e for e in events if e["event"] == "generate_round"]
         assert rounds and all("accepted" in e and "rejected" in e
                               for e in rounds)
