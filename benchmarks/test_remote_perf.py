@@ -219,10 +219,14 @@ def bench():
                 sum(float(np.asarray(v).sum())
                     for v in c.model.state_dict().values()) * scale
                 for c in remote._chunks for scale in (1.0, 2.0)]
-            ex = RemoteExecutor(hosts=[h.address for h in hosts])
+            # On the two-slot host alone, every count is fixed: across
+            # two hosts they would depend on which host answers first.
+            ex = RemoteExecutor(hosts=[hosts[1].address])
             try:
                 got = ex.map_tasks(_probe_sum, tasks)
                 probe_ok = np.allclose(got, expected)
+                first_map = {"blobs_sent": ex.stats["blobs_sent"],
+                             "dedup_hits": ex.stats["blob_dedup_hits"]}
                 # Second map over freshly-frozen but content-identical
                 # states: the ledger must show zero new shipments.
                 again = ex.map_tasks(_probe_sum, [
@@ -234,8 +238,9 @@ def bench():
                 ship_values = sorted(ex.ship_counts.values())
                 report["dedup_probe"] = {
                     "blobs": len(states),
-                    "hosts": len(hosts),
+                    "hosts": 1,
                     "results_ok": bool(probe_ok),
+                    "first_map": first_map,
                     "blobs_sent": ex.stats["blobs_sent"],
                     "dedup_hits": ex.stats["blob_dedup_hits"],
                     "max_ships_per_host_blob":
@@ -244,6 +249,15 @@ def bench():
                 }
             finally:
                 ex.close()
+            # Across both hosts only the ledger's maximum is fixed:
+            # each blob ships at most once to each host.
+            fleet = RemoteExecutor(hosts=[h.address for h in hosts])
+            try:
+                fleet.map_tasks(_probe_sum, tasks)
+                report["dedup_probe"]["fleet_max_ships_per_host_blob"] = \
+                    max(fleet.ship_counts.values())
+            finally:
+                fleet.close()
 
             # -- host death mid-generate: re-queue, zero loss --------
             oracle = serial.generate(GEN_RECORDS, seed=11)
@@ -274,8 +288,7 @@ def bench():
             serial.save(path)
             daemon = ServeDaemon(
                 models={"ugr16": path},
-                config=ServeConfig(coalesce_window=0.02, jobs=1,
-                                   hosts=hosts_str))
+                config=ServeConfig(jobs=1, hosts=hosts_str))
             daemon.start()
             try:
                 with ServeClient(*daemon.address,
@@ -319,7 +332,7 @@ def bench():
             "serve_repeat_cached": report["serve"]
             ["repeat_request_cached"],
             "blob_max_ships_per_host": report["dedup_probe"]
-            ["max_ships_per_host_blob"],
+            ["fleet_max_ships_per_host_blob"],
             "dedup_hits": report["dedup_probe"]["dedup_hits"],
             "host_death_zero_lost_duplicated": bool(fault_identical),
             "wire_bytes_per_task_vs_pool_manifest": {
@@ -365,6 +378,16 @@ class TestRemotePerf:
         probe = bench["report"]["dedup_probe"]
         assert probe["results_ok"]
         assert probe["blobs_sent"] <= probe["blobs"] * probe["hosts"]
+
+    def test_dedup_probe_counts_are_exact(self, bench):
+        """On one host, the first map ships each state once and hits it
+        for the task's twin; the second map ships nothing."""
+        probe = bench["report"]["dedup_probe"]
+        assert probe["first_map"] == {"blobs_sent": probe["blobs"],
+                                      "dedup_hits": probe["blobs"]}
+        assert probe["blobs_sent"] == probe["blobs"]
+        assert probe["dedup_hits"] == 2 * probe["blobs"]
+        assert probe["max_ships_per_host_blob"] == 1
 
     def test_host_death_requeues_with_zero_loss(self, bench):
         assert bench["report"]["summary"]

@@ -7,9 +7,10 @@ several client identities and measures, client-side and daemon-side:
 * **throughput** — sustained requests/second over the whole workload,
   with client-observed latency percentiles (p50/p99);
 * **coalescing** — generate requests per executor batch (the request
-  coalescer's whole point; gate: ratio > 1, i.e. batching happened),
-  read from the daemon's metrics after the last wave (gate: they count
-  every request sent);
+  coalescer's whole point; gates: ratio > 1, and one batch per wave,
+  since the scheduler batches everything queued), read from the
+  daemon's metrics after the last wave (gate: they count every request
+  sent);
 * **registry** — model-registry hit rate under two models well inside
   capacity (gate: >= 0.5 — one cold load each, resident thereafter);
 * **placement** — the share of executor calls the pool ran in-process
@@ -20,8 +21,9 @@ several client identities and measures, client-side and daemon-side:
   same :func:`~repro.serve.derive_client_seed` seed.
 
 Waves are staged deterministically with the daemon's scheduler gate:
-every request of a wave is admitted before the scheduler may run, so
-the coalescing measurement does not depend on thread-start timing.
+the gate opens only once the scheduler holds one request of the wave
+and the rest are queued, so the coalescing measurement does not depend
+on thread-start timing.
 
 Results land in ``BENCH_serve.json`` at the repo root; the daemon's
 run journal (serve_start / serve_batch / serve_stop events) streams to
@@ -110,12 +112,13 @@ def _run_wave(daemon, wave_index: int, latencies, served, failures):
                                   args=(client_id, size, seed))
         thread.start()
         threads.append(thread)
-    # Submission is a non-blocking enqueue, so a short settle after
-    # every thread has started guarantees the whole wave is either in
-    # the scheduler's held first batch or in the queue; a straggler
-    # would only add one extra batch (lowering, never faking, the
-    # measured coalescing ratio).
-    time.sleep(0.3)
+    # Open the gate once the whole wave is admitted: one request held
+    # by the scheduler, the rest queued behind it.  Past the bound the
+    # gate opens anyway, and a straggler shows as an extra batch.
+    deadline = time.monotonic() + 60.0
+    while (daemon.held + daemon.queue.depth < len(WAVE_JOBS)
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
     daemon.gate.set()
     for thread in threads:
         thread.join(timeout=300.0)
@@ -129,10 +132,7 @@ def bench(tmp_path_factory):
     if JOURNAL_DIR.exists():
         shutil.rmtree(JOURNAL_DIR)
     config = ServeConfig(
-        coalesce_window=0.05,
-        max_batch=len(WAVE_JOBS),
         queue_limit=4 * len(WAVE_JOBS),
-        retry_after=0.1,
         jobs=2 if (os.cpu_count() or 1) >= 2 else 1,
     )
     latencies, served, failures = [], [], []
@@ -190,8 +190,6 @@ def bench(tmp_path_factory):
             "records": RECORDS, "sizes": list(SIZES),
             "clients": list(CLIENTS), "waves": WAVES,
             "requests_per_wave": len(WAVE_JOBS),
-            "coalesce_window": config.coalesce_window,
-            "max_batch": config.max_batch,
             "queue_limit": config.queue_limit,
             "jobs": config.jobs,
         },
@@ -255,6 +253,11 @@ class TestServePerf:
     def test_coalescing_ratio_above_one(self, bench):
         """Acceptance: concurrent requests actually share batches."""
         assert bench["coalescing"]["ratio"] > 1.0
+
+    def test_each_wave_is_one_batch(self, bench):
+        """The scheduler takes the held request and everything queued
+        behind it, so each staged wave runs as one batch."""
+        assert bench["coalescing"]["batches"] == WAVES
 
     def test_metrics_count_every_request(self, bench):
         """The daemon counts a request before answering it, so the

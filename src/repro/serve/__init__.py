@@ -7,9 +7,9 @@ paying a model load per request.  This package wraps the existing
 generation runtime in a long-running daemon:
 
 * :class:`ServeDaemon` — line-delimited-JSON socket service with a
-  bounded admission queue, request coalescing onto the
-  :func:`~repro.nn.bucket_size` batch grid, and graceful SIGTERM
-  drain (:mod:`repro.serve.daemon`);
+  bounded admission queue, batches of whatever requests have queued
+  (task sizes on the :func:`~repro.nn.bucket_size` grid), and graceful
+  SIGTERM drain (:mod:`repro.serve.daemon`);
 * :class:`ModelRegistry` — LRU cache of loaded models (each keeps the
   dispatch blobs its first session froze) and hot reload on archive
   mtime change (:mod:`repro.serve.registry`);

@@ -46,10 +46,7 @@ def _cmd_serve(args) -> int:
     config = ServeConfig(
         host=args.host, port=args.port,
         registry_capacity=args.registry_capacity,
-        coalesce_window=args.window_ms / 1000.0,
-        max_batch=args.max_batch,
         queue_limit=args.queue_limit,
-        retry_after=args.retry_after,
         jobs=args.jobs, hosts=args.hosts,
         cache_capacity=args.cache_capacity,
     )
@@ -127,11 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="model name -> NetShare.save archive "
                             "(repeatable)")
     serve.add_argument("--registry-capacity", type=int, default=4)
-    serve.add_argument("--window-ms", type=float, default=50.0,
-                       help="request-coalescing window in milliseconds")
-    serve.add_argument("--max-batch", type=int, default=16)
-    serve.add_argument("--queue-limit", type=int, default=64)
-    serve.add_argument("--retry-after", type=float, default=0.25)
+    serve.add_argument("--queue-limit", type=int, default=64,
+                       help="admission queue size, which also bounds "
+                            "a batch")
     serve.add_argument("--jobs", type=int, default=None)
     serve.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                        help="remote worker hosts (default: REPRO_HOSTS "

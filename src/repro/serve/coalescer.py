@@ -10,9 +10,11 @@ shape:
   :class:`PendingRequest` (bounded queue = admission control — a full
   queue is an explicit ``overloaded`` rejection with ``retry_after``,
   never unbounded latency);
-* the scheduler thread :meth:`~AdmissionQueue.collect`-s a batch: it
-  blocks for the first request, then keeps the window open a few tens
-  of milliseconds so requests arriving together ride one batch;
+* the scheduler thread :meth:`~AdmissionQueue.take`-s the first
+  request, then :meth:`~AdmissionQueue.drain`-s everything queued
+  behind it into the same batch.  It never waits for more: a lone
+  request runs at once, and requests that arrive while a batch runs
+  ride the next batch together.  The queue limit bounds a batch;
 * :func:`run_generation_batch` opens one
   :class:`~repro.core.netshare.GenerateSession` per request and hands
   them all to :func:`~repro.core.netshare.run_sessions`, the driver
@@ -46,6 +48,7 @@ from ..core.netshare import GenerateSession, run_sessions
 from ..nn import bucket_size
 from ..telemetry import emit_event
 from .protocol import (
+    MAX_RECORDS,
     derive_client_seed,
     error_response,
     ok_response,
@@ -113,29 +116,16 @@ class AdmissionQueue:
     def depth(self) -> int:
         return self._queue.qsize()
 
-    def collect(self, window: float, max_batch: int,
-                poll: float = 0.1) -> List[PendingRequest]:
-        """Gather one batch: block up to ``poll`` seconds for a first
-        request, then hold the coalescing ``window`` open (or until
-        ``max_batch``) so near-simultaneous requests share a batch."""
-        batch: List[PendingRequest] = []
+    def take(self, timeout: float = 0.1) -> Optional[PendingRequest]:
+        """Block up to ``timeout`` seconds for the next request
+        (``None`` if none came, so the caller can poll for stop)."""
         try:
-            batch.append(self._queue.get(timeout=poll))
+            return self._queue.get(timeout=timeout)
         except queue.Empty:
-            return batch
-        deadline = time.monotonic() + max(window, 0.0)
-        while len(batch) < max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                batch.append(self._queue.get(timeout=remaining))
-            except queue.Empty:
-                break
-        return batch
+            return None
 
     def drain(self) -> List[PendingRequest]:
-        """Pop everything queued right now (shutdown bookkeeping)."""
+        """Pop everything queued right now."""
         drained: List[PendingRequest] = []
         while True:
             try:
@@ -156,8 +146,8 @@ def _open_session(pending: PendingRequest, registry: ModelRegistry
         n_records = int(request.get("n_records", 0))
     except (TypeError, ValueError):
         return None, {"message": "'n_records' must be an integer"}
-    if n_records < 1:
-        return None, {"message": "'n_records' must be >= 1"}
+    if not 1 <= n_records <= MAX_RECORDS:
+        return None, {"message": f"'n_records' must be in 1..{MAX_RECORDS}"}
     client_id = str(request.get("client_id", ""))
     try:
         seed = int(request.get("seed", 0))

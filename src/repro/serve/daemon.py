@@ -9,8 +9,10 @@ Thread layout (the whole design falls out of it):
   request's completion event.  A full queue is answered ``overloaded``
   with ``retry_after`` right away: admission control happens at the
   socket, not by silent queueing.
-* **one scheduler thread** owns everything stateful: it collects
-  coalesced batches, loads models through the
+* **one scheduler thread** owns everything stateful: it blocks for a
+  request and batches it with everything queued behind it (it never
+  waits for more: requests that arrive while a batch runs ride the
+  next one together), loads models through the
   :class:`~repro.serve.registry.ModelRegistry`, and drives the batch
   through the shared executor.  Telemetry spans/journal events are
   process-local by design, so routing all generation through this one
@@ -47,6 +49,7 @@ from .cache import DEFAULT_CACHE_CAPACITY, ResultCache
 from .coalescer import AdmissionQueue, PendingRequest, run_generation_batch
 from .protocol import (
     PROTOCOL_VERSION,
+    RETRY_AFTER,
     ProtocolError,
     encode_message,
     error_response,
@@ -59,8 +62,8 @@ from .registry import ModelRegistry
 __all__ = ["ServeConfig", "ServeDaemon", "install_signal_handlers"]
 
 #: Latency/batch-size buckets for the serve histograms: request
-#: latencies from a coalescing window up to minutes, batch sizes on
-#: the small-integer grid.
+#: latencies from 10 ms up to minutes, batch sizes on the
+#: small-integer grid.
 _LATENCY_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
                     10.0, 30.0, 60.0, 120.0, 300.0)
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -85,24 +88,22 @@ _COUNTERS = (
 )
 _GAUGES = ("serve.queue.depth",)
 
+#: Seconds ``shutdown`` waits for the scheduler to drain.
+_DRAIN_TIMEOUT = 30.0
+
 
 @dataclass
 class ServeConfig:
     """Tunables for one daemon instance.
 
-    ``coalesce_window`` trades first-request latency for batching: the
-    scheduler holds a batch open that long after the first arrival so
-    concurrent small requests share one executor fan-out.  ``port=0``
-    binds an ephemeral port (read it back from ``daemon.address``).
+    ``port=0`` binds an ephemeral port (read it back from
+    ``daemon.address``).  ``queue_limit`` also bounds a batch.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     registry_capacity: int = 4
-    coalesce_window: float = 0.05
-    max_batch: int = 16
     queue_limit: int = 64
-    retry_after: float = 0.25
     jobs: Optional[int] = None
     # Worker hosts ('host:port,host:port'; None falls back to
     # REPRO_HOSTS).  Hosts select the remote executor; without them,
@@ -112,7 +113,6 @@ class ServeConfig:
     # Keyed on (model, model generation, derived seed, n_records), so
     # a model reload bypasses stale entries via the generation bump.
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    drain_timeout: float = 30.0
 
 
 class _ServeServer(socketserver.ThreadingTCPServer):
@@ -200,9 +200,9 @@ class ServeDaemon:
         #: deterministically); ``shutdown`` always re-sets it.
         self.gate = threading.Event()
         self.gate.set()
-        #: Test hook: how many requests the scheduler has collected and
-        #: holds at ``gate`` (0 while it is not waiting there), so a test
-        #: can tell "collected and held" from "not collected yet".
+        #: Test hook: 1 while the scheduler holds the request it took at
+        #: ``gate``, else 0, so a test can tell "taken and held" from
+        #: "not taken yet".  Released, it batches everything queued.
         self.held = 0
         self._executor = None
         self._server: Optional[_ServeServer] = None
@@ -237,8 +237,7 @@ class ServeDaemon:
         telemetry.emit_event(
             "serve_start", host=self.address[0], port=self.address[1],
             backend=self._executor.name, jobs=self._executor.jobs,
-            queue_limit=self.config.queue_limit,
-            coalesce_window=self.config.coalesce_window)
+            queue_limit=self.config.queue_limit)
         self._accepting = True
         self._server_thread.start()
         self._scheduler.start()
@@ -274,7 +273,7 @@ class ServeDaemon:
             if self._server_thread is not None:
                 self._server_thread.join(timeout=5.0)
         if self._scheduler is not None and self._scheduler.is_alive():
-            self._scheduler.join(timeout=self.config.drain_timeout)
+            self._scheduler.join(timeout=_DRAIN_TIMEOUT)
         if self._executor is not None:
             self._executor.close()
         telemetry.emit_event("serve_stop", drain=drain,
@@ -321,13 +320,11 @@ class ServeDaemon:
     def _handle_generate(self, message: Dict[str, Any]) -> Dict[str, Any]:
         if not self._accepting:
             self._count("serve.generate.rejected")
-            return overloaded_response(self.config.retry_after,
-                                       reason="shutting down")
+            return overloaded_response(RETRY_AFTER, reason="shutting down")
         pending = PendingRequest(message, on_complete=self._count_response)
         if not self.queue.submit(pending):
             self._count("serve.generate.rejected")
-            return overloaded_response(self.config.retry_after,
-                                       reason="queue full")
+            return overloaded_response(RETRY_AFTER, reason="queue full")
         with self._stats_lock:
             self._stats.gauge("serve.queue.depth").set(self.queue.depth)
         pending.wait()
@@ -367,17 +364,17 @@ class ServeDaemon:
     # -- scheduler thread ----------------------------------------------
     def _scheduler_loop(self) -> None:
         while True:
-            batch = self.queue.collect(self.config.coalesce_window,
-                                       self.config.max_batch)
-            if not batch:
+            first = self.queue.take()
+            if first is None:
                 if self._stop.is_set():
                     break
                 continue
-            self.held = len(batch)
+            self.held = 1
             self.gate.wait()
             self.held = 0
+            batch = [first] + self.queue.drain()
             if self._stop.is_set() and not self._drain_on_stop:
-                for pending in batch + self.queue.drain():
+                for pending in batch:
                     pending.complete(error_response(
                         "daemon shut down before the request ran"))
                 continue

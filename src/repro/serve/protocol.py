@@ -10,10 +10,11 @@ response per request, in order.
 Requests carry an ``op``:
 
 * ``generate`` — ``{"op": "generate", "model": name, "n_records": N,
-  "seed": S, "client_id": ID}``.  The daemon derives the effective
-  generation seed with :func:`derive_client_seed`, so distinct clients
-  sharing a request seed still draw independent streams, and any
-  client can reproduce its stream offline:
+  "seed": S, "client_id": ID}``, with ``1 <= N <= MAX_RECORDS``.  The
+  daemon derives the effective generation seed with
+  :func:`derive_client_seed`, so distinct clients sharing a request
+  seed still draw independent streams, and any client can reproduce
+  its stream offline:
   ``NetShare.generate(N, seed=derive_client_seed(ID, S))`` is
   bit-identical to the served trace.
 * ``metrics`` / ``healthz`` / ``models`` — answered inline (never
@@ -21,8 +22,8 @@ Requests carry an ``op``:
 
 Responses carry a ``status``: ``ok``, ``error`` (with ``message``), or
 ``overloaded`` (admission control; carries ``retry_after`` seconds the
-client should wait before retrying — honoured by
-:class:`~repro.serve.client.ServeClient`).
+client should wait before retrying, :data:`RETRY_AFTER` from the
+daemon — honoured by :class:`~repro.serve.client.ServeClient`).
 
 Traces travel as column dicts (:func:`trace_to_payload` /
 :func:`payload_to_trace`).  JSON float round-tripping uses ``repr``
@@ -44,6 +45,8 @@ from ..datasets.records import FlowTrace, PacketTrace
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
+    "MAX_RECORDS",
+    "RETRY_AFTER",
     "STATUS_OK",
     "STATUS_ERROR",
     "STATUS_OVERLOADED",
@@ -65,6 +68,15 @@ PROTOCOL_VERSION = 1
 #: 100k-record flow response is ~20 MB of JSON; the cap exists to bound
 #: a malicious/corrupt peer, not to constrain honest traffic.
 MAX_LINE_BYTES = 128 * 1024 * 1024
+
+#: The most records one ``generate`` request may ask for: its response
+#: must fit in ``MAX_LINE_BYTES``, budgeting 256 JSON bytes a record, a
+#: 3x margin over generated traces (81.5-84.8 bytes a UGR16 flow record,
+#: 72.4-76.0 a CAIDA packet record, at 100-10,000 records).
+MAX_RECORDS = MAX_LINE_BYTES // 256
+
+#: Seconds an ``overloaded`` response asks the client to back off.
+RETRY_AFTER = 0.25
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"

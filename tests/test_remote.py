@@ -712,8 +712,7 @@ class TestRemoteParity:
                                             tmp_path):
         path = tmp_path / "remote_model.npz"
         fitted_serial.save(path)
-        config = ServeConfig(coalesce_window=0.02, jobs=1,
-                             hosts=_hosts_string(hosts))
+        config = ServeConfig(jobs=1, hosts=_hosts_string(hosts))
         daemon = ServeDaemon(models={"ugr16": str(path)}, config=config)
         daemon.start()
         try:

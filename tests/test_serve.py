@@ -40,6 +40,8 @@ from repro.serve import (
 )
 from repro.serve import coalescer
 from repro.serve.protocol import (
+    MAX_RECORDS,
+    RETRY_AFTER,
     decode_message,
     encode_message,
     ok_response,
@@ -242,7 +244,7 @@ class TestPooledDaemon:
         jobs=1 generate with the derived seed."""
         requests = [("dana", n, seed)
                     for seed, n in enumerate([10, 20, 10, 30] * 3)]
-        config = ServeConfig(coalesce_window=0.01, jobs=2)
+        config = ServeConfig(jobs=2)
         with telemetry.session(journal_dir=tmp_path / "runs"):
             instance = ServeDaemon(models={"ugr16": model_path},
                                    config=config)
@@ -269,8 +271,7 @@ class TestPooledDaemon:
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def daemon(model_path):
-    config = ServeConfig(coalesce_window=0.02, jobs=1,
-                         queue_limit=8, retry_after=0.05)
+    config = ServeConfig(jobs=1, queue_limit=8)
     instance = ServeDaemon(models={"ugr16": model_path}, config=config)
     instance.start()
     yield instance
@@ -409,8 +410,7 @@ class TestAdmissionControl:
             f"(holds {daemon.held})")
 
     def test_queue_full_rejected_with_retry_after(self, model_path):
-        config = ServeConfig(coalesce_window=0.01, jobs=1,
-                             queue_limit=1, retry_after=0.125)
+        config = ServeConfig(jobs=1, queue_limit=1)
         with ServeDaemon(models={"ugr16": model_path},
                          config=config) as daemon:
             daemon.gate.clear()  # hold the scheduler before batch 1
@@ -421,12 +421,12 @@ class TestAdmissionControl:
                                  client_id=client_id) as client:
                     background.append(client.generate(15, "ugr16"))
 
-            # First request: collected into the held batch (leaves the
+            # First request: taken and held at the gate (leaves the
             # queue).  Second: occupies the single queue slot.  Wait
             # until the scheduler holds request one at the gate — an
             # empty queue alone is also the state before request one
-            # arrives, and a second request sent then would join its
-            # batch instead of queueing.
+            # arrives, and a second request sent then would be taken
+            # instead of queueing.
             one = threading.Thread(target=fire, args=("one",))
             one.start()
             self._wait_held(daemon, 1)
@@ -439,11 +439,92 @@ class TestAdmissionControl:
                              max_retries=0) as client:
                 with pytest.raises(ServeOverloadedError) as excinfo:
                     client.generate(15, "ugr16")
-            assert excinfo.value.retry_after == 0.125
+            assert excinfo.value.retry_after == RETRY_AFTER
             daemon.gate.set()
             one.join(timeout=60)
             two.join(timeout=60)
             assert len(background) == 2
+
+    def test_queued_requests_ride_one_batch(self, model_path,
+                                           offline_model):
+        """The scheduler takes a request, then everything queued behind
+        it.  One request held at the gate plus three that queue
+        meanwhile run as one batch, each bit-identical to offline
+        generation."""
+        requests = [(f"q{i}", n, i) for i, n in enumerate([10, 20, 10, 30])]
+        served = {}
+        with ServeDaemon(models={"ugr16": model_path},
+                         config=ServeConfig(jobs=1)) as daemon:
+            daemon.gate.clear()
+
+            def fire(i, client_id, n, seed):
+                with ServeClient(*daemon.address,
+                                 client_id=client_id) as client:
+                    served[i] = client.generate(n, "ugr16", seed=seed)
+
+            threads = [threading.Thread(target=fire, args=(i,) + request)
+                       for i, request in enumerate(requests)]
+            threads[0].start()
+            self._wait_held(daemon, 1)
+            for thread in threads[1:]:
+                thread.start()
+            self._wait_depth(daemon, 3)
+            daemon.gate.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            counters = daemon.metrics_payload()["serve"]["counters"]
+        assert len(served) == len(requests)
+        assert counters["serve.batches"] == 1.0
+        assert counters["serve.generate.requests"] == 4.0
+        for i, (client_id, n, seed) in enumerate(requests):
+            offline = offline_model.generate(
+                n, seed=derive_client_seed(client_id, seed))
+            for name, column in offline._columns().items():
+                assert np.array_equal(served[i]._columns()[name],
+                                      column), (i, name)
+
+    def test_oversized_request_is_answered_error(self, model_path,
+                                                 offline_model):
+        """A request over MAX_RECORDS gets an error response; a valid
+        request in the same batch is served bit-identically, and the
+        daemon keeps serving."""
+        outcome = {}
+        with ServeDaemon(models={"ugr16": model_path},
+                         config=ServeConfig(jobs=1)) as daemon:
+            daemon.gate.clear()
+
+            def fire_valid():
+                with ServeClient(*daemon.address,
+                                 client_id="fits") as client:
+                    outcome["trace"] = client.generate(20, "ugr16", seed=4)
+
+            def fire_oversized():
+                outcome["oversized"] = _raw_request(daemon.address, {
+                    "op": "generate", "model": "ugr16",
+                    "n_records": MAX_RECORDS + 1})
+
+            valid = threading.Thread(target=fire_valid)
+            valid.start()
+            self._wait_held(daemon, 1)
+            oversized = threading.Thread(target=fire_oversized)
+            oversized.start()
+            self._wait_depth(daemon, 1)
+            daemon.gate.set()
+            valid.join(timeout=60)
+            oversized.join(timeout=60)
+            counters = daemon.metrics_payload()["serve"]["counters"]
+            with ServeClient(*daemon.address, client_id="after") as client:
+                after = client.generate(15, "ugr16", seed=1)
+        assert outcome["oversized"]["status"] == "error"
+        assert str(MAX_RECORDS) in outcome["oversized"]["message"]
+        assert counters["serve.batches"] == 1.0
+        assert counters["serve.generate.requests"] == 2.0
+        for trace, client_id, n, seed in ((outcome["trace"], "fits", 20, 4),
+                                          (after, "after", 15, 1)):
+            offline = offline_model.generate(
+                n, seed=derive_client_seed(client_id, seed))
+            for name, column in offline._columns().items():
+                assert np.array_equal(trace._columns()[name], column), name
 
     def test_client_honours_retry_after(self, netflow):
         """A fake daemon answers overloaded once, then ok; the client
@@ -487,7 +568,7 @@ class TestAdmissionControl:
 class TestShutdown:
     def test_drain_finishes_in_flight_requests(self, model_path,
                                                offline_model):
-        config = ServeConfig(coalesce_window=0.01, jobs=1)
+        config = ServeConfig(jobs=1)
         daemon = ServeDaemon(models={"ugr16": model_path}, config=config)
         daemon.start()
         daemon.gate.clear()
@@ -516,7 +597,7 @@ class TestShutdown:
         daemon.shutdown()
 
     def test_no_drain_errors_queued_requests(self, model_path):
-        config = ServeConfig(coalesce_window=0.01, jobs=1)
+        config = ServeConfig(jobs=1)
         daemon = ServeDaemon(models={"ugr16": model_path}, config=config)
         daemon.start()
         daemon.gate.clear()
@@ -542,7 +623,7 @@ class TestShutdown:
         assert "shut down" in outcome["error"]
 
     def test_rejects_after_shutdown_begins(self, model_path):
-        config = ServeConfig(coalesce_window=0.01, jobs=1)
+        config = ServeConfig(jobs=1)
         daemon = ServeDaemon(models={"ugr16": model_path}, config=config)
         daemon.start()
         daemon.shutdown()
@@ -632,8 +713,7 @@ class TestDaemonCache:
         assert cache["size"] == 2 and cache["hits"] == 1
 
     def test_cache_disabled_by_config(self, model_path):
-        config = ServeConfig(coalesce_window=0.01, jobs=1,
-                             cache_capacity=0)
+        config = ServeConfig(jobs=1, cache_capacity=0)
         daemon = ServeDaemon(models={"ugr16": model_path}, config=config)
         daemon.start()
         try:
