@@ -4,13 +4,16 @@ Boots one daemon (pooled multiprocessing executor) fronting two model
 archives, then fires waves of concurrent mixed-size requests from
 several client identities and measures, client-side and daemon-side:
 
-* **throughput** — sustained requests/second over the whole workload,
-  with client-observed latency percentiles (p50/p99);
+* **throughput** — after one untimed warm-up wave (it pays the pool
+  spawn and the cold tapes), ``ROUNDS`` timed rounds of ``WAVES``
+  waves each: each round's wall seconds and client-observed latency
+  percentiles (p50/p99), recorded as median and IQR over the rounds,
+  and the sustained requests/second at the median wall;
 * **coalescing** — generate requests per executor batch (the request
   coalescer's whole point; gates: ratio > 1, and one batch per wave,
-  since the scheduler batches everything queued), read from the
-  daemon's metrics after the last wave (gate: they count every request
-  sent);
+  warm-up included, since the scheduler batches everything queued),
+  read from the daemon's metrics after the last wave (gate: they count
+  every request sent);
 * **registry** — model-registry hit rate under two models well inside
   capacity (gate: >= 0.5 — one cold load each, resident thereafter);
 * **placement** — the share of executor calls the pool ran in-process
@@ -64,6 +67,8 @@ EPOCHS_FINE_TUNE = 1 if SMOKE else 2
 SIZES = (20, 45, 90) if SMOKE else (40, 90, 180)
 CLIENTS = ("alice", "bob", "carol")
 WAVES = 2 if SMOKE else 3
+#: Timed rounds of ``WAVES`` waves each, after one warm-up wave.
+ROUNDS = 3 if SMOKE else 7
 #: Requests per wave = one size per client identity.
 WAVE_JOBS = [(client, size) for client in CLIENTS for size in SIZES]
 
@@ -85,6 +90,15 @@ def _train_archives(tmp_dir: Path):
     secondary = tmp_dir / "ugr16_b.npz"
     shutil.copy(primary, secondary)
     return str(primary), str(secondary)
+
+
+def _spread(values) -> dict:
+    """Median and IQR of a per-round figure, with the round count and
+    the machine's CPU count."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 4),
+            "iqr": round(float(q3 - q1), 4),
+            "n": len(values), "cpus": os.cpu_count() or 1}
 
 
 def _run_wave(daemon, wave_index: int, latencies, served, failures):
@@ -136,6 +150,7 @@ def bench(tmp_path_factory):
         jobs=2 if (os.cpu_count() or 1) >= 2 else 1,
     )
     latencies, served, failures = [], [], []
+    walls, p50s, p99s = [], [], []
     with telemetry.session(journal_dir=JOURNAL_DIR,
                            label="bench-serve") as journal:
         daemon = ServeDaemon(
@@ -143,10 +158,19 @@ def bench(tmp_path_factory):
             config=config)
         daemon.start()
         try:
-            workload_start = time.perf_counter()
-            for wave in range(WAVES):
-                _run_wave(daemon, wave, latencies, served, failures)
-            workload_wall = time.perf_counter() - workload_start
+            _run_wave(daemon, 0, [], served, failures)   # warm-up
+            for round_index in range(ROUNDS):
+                timed = []
+                start = time.perf_counter()
+                for wave in range(WAVES):
+                    # Every wave has its own seeds: none hits the
+                    # result cache.
+                    _run_wave(daemon, 1 + round_index * WAVES + wave,
+                              timed, served, failures)
+                walls.append(time.perf_counter() - start)
+                p50s.append(float(np.percentile(timed, 50)))
+                p99s.append(float(np.percentile(timed, 99)))
+                latencies.extend(timed)
             with ServeClient(*daemon.address) as client:
                 metrics = client.metrics()
         finally:
@@ -157,7 +181,8 @@ def bench(tmp_path_factory):
     calls_pooled = runtime.get("runtime.calls_pooled", 0.0)
 
     assert not failures, failures
-    total_requests = WAVES * len(WAVE_JOBS)
+    round_requests = WAVES * len(WAVE_JOBS)
+    total_requests = len(WAVE_JOBS) + ROUNDS * round_requests
     assert len(served) == total_requests
 
     # Offline parity: every served trace must equal NetShare.generate
@@ -181,29 +206,33 @@ def bench(tmp_path_factory):
     registry = metrics["registry"]
     hit_rate = registry["hits"] / max(
         registry["hits"] + registry["misses"], 1)
-    latencies_arr = np.asarray(sorted(latencies))
+    wall = _spread(walls)
 
     report = {
         "smoke": SMOKE,
         "cpus": os.cpu_count(),
         "config": {
             "records": RECORDS, "sizes": list(SIZES),
-            "clients": list(CLIENTS), "waves": WAVES,
+            "clients": list(CLIENTS), "warmup_waves": 1,
+            "rounds": ROUNDS, "waves_per_round": WAVES,
             "requests_per_wave": len(WAVE_JOBS),
             "queue_limit": config.queue_limit,
             "jobs": config.jobs,
         },
+        # ``requests`` and ``records_served`` count the warm-up wave
+        # too; the timings cover the timed rounds only.
         "throughput": {
             "requests": total_requests,
-            "wall_seconds": round(workload_wall, 3),
-            "sustained_rps": round(total_requests / workload_wall, 3),
+            "requests_per_round": round_requests,
+            "wall_seconds": wall,
+            "sustained_rps": round(round_requests / wall["median"], 3),
             "records_served": int(counters["serve.generate.records"]),
         },
         "latency_seconds": {
-            "p50": round(float(np.percentile(latencies_arr, 50)), 4),
-            "p99": round(float(np.percentile(latencies_arr, 99)), 4),
-            "max": round(float(latencies_arr[-1]), 4),
-            "mean": round(float(latencies_arr.mean()), 4),
+            "p50": _spread(p50s),
+            "p99": _spread(p99s),
+            "max": round(max(latencies), 4),
+            "mean": round(float(np.mean(latencies)), 4),
         },
         "coalescing": {
             "generate_requests": generate_requests,
@@ -256,8 +285,9 @@ class TestServePerf:
 
     def test_each_wave_is_one_batch(self, bench):
         """The scheduler takes the held request and everything queued
-        behind it, so each staged wave runs as one batch."""
-        assert bench["coalescing"]["batches"] == WAVES
+        behind it, so each staged wave, the warm-up included, runs as
+        one batch."""
+        assert bench["coalescing"]["batches"] == 1 + ROUNDS * WAVES
 
     def test_metrics_count_every_request(self, bench):
         """The daemon counts a request before answering it, so the
@@ -278,7 +308,7 @@ class TestServePerf:
     def test_p99_latency_bounded(self, bench):
         """Bounded-latency gate: with admission control on, no request
         waits unboundedly — generous CI ceiling, tightly logged."""
-        assert bench["latency_seconds"]["p99"] <= 120.0
+        assert bench["latency_seconds"]["p99"]["median"] <= 120.0
 
     def test_journal_has_serve_lifecycle(self, bench):
         from repro.telemetry import load_journal

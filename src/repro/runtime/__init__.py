@@ -10,18 +10,18 @@ from ``jobs`` and ``hosts`` alone.  Callers build tasks from plain
 values; the executor alone decides what crosses a process boundary.
 :func:`~repro.runtime.serialization.pack_tasks` names each call's
 bulk payloads once (content-hash blob manifests plus a deduplicated
-blob table): the ``multiprocessing`` pool stages the table in a
-per-call shared-memory arena (:mod:`repro.runtime.shm`), and the
-``remote`` backend (:mod:`repro.runtime.remote`) ships it to
-long-lived worker hosts (``python -m repro.runtime.remote_worker``)
-over length-prefixed socket frames.  See
+blob table): the ``multiprocessing`` pool stages it in the
+content-addressed shared-memory arena it keeps for its lifetime
+(:mod:`repro.runtime.shm`), and the ``remote`` backend
+(:mod:`repro.runtime.remote`) ships it to long-lived worker hosts
+(``python -m repro.runtime.remote_worker``) over socket frames.  See
 :mod:`repro.runtime.executor` for the determinism contract and
 :mod:`repro.runtime.chunk_tasks` for the task functions.
 
 The ``multiprocessing`` executor and every worker host drive the
-same pipe-worker pool; a host runs all its tasks on it.  The remote coordinator/host classes
-are not imported here (``from repro.runtime import remote``), and
-:func:`~repro.runtime.executor.get_executor` imports them only to
+same pipe-worker pool and arena class.  The remote coordinator/host
+classes are not imported here (``from repro.runtime import remote``),
+and :func:`~repro.runtime.executor.get_executor` imports them only to
 build a ``remote`` executor, so the single-machine path never loads
 the socket layer.
 """

@@ -22,7 +22,7 @@ dicts — and never name a transport.  Two things keep dispatch cheap:
 * **Executor staging** — the executor alone decides what crosses a
   process boundary: :func:`~repro.runtime.serialization.pack_tasks`
   names the encoded tensors, frozen payloads and top-level arrays, the
-  process pool stages them in shared memory for the call (the
+  process pool stages them in shared memory kept for its lifetime (the
   ``remote`` backend ships them to its hosts), and each worker
   rebuilds plain views before it calls the task function.
 

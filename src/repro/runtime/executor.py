@@ -14,13 +14,13 @@ third, ``remote``, lives in :mod:`repro.runtime.remote`):
   and their tasks retried.  Callers hand it plain tasks; the executor
   alone decides what crosses the process boundary.  It packs each
   call's bulk payloads (:func:`~repro.runtime.serialization.
-  pack_tasks`), stages them in a :class:`~repro.runtime.shm.
-  SharedArena` that lives exactly as long as the call, and dispatches
-  only tiny manifests through the pipe (the zero-copy data plane).
-  Each worker rebuilds plain views before it calls the task function
-  and closes them once its reply is pickled.  A call whose measured
-  task work is small next to the measured fixed cost of a pooled call
-  runs in-process instead, unstaged (:data:`INLINE_MULTIPLE`).
+  pack_tasks`), stages what the pool's content-addressed
+  :class:`~repro.runtime.shm.SharedArena` lacks, and dispatches only
+  tiny manifests through the pipe (the zero-copy data plane).  Each
+  worker rebuilds plain views before it calls the task function and
+  closes them once its reply is pickled.  A call whose measured task
+  work is small next to the measured fixed cost of a pooled call runs
+  in-process instead, unstaged (:data:`INLINE_MULTIPLE`).
 
 The pool itself (``_WorkerPool``) is only a mechanism: it spawns
 workers, sends pre-pickled messages, turns ready pipes into replies,
@@ -29,17 +29,17 @@ and replaces dead workers, resending their messages within
 executor, and every worker host (:mod:`repro.runtime.remote_worker`),
 which runs all its tasks on one.
 
-The pool persists for the lifetime of the executor — per-process
-caches in :mod:`repro.runtime.chunk_tasks` (generate-side
-model/encoder caches) survive from one ``map_tasks`` call to the next,
-which is what makes ``generate``'s top-up rounds cheap.  Executors
-are context managers; ``close()`` (or ``with``) waits for a
-``map_tasks`` call in flight on another thread, then shuts the pool
-down, and a ``weakref.finalize`` backstop reaps workers if an
-executor is dropped without closing.  Workers also exit on
+The pool and its arena persist for the lifetime of the executor —
+per-process caches in :mod:`repro.runtime.chunk_tasks` (generate-side
+model/encoder caches) and staged blobs survive from one ``map_tasks``
+call to the next, which is what makes ``generate``'s top-up rounds
+cheap.  Executors are context managers; ``close()`` (or ``with``)
+waits for a ``map_tasks`` call in flight on another thread, shuts the
+pool down, then unlinks the arena; ``weakref.finalize`` backstops
+reap both for an executor dropped without closing.  Workers exit on
 their own once the coordinator process dies (SIGKILL, OOM kill), and
-they share the coordinator's resource tracker, so shared-memory
-blocks staged by a killed coordinator are still reclaimed.
+they share its resource tracker, so shared-memory blocks staged by a
+killed coordinator are still reclaimed.
 
 Determinism contract: a task carries every RNG seed it needs (derived
 from the model config, never from scheduling order), so backends only
@@ -470,7 +470,7 @@ class Executor(ABC):
         # on it, so a shutdown requested from another thread (the
         # repro.serve daemon's SIGTERM path) never ends a worker
         # mid-task, in particular never while it still reads a block
-        # its call is about to unlink.
+        # close() is about to unlink.
         self._idle = threading.Event()
         self._idle.set()
 
@@ -534,9 +534,10 @@ class MultiprocessingExecutor(Executor):
 
     The task function must be a module-level callable and every task
     picklable.  Each pooled call stages its tasks' bulk tensors and
-    frozen states in a :class:`~repro.runtime.shm.SharedArena` of its
-    own, so each dispatched task is a few hundred bytes of manifest
-    instead of megabytes of pickled tensor.
+    frozen states in the pool's content-addressed :class:`~repro.
+    runtime.shm.SharedArena` (a later call on the same states stages
+    nothing), so each dispatched task is a few hundred bytes of
+    manifest instead of megabytes of pickled tensor.
 
     Placement: single-task (or single-worker) calls run in-process,
     unstaged.  So does a multi-task call whose estimated task work is
@@ -548,9 +549,9 @@ class MultiprocessingExecutor(Executor):
     call of every function on a fresh executor pools.  Results are the
     same bits either way, by the determinism contract.
 
-    The pool (and with it the workers' per-process caches) survives
-    across ``map_tasks`` calls until ``close()``; a worker that dies
-    mid-task is respawned and its task retried up to
+    The pool (and with it the workers' per-process caches and the
+    arena) survives across ``map_tasks`` calls until ``close()``; a
+    worker that dies mid-task is respawned and its task retried up to
     :data:`MAX_TASK_ATTEMPTS` dispatches.
     """
 
@@ -560,6 +561,7 @@ class MultiprocessingExecutor(Executor):
         super().__init__()
         self.jobs = resolve_jobs(jobs if jobs is not None else 0)
         self._pool: Optional[_WorkerPool] = None
+        self._arena: Optional[SharedArena] = None
         self._finalizer: Optional[weakref.finalize] = None
         # The placement rule's running estimates: seconds per task of
         # each task function, and the fixed cost of one pooled call.
@@ -569,6 +571,7 @@ class MultiprocessingExecutor(Executor):
     def _ensure_pool(self) -> _WorkerPool:
         if self._pool is None:
             self._pool = _WorkerPool(self.jobs, on_retry=_note_retry)
+            self._arena = SharedArena()
             # Backstop: reap workers if the executor is garbage
             # collected without close() (must not capture ``self``).
             self._finalizer = weakref.finalize(
@@ -588,6 +591,9 @@ class MultiprocessingExecutor(Executor):
         if self._pool is not None:
             self._pool.close()
             self._pool = None
+        if self._arena is not None:
+            self._arena.close()
+            self._arena = None
 
     def map_tasks(self, fn, tasks):
         tasks = list(tasks)
@@ -636,53 +642,50 @@ class MultiprocessingExecutor(Executor):
         order, over ``workers`` pipes; return the results, the summed
         task seconds, and the call's fixed cost.
 
-        Workers are spawned before staging, so a fork never inherits
-        this call's mappings.  The call's bulk payloads are staged in
-        an arena that lives exactly as long as the call: its blocks
-        are unlinked on return, when a task raises, and after a worker
-        dies mid-task.  After the first task error no further task is
-        sent; the call waits for those in flight, then raises it.
+        Workers are spawned before staging.  Staged blobs stay linked
+        after the call returns, raises or loses a worker, until a later
+        call evicts them or ``close()`` unlinks them.  After the first
+        task error no further task is sent; the call waits for those in
+        flight, then raises it.
 
         A task's seconds run from its submit to its reply, so pipe and
         unpickle time count as task work.  The fixed cost is the call's
         wall time after the pool is up minus the busiest worker's task
-        seconds: packing, staging, pickling and unlinking.  Spawning is
-        left out; a pool pays it once, on a call that pools anyway.
+        seconds: packing, staging what the arena lacks and pickling.
+        Spawning is left out; a pool pays it once, on a call that pools
+        anyway.
         """
         pool = self._ensure_pool()
         pool.start(workers)
         start = time.perf_counter()
         packed, blobs = pack_tasks(tasks)
-        with SharedArena() as arena:
-            names = {digest: arena.share_array(array).name
-                     for digest, array in blobs.items()}
-            messages = [pickle.dumps(
-                (index, fn, task,
-                 {h: names[h] for h in manifest_hashes(task)}, telem),
-                protocol=pickle.HIGHEST_PROTOCOL)
-                for index, task in enumerate(packed)]
-            results: List[Any] = [None] * len(messages)
-            pending: Deque[int] = deque(range(len(messages)))
-            error: Optional[BaseException] = None
-            sent: Dict[int, float] = {}
-            busy: Dict[int, float] = {}   # worker pid -> task seconds
-            while (pending and error is None) or pool.busy:
-                while (pending and error is None
-                       and pool.busy < workers):
-                    index = pending.popleft()
-                    self._count_sent(len(messages[index]), telem)
-                    sent[index] = time.perf_counter()
-                    pool.submit(index, messages[index])
-                replies, _ = pool.collect()
-                now = time.perf_counter()
-                for pid, (index, status, value, payload) in replies:
-                    busy[pid] = busy.get(pid, 0.0) + now - sent[index]
-                    if telem:
-                        telemetry.absorb_worker_payload(payload)
-                    if status == "ok":
-                        results[index] = value
-                    elif error is None:
-                        error = value
+        names = self._arena.stage(blobs)
+        messages = [pickle.dumps(
+            (index, fn, task,
+             {h: names[h] for h in manifest_hashes(task)}, telem),
+            protocol=pickle.HIGHEST_PROTOCOL)
+            for index, task in enumerate(packed)]
+        results: List[Any] = [None] * len(messages)
+        pending: Deque[int] = deque(range(len(messages)))
+        error: Optional[BaseException] = None
+        sent: Dict[int, float] = {}
+        busy: Dict[int, float] = {}   # worker pid -> task seconds
+        while (pending and error is None) or pool.busy:
+            while pending and error is None and pool.busy < workers:
+                index = pending.popleft()
+                self._count_sent(len(messages[index]), telem)
+                sent[index] = time.perf_counter()
+                pool.submit(index, messages[index])
+            replies, _ = pool.collect()
+            now = time.perf_counter()
+            for pid, (index, status, value, payload) in replies:
+                busy[pid] = busy.get(pid, 0.0) + now - sent[index]
+                if telem:
+                    telemetry.absorb_worker_payload(payload)
+                if status == "ok":
+                    results[index] = value
+                elif error is None:
+                    error = value
         if error is not None:
             raise error
         fixed = time.perf_counter() - start - max(busy.values())

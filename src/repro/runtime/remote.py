@@ -17,13 +17,13 @@ Design, point by point:
   host per content hash (the per-link ``shipped`` ledger, mirroring
   the serve registry's zero-pickling-on-hit design).  The coordinator
   keeps no arena of its own; each host stages the blobs it receives
-  into its *own* ``SharedArena`` for its local workers.
+  into its *own* ``SharedArena``, kept for the host's lifetime.
 * **Fault model.**  The pipe pool's respawn/retry semantics
   generalize: a dead host (EOF, torn frame, socket error/timeout)
   gets its in-flight tasks re-queued onto surviving hosts, bounded by
   :data:`~repro.runtime.executor.MAX_TASK_ATTEMPTS` dispatches per
   task; the dead host is redialed with exponential backoff and,
-  on reconnect, a cleared dedup ledger (its blob store may be gone).
+  on reconnect, a cleared dedup ledger (its staged blobs may be gone).
   ``close()`` is idempotent and, like the local pool's, waits for
   a map in flight on another thread (the drain guard both inherit
   from :class:`~repro.runtime.executor.Executor`).
@@ -150,7 +150,7 @@ class RemoteExecutor(Executor):
     ``hosts`` is a ``host:port,host:port`` string (or list), defaulting
     to the ``REPRO_HOSTS`` environment variable.  Connections are
     dialed lazily on the first ``map_tasks`` call and persist across
-    calls, so host-side blob stores and per-process model/encoder
+    calls, so host-side staged blobs and per-process model/encoder
     caches stay warm for generate's top-up rounds — exactly like the
     pipe pool, one network hop further out.
     """
@@ -432,7 +432,7 @@ class RemoteExecutor(Executor):
                 RuntimeError(f"task {index} failed on {link.label}: "
                              f"{value!r}")
         # need: the host evicted blobs this task references (bounded
-        # store); clear them from the dedup ledger and resend.
+        # arena); clear them from the dedup ledger and resend.
         _, index, missing = message
         link.in_flight.pop(index, None)
         link.shipped.difference_update(missing)
@@ -440,7 +440,7 @@ class RemoteExecutor(Executor):
         if resends[index] > MAX_TASK_ATTEMPTS:
             return RuntimeError(
                 f"task {index} bounced off {link.label} "
-                f"{resends[index]} times (blob store thrashing); "
+                f"{resends[index]} times (blob arena thrashing); "
                 "raise the host's --blob-capacity")
         attempts[index] = max(attempts.get(index, 1) - 1, 0)
         pending.appendleft(index)

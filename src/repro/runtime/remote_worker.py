@@ -6,8 +6,9 @@ Run one per machine::
 
 The host is a mini-coordinator that replays the ``multiprocessing``
 backend locally: blobs pushed by the coordinator are staged once into
-a host-owned :class:`~repro.runtime.shm.SharedArena` (the
-:class:`BlobStore`, a bounded LRU keyed by content hash), and the
+a host-owned :class:`~repro.runtime.shm.SharedArena`, the same
+content-addressed, LRU-bounded staging store the local pool keeps
+(``--blob-capacity`` blobs, kept for the host's lifetime), and the
 host submits every task frame, at any ``--jobs``, to the
 ``multiprocessing`` backend's own pipe-worker pool
 (``repro.runtime.executor._WorkerPool``, ``--jobs`` workers, kept for
@@ -26,16 +27,17 @@ killer) and resends its task within its per-task dispatch budget (the
 host journals each resend as ``host_worker_death``) before an error
 naming the host reaches the coordinator; the host itself stays up.
 
-If the coordinator references a blob the store has evicted, the host
+If the coordinator references a blob the arena has evicted, the host
 replies ``("need", index, missing_hashes)`` instead of running the
 task; the coordinator re-ships and re-sends.
 
 The host serves one coordinator connection at a time (matching how
 ``fit`` and ``generate`` each open their own executor) and loops back
-to ``accept`` when a session ends, keeping the blob store and worker
+to ``accept`` when a session ends, keeping the staged blobs and worker
 caches warm across sessions.  A frame that does not decode, does not
-match its kind's shape (field count, a blob's byte count against its
-shape and dtype), or brings a task while every slot is busy ends only
+match its kind's shape (field count; for a blob, a shape that is not
+a tuple of non-negative ints whose product × itemsize is its byte
+count), or brings a task while every slot is busy ends only
 that session: the host journals ``host_bad_frame`` and accepts the
 next coordinator.  No frame stops the host; ``SIGTERM`` does,
 gracefully.
@@ -47,13 +49,13 @@ pickles, so bind to loopback or a private network only.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import pickle
 import signal
 import socket
 import sys
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,74 +63,31 @@ from ..telemetry.journal import RunJournal
 from .executor import _WorkerPool, resolve_jobs
 from .remote import WIRE_VERSION
 from .serialization import manifest_hashes
-from .shm import ArrayRef, SharedArena
+from .shm import DEFAULT_BLOB_CAPACITY, SharedArena
 from .wire import FrameError, check_frame, recv_frame, send_frame
 
-__all__ = ["BlobStore", "WorkerHost", "main", "DEFAULT_BLOB_CAPACITY"]
-
-#: Default LRU capacity of the host blob store, in blobs.  Each model
-#: generation contributes a handful of blobs (state + encoded tensors
-#: per chunk), so 256 comfortably covers fit + generate working sets;
-#: undersizing it degrades to ``need``-triggered re-ships, never to
-#: wrong results.
-DEFAULT_BLOB_CAPACITY = 256
+__all__ = ["WorkerHost", "main"]
 
 
 #: Field count of each coordinator frame kind.
 _FRAME_ARITY = {"blob": 5, "task": 5, "bye": 1}
 
 
-class BlobStore:
-    """Content-addressed blob cache backed by one host-owned arena.
-
-    ``put`` is idempotent per hash (the dedup property the coordinator
-    counts on); capacity overflow evicts least-recently-used blobs via
-    :meth:`SharedArena.drop`.  Eviction only strands a blob that a
-    *concurrently in-flight* task still references — size the capacity
-    above the per-map working set; the ``need`` protocol heals the
-    cross-map case.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_BLOB_CAPACITY):
-        self.capacity = max(int(capacity), 1)
-        self.arena = SharedArena(prefix="reprohost")
-        self._refs: "OrderedDict[str, ArrayRef]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._refs)
-
-    def put(self, content_hash: str, dtype: str,
-            shape: Tuple[int, ...], data: bytes) -> ArrayRef:
-        """Store one blob; raises :class:`FrameError` unless ``data``
-        holds exactly shape × itemsize bytes of a valid dtype."""
-        ref = self._refs.get(content_hash)
-        if ref is not None:
-            self._refs.move_to_end(content_hash)
-            return ref
-        try:
-            array = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(shape)
-        except (TypeError, ValueError) as exc:
-            raise FrameError(f"blob {content_hash[:16]} does not match its "
-                             f"shape and dtype: {exc}") from None
-        ref = self.arena.share_array(array)
-        self._refs[content_hash] = ref
-        while len(self._refs) > self.capacity:
-            _, evicted = self._refs.popitem(last=False)
-            self.arena.drop(evicted)
-        return ref
-
-    def block_names(self, hashes) -> Dict[str, str]:
-        """Block name per content hash (marks each as recently used)."""
-        for content_hash in hashes:
-            self._refs.move_to_end(content_hash)
-        return {h: self._refs[h].name for h in hashes}
-
-    def missing(self, hashes) -> List[str]:
-        return sorted(h for h in hashes if h not in self._refs)
-
-    def close(self) -> None:
-        self._refs.clear()
-        self.arena.close()
+def _blob_array(message: Tuple[Any, ...]) -> Tuple[str, np.ndarray]:
+    """The content hash and array of a blob frame; raises
+    :class:`FrameError` unless its shape is a tuple of non-negative
+    ints whose product × itemsize is the data's byte count."""
+    _, content_hash, dtype, shape, data = message
+    try:
+        dtype = np.dtype(dtype)
+        if not (isinstance(content_hash, str) and isinstance(data, bytes)
+                and isinstance(shape, tuple)
+                and all(type(n) is int and n >= 0 for n in shape)
+                and math.prod(shape) * dtype.itemsize == len(data)):
+            raise ValueError(f"shape {shape!r} of {dtype.str}")
+        return content_hash, np.frombuffer(data, dtype=dtype).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise FrameError(f"malformed blob frame: {exc}") from None
 
 
 class _HostStop(Exception):
@@ -145,7 +104,9 @@ class WorkerHost:
                  host_id: Optional[str] = None):
         self.jobs = resolve_jobs(jobs)
         self.host_id = host_id or f"{socket.gethostname()}-{os.getpid()}"
-        self.store = BlobStore(blob_capacity)
+        # Eviction strands only a blob an in-flight task still
+        # references; ``need`` heals a later task's miss.
+        self.arena = SharedArena(prefix="reprohost", capacity=blob_capacity)
         self.address: Optional[Tuple[str, int]] = None
         self.tasks_run = 0
         self._listen = listen
@@ -193,13 +154,16 @@ class WorkerHost:
             raise FrameError(f"task {index} arrived with all {self.jobs} "
                              "slots busy")
         needed = manifest_hashes(packed)
-        missing = self.store.missing(needed)
+        missing = self.arena.missing(needed)
         if missing:
             send_frame(sock, ("need", index, missing))
             self._event("host_need", task=index, missing=len(missing))
             return
+        # Every blob is staged already: stage() copies nothing and
+        # marks them recently used.
+        blocks = self.arena.stage(dict.fromkeys(needed))
         self._pool.submit(index, pickle.dumps(
-            (index, fn, packed, self.store.block_names(needed), telem),
+            (index, fn, packed, blocks, telem),
             protocol=pickle.HIGHEST_PROTOCOL))
 
     def _serve_connection(self, sock, peer) -> None:
@@ -237,15 +201,11 @@ class WorkerHost:
                     break
                 kind = message[0]
                 if kind == "blob":
-                    _, content_hash, dtype, shape, data = message
-                    if not (isinstance(content_hash, str)
-                            and isinstance(data, bytes)):
-                        raise FrameError("malformed blob frame")
-                    before = len(self.store)
-                    self.store.put(content_hash, dtype, shape, data)
+                    content_hash, array = _blob_array(message)
+                    stored = bool(self.arena.missing([content_hash]))
+                    self.arena.stage({content_hash: array})
                     self._event("host_blob", hash=content_hash[:16],
-                                nbytes=len(data),
-                                stored=len(self.store) > before)
+                                nbytes=array.nbytes, stored=stored)
                 elif kind == "task":
                     self._handle_task_frame(sock, message)
                 else:  # bye
@@ -327,7 +287,7 @@ class WorkerHost:
                 pass
             self._listener = None
         self._pool.close()
-        self.store.close()
+        self.arena.close()
         self._event("host_stop", tasks=self.tasks_run)
         if self.journal is not None:
             self.journal.close()
@@ -362,7 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--blob-capacity", type=int,
                         default=DEFAULT_BLOB_CAPACITY, metavar="N",
                         help="LRU capacity of the content-addressed "
-                             "blob store, in blobs")
+                             "blob arena, in blobs")
     parser.add_argument("--host-id", default=None,
                         help="label for journal events and diagnostics "
                              "(default: hostname-pid)")

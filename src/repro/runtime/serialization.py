@@ -21,8 +21,9 @@ the bytes in a side table deduplicated by hash, so N tasks sharing
 one model state carry one blob.  Arrays nested deeper (a ``DgConfig``
 anchor matrix) and plain dict states pickle inline: generate workers
 keep models beyond the task, so a view held there would pin its block.
-The process pool stages the table in a per-call ``SharedArena``; the
-``remote`` backend ships it to worker hosts.  Every worker then runs
+The process pool stages the table in the ``SharedArena`` it keeps
+for its lifetime; the ``remote`` backend ships it to worker hosts,
+which keep arenas of their own.  Every worker then runs
 :func:`unpack_task`, which rebuilds plain views of the staged blocks,
 so task functions only ever see plain values.
 """
@@ -131,9 +132,9 @@ def load_state_npz(path) -> Dict[str, Any]:
 class BlobManifest:
     """Content-addressed descriptor of one bulk payload.
 
-    ``content_hash`` keys the per-call blob table (a payload is staged
+    ``content_hash`` keys the per-call blob table (a payload is tabled
     once per call however many tasks share it), the remote per-host
-    dedup ledger and the host's blob store; shape/dtype let the
+    dedup ledger and every staging arena; shape/dtype let the
     receiver rebuild the typed view without any task context.  All
     fields are hash-stable primitives so the manifest itself pickles
     into a few dozen bytes.

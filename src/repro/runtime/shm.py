@@ -6,8 +6,8 @@ encoded tensors (and possibly a full warm-start ``state_dict``) pay a
 serialize/deserialize round-trip per task — for large chunks, dispatch
 cost rivals training cost.  The executors keep that payload out of the
 pipe: :func:`~repro.runtime.serialization.pack_tasks` names each bulk
-payload once, the ``multiprocessing`` pool copies it into a
-``multiprocessing.shared_memory`` block owned by a :class:`SharedArena`,
+payload once by content hash, the ``multiprocessing`` pool stages it
+in a ``multiprocessing.shared_memory`` block of a :class:`SharedArena`,
 and tasks travel with only tiny manifests.  Workers map the named
 block and rebuild a numpy view directly onto the shared buffer — no
 copy, no pickle.  Callers never see any of this: they build tasks from
@@ -15,9 +15,10 @@ plain values.
 
 Lifecycle rules:
 
-* the **arena** (the pool's ``map_tasks`` call, or a worker host's
-  blob store) owns every block it creates and unlinks them all when
-  it closes — on normal return, on a task exception, and even if a
+* the **arena**, the one staging store, owns every block it creates:
+  the process pool keeps one for its lifetime, a worker host one for
+  the host's, and :meth:`SharedArena.stage` keys blobs by content hash
+  with a bounded LRU.  ``close()`` unlinks every block, even if a
   worker died mid-task (POSIX shared memory persists until explicitly
   unlinked, so cleanup is the owner's job and only the owner's job).
   A ``weakref.finalize`` backstop covers arenas that are never closed.
@@ -41,10 +42,11 @@ from __future__ import annotations
 
 import gc
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from secrets import token_hex
-from typing import Dict, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -55,9 +57,16 @@ __all__ = [
     "ArrayRef",
     "SharedArena",
     "Attachments",
+    "DEFAULT_BLOB_CAPACITY",
     "block_exists",
     "release_inherited",
 ]
+
+#: LRU capacity of a staging arena, in blobs.  A model contributes a
+#: handful (state + encoded tensors per chunk), so 256 covers fit +
+#: generate working sets; undersizing costs re-staging (on a host,
+#: ``need``-triggered re-ships), never wrong results.
+DEFAULT_BLOB_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -180,21 +189,27 @@ def _release(blocks: Dict[str, shared_memory.SharedMemory]) -> None:
 class SharedArena:
     """Owns a family of shared-memory blocks with guaranteed unlink.
 
-    The process pool opens one around each ``map_tasks`` call::
+    The process pool keeps one for its lifetime::
 
-        with SharedArena() as arena:
-            ref = arena.share_array(payload)
-            ...  # workers attach ``ref`` while the call runs
-        # every block is unlinked here, whatever happened above
+        names = arena.stage(blobs)   # content hash -> block name
+        ...  # workers attach the named blocks; later calls reuse them
+        arena.close()                # every block is unlinked here
+
+    ``capacity`` defaults to :data:`DEFAULT_BLOB_CAPACITY`.
     """
 
-    def __init__(self, prefix: str = "repro"):
+    def __init__(self, prefix: str = "repro",
+                 capacity: Optional[int] = None):
         self._prefix = prefix
+        self.capacity = max(int(DEFAULT_BLOB_CAPACITY if capacity is None
+                                else capacity), 1)
         self._blocks: Dict[str, shared_memory.SharedMemory] = {}
         # Staged payload bytes per block (ArrayRef.nbytes, NOT the OS
         # block size: that is floored at 1 byte for empty arrays and
         # page-rounded on some platforms).
         self._nbytes: Dict[str, int] = {}
+        # Content hash -> block name, least recently used first.
+        self._staged: "OrderedDict[str, str]" = OrderedDict()
         self._finalizer = weakref.finalize(self, _release, self._blocks)
 
     # -- creation ------------------------------------------------------
@@ -218,6 +233,25 @@ class SharedArena:
                        shape=list(ref.shape), dtype=ref.dtype)
         return ref
 
+    def stage(self, blobs: Mapping[str, np.ndarray]) -> Dict[str, str]:
+        """Copy in the blobs (content hash -> array) this arena lacks and
+        return every passed hash's block name.  Past the capacity, the
+        least recently used blobs are unlinked, never one passed here:
+        a table over the capacity is kept whole until the next stage."""
+        for digest, array in blobs.items():
+            if digest in self._staged:
+                self._staged.move_to_end(digest)
+            else:
+                self._staged[digest] = self.share_array(array).name
+        excess = len(self._staged) - max(self.capacity, len(blobs))
+        self._unlink([self._staged.popitem(last=False)[1]
+                      for _ in range(excess)])
+        return {digest: self._staged[digest] for digest in blobs}
+
+    def missing(self, hashes: Iterable[str]) -> List[str]:
+        """The given hashes this arena has not staged, sorted."""
+        return sorted(h for h in hashes if h not in self._staged)
+
     # -- introspection -------------------------------------------------
     @property
     def block_names(self):
@@ -231,23 +265,20 @@ class SharedArena:
         return sum(self._nbytes.get(name, 0) for name in self._blocks)
 
     # -- lifecycle -----------------------------------------------------
-    def drop(self, ref: Union["ArrayRef", str]) -> None:
-        """Unlink and release one block early (LRU eviction in the
-        remote worker host's blob store).  Same-process views created
-        before the drop stay valid — POSIX keeps unlinked memory alive
-        while mapped — but new attaches by name will fail."""
-        name = ref.name if isinstance(ref, ArrayRef) else str(ref)
-        block = self._blocks.pop(name, None)
-        self._nbytes.pop(name, None)
-        if block is not None:
-            _unlink(name, block)
+    def _unlink(self, names: List[str]) -> None:
+        """Unlink and release the named blocks (views made before stay
+        valid; new attaches by name fail)."""
+        if names and STATE.enabled:
+            emit_event("shm_unlink", blocks=len(names),
+                       nbytes=sum(self._nbytes.get(n, 0) for n in names))
+        for name in names:
+            self._nbytes.pop(name, None)
+            _unlink(name, self._blocks.pop(name))
 
     def close(self) -> None:
         """Unlink and release every block (idempotent)."""
-        if self._blocks and STATE.enabled:
-            emit_event("shm_unlink", blocks=len(self._blocks),
-                       nbytes=self.shared_bytes)
-        _release(self._blocks)
+        self._staged.clear()
+        self._unlink(list(self._blocks))
 
     def __enter__(self) -> "SharedArena":
         return self

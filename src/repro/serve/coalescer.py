@@ -225,7 +225,7 @@ def run_generation_batch(batch: List[PendingRequest],
             on_call(tasks)
 
     # Sessions on one model share that model's frozen states, so the
-    # executor stages each state once per call, whatever the batch.
+    # executor stages each state once, whatever the batch.
     run_sessions([session for _, session, _ in sessions], executor,
                  count_call)
 

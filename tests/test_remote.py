@@ -153,6 +153,11 @@ class TestMalformedFrames:
         "undecodable": b"\x80\x05 this is not a pickle",
         "blob_size": pickle.dumps(("blob", "h" * 64, "<f8", (4,),
                                    b"\x00" * 8)),
+        # reshape() would infer the -1 and accept a bare int.
+        "blob_negative_dim": pickle.dumps(("blob", "h" * 64, "<f8", (-1,),
+                                           b"\x00" * 24)),
+        "blob_int_shape": pickle.dumps(("blob", "h" * 64, "<f8", 3,
+                                        b"\x00" * 24)),
         "task_arity": pickle.dumps(("task", 0, _square)),
         # No frame stops a host or asks it for a liveness reply.
         "shutdown": pickle.dumps(("shutdown",)),

@@ -618,7 +618,8 @@ class TestWorkerPoolShutdown:
 # coordinator in a subprocess: it maps plain tasks (which the pool
 # stages) over a two-worker pool, prints the worker pids and then exits
 # cleanly or SIGKILLs itself; ``kill_busy`` dies while both workers are
-# mid-task on staged blocks, whose names it prints first.
+# mid-task on staged blocks, whose names it prints first, followed by
+# the blocks its earlier calls left in the pool's arena.
 
 _COORDINATOR = r"""
 import glob, os, signal, sys, threading, time
@@ -629,6 +630,7 @@ def hold(array):
     time.sleep(60)
 
 order, mode = sys.argv[1:3]
+start = set(glob.glob("/dev/shm/repro_*"))
 executor = MultiprocessingExecutor(2)
 if order == "pool_first":
     executor.map_tasks(abs, [-1, -2])   # fork before the tracker runs
@@ -636,14 +638,15 @@ executor.map_tasks(np.sum, [np.full(8, float(i)) for i in range(3)])
 frozen = freeze_state({"w": np.arange(100.0)})
 executor.map_tasks(thaw_state, [frozen, frozen])
 print(" ".join(map(str, executor.worker_pids)), flush=True)
+before = set(glob.glob("/dev/shm/repro_*"))
 staged = set()
 if mode == "kill_busy":
-    before = set(glob.glob("/dev/shm/repro_*"))
     threading.Thread(target=executor.map_tasks, daemon=True,
                      args=(hold, [np.ones(4), np.zeros(4)])).start()
     time.sleep(1.0)
     staged = set(glob.glob("/dev/shm/repro_*")) - before
 print(" ".join(sorted(staged)), flush=True)
+print(" ".join(sorted(before - start)), flush=True)
 if mode.startswith("kill"):
     os.kill(os.getpid(), signal.SIGKILL)
 executor.close()
@@ -671,9 +674,10 @@ def _wait_gone(pids, timeout: float = 10.0) -> list:
 
 
 def _run_coordinator(order: str, mode: str):
-    """Run one coordinator to the end; return (worker pids, blocks it
-    had staged when it died, stderr, worker pids still alive after the
-    grace period)."""
+    """Run one coordinator to the end; return (worker pids, blocks its
+    call in flight had staged when it died, blocks its earlier calls
+    left staged, stderr, worker pids still alive after the grace
+    period)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [_SRC] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -682,6 +686,7 @@ def _run_coordinator(order: str, mode: str):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
     pids = [int(pid) for pid in proc.stdout.readline().split()]
     staged = proc.stdout.readline().split()
+    earlier = proc.stdout.readline().split()
     proc.wait(timeout=60)
     survivors = _wait_gone(pids)
     try:
@@ -694,7 +699,7 @@ def _run_coordinator(order: str, mode: str):
             os.kill(pid, signal.SIGKILL)
         proc.stdout.close()
         proc.stderr.close()
-    return pids, staged, stderr, survivors
+    return pids, staged, earlier, stderr, survivors
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -703,23 +708,26 @@ class TestPoolLifecycle:
     @pytest.mark.parametrize("mode", ["kill", "kill_busy"],
                              ids=["idle", "busy"])
     def test_workers_exit_when_coordinator_is_killed(self, mode):
-        pids, _, _, survivors = _run_coordinator("arena_first", mode)
+        pids, _, _, _, survivors = _run_coordinator("arena_first", mode)
         assert len(pids) == 2
         assert survivors == [], "pool workers outlived their coordinator"
 
     @pytest.mark.parametrize("order", ["arena_first", "pool_first"])
     def test_tracker_owns_blocks_workers_attach(self, order):
         """Workers share the coordinator's resource tracker and never
-        unregister: a clean run prints no tracker error, and the blocks
-        of a call in flight when its coordinator is killed are all
+        unregister: a clean run prints no tracker error, and when its
+        coordinator is killed, the blocks of the call in flight and
+        those earlier calls left in the pool's arena are all
         reclaimed."""
-        _, _, stderr, _ = _run_coordinator(order, "exit")
+        _, _, _, stderr, _ = _run_coordinator(order, "exit")
         assert "Traceback" not in stderr and "resource_tracker" not in stderr
-        _, staged, stderr, survivors = _run_coordinator(order, "kill_busy")
+        _, staged, earlier, stderr, survivors = _run_coordinator(
+            order, "kill_busy")
         assert survivors == []
         assert "Traceback" not in stderr
-        assert staged
-        assert [name for name in staged if os.path.exists(name)] == []
+        assert staged and earlier
+        assert [name for name in staged + earlier
+                if os.path.exists(name)] == []
 
     def test_pool_holds_no_blob_mappings(self):
         """A worker closes a frozen state's blob mapping with its task,

@@ -1,8 +1,9 @@
 """Tests for the zero-copy shared-memory data plane (repro.runtime.shm
-and the pool's per-call staging): manifest round-trips, FrozenState
-caching, and — the part that matters operationally — the guaranteed
-unlink of every block a call stages, on normal return, on task
-exceptions, and on worker death."""
+and the pool's staging): manifest round-trips, FrozenState caching,
+and — the part that matters operationally — the lifetime of every
+block the pool stages: kept across calls (after a normal return, a
+task exception or a worker death), evicted past the arena's capacity,
+and unlinked when the executor closes."""
 
 import multiprocessing
 import os
@@ -211,8 +212,8 @@ class TestFrozenState:
 
 
 # ----------------------------------------------------------------------
-# Per-call staging in the process pool: callers hand over plain tasks,
-# the pool stages their payloads for exactly one call.
+# Staging in the process pool: callers hand over plain tasks, the pool
+# stages their payloads in the arena it keeps for its lifetime.
 
 def _total(task):
     encoded = task["encoded"]
@@ -263,28 +264,32 @@ def staged_names(monkeypatch):
     return names
 
 
-class TestCallScopedArena:
-    """A call's blocks live exactly as long as the call."""
+class TestPoolLifetimeArena:
+    """A pool's blocks live as long as its executor: a later call reuses
+    them, and close() unlinks them all."""
 
-    def test_blocks_gone_after_return(self, staged_names):
+    def test_blocks_outlive_a_returned_call(self, staged_names):
         tasks = _tasks(4)
         with MultiprocessingExecutor(2) as pool:
             assert pool.map_tasks(_total, tasks) == [_total(t) for t in tasks]
-        assert staged_names
+            assert staged_names
+            assert all(block_exists(name) for name in staged_names)
         assert not any(block_exists(name) for name in staged_names)
 
-    def test_blocks_gone_after_task_raises(self, staged_names):
+    def test_blocks_outlive_a_raising_call(self, staged_names):
         with MultiprocessingExecutor(2) as pool:
             with pytest.raises(ValueError, match="task failed"):
                 pool.map_tasks(_fail, _tasks(3))
-        assert staged_names
+            assert staged_names
+            assert all(block_exists(name) for name in staged_names)
         assert not any(block_exists(name) for name in staged_names)
 
-    def test_blocks_gone_after_worker_exits_mid_task(self, staged_names):
+    def test_blocks_outlive_a_worker_exiting_mid_task(self, staged_names):
         with MultiprocessingExecutor(2) as pool:
             with pytest.raises(RuntimeError, match="worker died"):
                 pool.map_tasks(_exit_mid_task, _tasks(2))
-        assert staged_names
+            assert staged_names
+            assert all(block_exists(name) for name in staged_names)
         assert not any(block_exists(name) for name in staged_names)
 
     def test_serial_and_single_task_calls_stage_nothing(self, staged_names):
@@ -296,10 +301,11 @@ class TestCallScopedArena:
         assert staged_names == []
 
     @pytest.mark.parametrize("shared", ["state", "encoded"])
-    def test_shared_payload_staged_once_per_call(self, shared, tmp_path,
+    def test_shared_payload_staged_once_per_pool(self, shared, tmp_path,
                                                  monkeypatch):
         """A FrozenState or EncodedFlows shared by N tasks is staged
-        once per call; per-task rows and payloads once per task."""
+        once, per-task rows and payloads once per task, and a second
+        call on the same tasks stages nothing."""
         # Pin pooled placement: the second call's tasks are cheap
         # enough that the pool would run it in-process, unstaged.
         monkeypatch.setattr("repro.runtime.executor.INLINE_MULTIPLE", 0.0)
@@ -313,7 +319,32 @@ class TestCallScopedArena:
                 pool.map_tasks(_total, tasks)
             staged_blocks = telemetry.metrics().snapshot()["counters"][
                 "shm.blocks_staged"]
-        assert staged_blocks == 2 * per_call
+        assert staged_blocks == per_call
+
+    def test_capacity_below_one_call(self, staged_names, monkeypatch):
+        """An arena smaller than one call's blob table keeps the whole
+        table for that call, which runs bit-identically; a later call
+        evicts it, and a call on evicted blobs stages them again."""
+        monkeypatch.setattr("repro.runtime.executor.INLINE_MULTIPLE", 0.0)
+        monkeypatch.setattr("repro.runtime.shm.DEFAULT_BLOB_CAPACITY", 2)
+        first, second = _tasks(3), _tasks(4)
+        serial = SerialExecutor()
+        with MultiprocessingExecutor(2) as pool:
+            assert pool.map_tasks(_total, first) == \
+                serial.map_tasks(_total, first)
+            # Rows, three encoded tensors and a state per task.
+            first_names = list(staged_names)
+            assert len(first_names) == 5 * len(first)
+            assert all(block_exists(name) for name in first_names)
+            assert pool.map_tasks(_total, second) == \
+                serial.map_tasks(_total, second)
+            second_names = staged_names[len(first_names):]
+            assert len(second_names) == 5 * len(second)
+            assert not any(block_exists(name) for name in first_names)
+            assert all(block_exists(name) for name in second_names)
+            assert pool.map_tasks(_total, first) == \
+                serial.map_tasks(_total, first)
+            assert len(staged_names) == 5 * (2 * len(first) + len(second))
 
 
 def test_only_the_runtime_stages():
